@@ -17,7 +17,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from math import gamma as _euler_gamma
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -45,6 +45,8 @@ __all__ = [
     "term_triple",
     "term_cone",
     "term_for_point",
+    "expand",
+    "evaluate",
     "sum_asymptotics",
 ]
 
@@ -92,7 +94,6 @@ class LocalFrame:
     jacobian: float
     axes: np.ndarray            # rows = grad(w_n) at the point
     phase0: float
-    wmaps: tuple[Callable[[np.ndarray], float], ...] = ()
     cone_sign: float = 1.0      # s with s*g ~ w1^2+w2^2-w3^2 (conical only)
 
 
@@ -121,10 +122,8 @@ def local_frame_interior(phase: PhaseSpec, sp: SpecialPoint) -> LocalFrame:
     if np.linalg.det(W) < 0:
         W = W.copy()
         W[2] *= -1.0
-    wmaps = tuple((lambda xi, r=W[n], x0=x: float(r @ (np.asarray(xi) - x0)))
-                  for n in range(3))
     return LocalFrame(PointKind.SP_INTERIOR, x, (), (), tuple(lam), 1.0, W,
-                      _phase0(phase, x), wmaps)
+                      _phase0(phase, x))
 
 
 def local_frame_single(comp: SingularityComponent, phase: PhaseSpec,
@@ -148,11 +147,8 @@ def local_frame_single(comp: SingularityComponent, phase: PhaseSpec,
         W[2] *= -1.0
         T = W[1:]
         d = -d
-    wmaps = (lambda xi: float(a * np.real(comp.g(xi))),
-             lambda xi, t=W[1], x0=x: float(t @ (np.asarray(xi) - x0)),
-             lambda xi, t=W[2], x0=x: float(t @ (np.asarray(xi) - x0)))
     return LocalFrame(PointKind.SP_ON_SURFACE, x, (comp.label,), (a,),
-                      tuple(lam), 1.0 / d, W, _phase0(phase, x), wmaps)
+                      tuple(lam), 1.0 / d, W, _phase0(phase, x))
 
 
 def local_frame_double(compA: SingularityComponent, compB: SingularityComponent,
@@ -174,12 +170,9 @@ def local_frame_double(compA: SingularityComponent, compB: SingularityComponent,
     if d < 0:
         W[2] *= -1.0
         d = -d
-    wmaps = (lambda xi: float(a1 * np.real(compA.g(xi))),
-             lambda xi: float(a2 * np.real(compB.g(xi))),
-             lambda xi, t=W[2], x0=x: float(t @ (np.asarray(xi) - x0)))
     return LocalFrame(PointKind.SP_ON_CROSSING, x,
                       (compA.label, compB.label), (a1, a2), (beta,),
-                      1.0 / d, W, _phase0(phase, x), wmaps)
+                      1.0 / d, W, _phase0(phase, x))
 
 
 def local_frame_cone(comp: SingularityComponent, phase: PhaseSpec,
@@ -187,11 +180,9 @@ def local_frame_cone(comp: SingularityComponent, phase: PhaseSpec,
     x = sp.location
     eta = np.zeros(3) if shift_eta is None else np.asarray(shift_eta, float)
     W, J, s, eps, al = detect.cone_vectors(comp, phase.G, eta, x)
-    wmaps = tuple((lambda xi, r=W[n], x0=x: float(r @ (np.asarray(xi) - x0)))
-                  for n in range(3))
     return LocalFrame(PointKind.CONICAL, x, (comp.label,),
                       tuple(float(v) for v in al), (), J, W,
-                      _phase0(phase, x), wmaps, cone_sign=s)
+                      _phase0(phase, x), cone_sign=s)
 
 
 def local_coefficient(amplitude: AmplitudeSpec, involved: tuple[str, ...],
@@ -210,8 +201,8 @@ def local_coefficient(amplitude: AmplitudeSpec, involved: tuple[str, ...],
     return C
 
 
-def term_sp_interior(frame: LocalFrame, amplitude: AmplitudeSpec,
-                     lam: float) -> AsymptoticTerm:
+def term_sp_interior(frame: LocalFrame,
+                     amplitude: AmplitudeSpec) -> AsymptoticTerm:
     b1, b2, b3 = frame.betas
     F0 = amplitude.value(frame.location)
     if F0 == 0:
@@ -221,7 +212,7 @@ def term_sp_interior(frame: LocalFrame, amplitude: AmplitudeSpec,
     return AsymptoticTerm(A, -1.5, frame.phase0)
 
 
-def term_sp_surface(frame: LocalFrame, amplitude: AmplitudeSpec, lam: float,
+def term_sp_surface(frame: LocalFrame, amplitude: AmplitudeSpec,
                     mu: float) -> AsymptoticTerm:
     b2, b3 = frame.betas
     C = local_coefficient(amplitude, frame.components, frame.alphas,
@@ -232,7 +223,7 @@ def term_sp_surface(frame: LocalFrame, amplitude: AmplitudeSpec, lam: float,
     return AsymptoticTerm(A, -mu - 2, frame.phase0)
 
 
-def term_sp_crossing(frame: LocalFrame, amplitude: AmplitudeSpec, lam: float,
+def term_sp_crossing(frame: LocalFrame, amplitude: AmplitudeSpec,
                      mu1: float, mu2: float) -> AsymptoticTerm:
     (beta,) = frame.betas
     C = local_coefficient(amplitude, frame.components, frame.alphas,
@@ -243,7 +234,7 @@ def term_sp_crossing(frame: LocalFrame, amplitude: AmplitudeSpec, lam: float,
     return AsymptoticTerm(A, -mu1 - mu2 - 2.5, frame.phase0)
 
 
-def term_triple(frame: LocalFrame, amplitude: AmplitudeSpec, lam: float,
+def term_triple(frame: LocalFrame, amplitude: AmplitudeSpec,
                 mus: tuple[float, float, float]) -> AsymptoticTerm:
     C = local_coefficient(amplitude, frame.components, frame.alphas,
                           frame.location)
@@ -251,8 +242,8 @@ def term_triple(frame: LocalFrame, amplitude: AmplitudeSpec, lam: float,
     return AsymptoticTerm(A, -sum(mus) - 3, frame.phase0)
 
 
-def term_cone(frame: LocalFrame, amplitude: AmplitudeSpec,
-              lam: float) -> Optional[AsymptoticTerm]:
+def term_cone(frame: LocalFrame,
+              amplitude: AmplitudeSpec) -> Optional[AsymptoticTerm]:
     """Contribution of a conical point of a simple-pole quadric; returns None
     when grad(G) lies outside the dual cone (no contribution)."""
     a1, a2, a3 = frame.alphas
@@ -275,18 +266,18 @@ def _components_of(problem: ProblemSpec, labels):
     return [by[l] for l in labels]
 
 
-def term_for_point(problem: ProblemSpec, sp: SpecialPoint,
-                   lam: float) -> Optional[AsymptoticTerm]:
+def term_for_point(problem: ProblemSpec,
+                   sp: SpecialPoint) -> Optional[AsymptoticTerm]:
     """Build the frame and emit the term for one contributing point."""
     phase, amp = problem.phase, problem.amplitude
     if sp.kind is PointKind.SP_INTERIOR:
-        t = term_sp_interior(local_frame_interior(phase, sp), amp, lam)
+        t = term_sp_interior(local_frame_interior(phase, sp), amp)
     elif sp.kind is PointKind.SP_ON_SURFACE:
         (c,) = _components_of(problem, sp.components)
-        t = term_sp_surface(local_frame_single(c, phase, sp), amp, lam, c.mu)
+        t = term_sp_surface(local_frame_single(c, phase, sp), amp, c.mu)
     elif sp.kind is PointKind.SP_ON_CROSSING:
         cA, cB = _components_of(problem, sp.components)
-        t = term_sp_crossing(local_frame_double(cA, cB, phase, sp), amp, lam,
+        t = term_sp_crossing(local_frame_double(cA, cB, phase, sp), amp,
                              cA.mu, cB.mu)
     elif sp.kind is PointKind.TRIPLE_CROSSING:
         cs = _components_of(problem, sp.components)
@@ -294,11 +285,11 @@ def term_for_point(problem: ProblemSpec, sp: SpecialPoint,
                            tuple(sp.alphas), (),
                            _triple_jacobian(cs, sp), None,
                            _phase0(phase, sp.location))
-        t = term_triple(frame, amp, lam, tuple(c.mu for c in cs))
+        t = term_triple(frame, amp, tuple(c.mu for c in cs))
     elif sp.kind is PointKind.CONICAL:
         (c,) = _components_of(problem, sp.components)
-        frame = local_frame_cone(c, phase, sp, problem.shift.at(sp.location))
-        t = term_cone(frame, amp, lam)
+        frame = local_frame_cone(c, phase, sp, problem.shift.eta)
+        t = term_cone(frame, amp)
         if t is None:
             return None
     else:
@@ -312,14 +303,9 @@ def _triple_jacobian(comps, sp: SpecialPoint) -> float:
     return 1.0 / abs(np.linalg.det(W))
 
 
-def sum_asymptotics(problem: ProblemSpec, lam: float, points=None,
-                    real_field: bool = False):
-    """Sum the leading-order terms over all contributing points.
-
-    `points` defaults to a fresh detection pass.  With real_field=True the
-    caller asserts Hermitian symmetry (points supplied are one of each +-xi*
-    pair) and receives 2*Re(prefactor * sum).
-    """
+def expand(problem: ProblemSpec, points=None) -> list[AsymptoticTerm]:
+    """The leading-order terms of every contributing point; they do not
+    depend on Lambda.  `points` defaults to a fresh detection pass."""
     if points is None:
         points = detect.detect_all(problem)
     bad = [p for p in points if p.contributes and p.flagged("NEAR_DEGENERATE")]
@@ -331,10 +317,24 @@ def sum_asymptotics(problem: ProblemSpec, lam: float, points=None,
     for sp in points:
         if not sp.contributes:
             continue
-        t = term_for_point(problem, sp, lam)
+        t = term_for_point(problem, sp)
         if t is not None:
             terms.append(t)
-    total = problem.prefactor * sum((t.value(lam) for t in terms), 0j)
+    return terms
+
+
+def evaluate(terms, lam: float, prefactor: complex = 1.0,
+             real_field: bool = False):
+    """prefactor * sum of the terms at Lambda.  With real_field=True the
+    terms are one of each +-xi* pair (Hermitian symmetry) and the value is
+    2*Re(prefactor * sum)."""
+    total = prefactor * sum((t.value(lam) for t in terms), 0j)
     if real_field:
-        return 2 * float(np.real(total)), terms
-    return total, terms
+        return 2 * float(np.real(total))
+    return total
+
+
+def sum_asymptotics(problem: ProblemSpec, lam: float, points=None):
+    """`expand` then `evaluate` at one Lambda; returns (value, terms)."""
+    terms = expand(problem, points)
+    return evaluate(terms, lam, problem.prefactor), terms

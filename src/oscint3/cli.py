@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import asym, detect, kelvin, oracle, problems
+from . import asym, detect, oracle, problems
+from .kelvin import (MASK_INVALID, DegenerateFamily, MergeProximity,
+                     OutOfRange, field_map, render_wavefronts)
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "run", "main"]
 
@@ -103,6 +105,7 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
                 cfg.out = v
             else:
                 raise ConfigError(f"unknown key {k!r}")
+        _quad_spec(cfg, problems.REGISTRY[cfg.problem])   # checks quad-*, taper
     except ValueError as e:
         raise ConfigError(str(e)) from e
     if cfg.mode in ("field", "fronts"):
@@ -143,32 +146,18 @@ def _quad_spec(cfg: RunConfig, entry: problems.ProblemEntry) -> oracle.Quadratur
                                  window=d.window, taper=cfg.taper, shift=d.shift)
 
 
-def _build(cfg: RunConfig):
-    if cfg.problem == "kelvin":
-        z1, z2, tau = cfg.z
-        return problems.get_problem("kelvin", z1=z1, z2=z2, tau=tau)
-    return problems.get_problem(cfg.problem)
-
-
-def _asym_value(cfg: RunConfig, problem, lam: float):
-    if cfg.problem == "kelvin":
-        z1, z2, tau = cfg.z
-        return kelvin.field_point(z1, z2, tau, lam)
-    val, _ = asym.sum_asymptotics(problem, lam)
-    return val
-
-
-def _oracle_value(cfg: RunConfig, problem, entry, lam: float):
-    if cfg.problem == "kelvin":
-        z1, z2, tau = cfg.z
-        spec = _quad_spec(cfg, entry)
-        return float(np.real(oracle.kelvin_oracle(z1, z2, tau, lam, spec)))
-    return entry.reference(problem, lam)
-
-
 def run(cfg: RunConfig) -> list[str]:
     """Execute one configured run; returns the list of files written."""
-    problem, entry = _build(cfg)
+    entry = problems.REGISTRY[cfg.problem]
+    problem = entry.build()
+    if problem.phase.family is not None:
+        problem = replace(problem, phase=problem.phase.with_z(cfg.z))
+    spec = _quad_spec(cfg, entry)
+
+    def reference(lam: float):
+        v = entry.reference(problem, lam, spec)
+        return float(np.real(v)) if entry.real_field else v
+
     files: list[str] = []
 
     if cfg.mode == "classify":
@@ -183,19 +172,8 @@ def run(cfg: RunConfig) -> list[str]:
         files.append(path)
 
     elif cfg.mode == "asym":
-        lam = cfg.lambdas[0]
-        rows = []
-        if cfg.problem == "kelvin":
-            z1, z2, tau = cfg.z
-            p = kelvin.KelvinParams(z1, z2, tau, lam)
-            terms = kelvin.kelvin_wave_terms(p)
-            tt = kelvin.transient_term(p)
-            if tt is not None:
-                terms.append(tt)
-        else:
-            _, terms = asym.sum_asymptotics(problem, lam)
-        for t in terms:
-            rows.append([np.real(t.coeff), np.imag(t.coeff), t.power, t.phase0])
+        rows = [[np.real(t.coeff), np.imag(t.coeff), t.power, t.phase0]
+                for t in entry.terms(problem)]
         path = f"{cfg.out}-asym.csv"
         write_csv(path, ["re_coeff", "im_coeff", "power", "phase0"], rows)
         files.append(path)
@@ -203,18 +181,19 @@ def run(cfg: RunConfig) -> list[str]:
     elif cfg.mode == "oracle":
         rows = []
         for lam in cfg.lambdas:
-            v = _oracle_value(cfg, problem, entry, lam)
+            v = reference(lam)
             rows.append([lam, np.real(v), np.imag(v)])
         path = f"{cfg.out}-oracle.csv"
         write_csv(path, ["lambda", "re", "im"], rows)
         files.append(path)
 
     elif cfg.mode == "compare":
+        terms = entry.terms(problem)
         rows = []
         for lam in cfg.lambdas:
             t0 = time.perf_counter()
-            a = _asym_value(cfg, problem, lam)
-            o = _oracle_value(cfg, problem, entry, lam)
+            a = asym.evaluate(terms, lam, problem.prefactor, entry.real_field)
+            o = reference(lam)
             dt = time.perf_counter() - t0
             rel = abs(a - o) / abs(o) if abs(o) > 0 else float("inf")
             rows.append([lam, np.real(a), np.imag(a), np.real(o), np.imag(o),
@@ -229,13 +208,13 @@ def run(cfg: RunConfig) -> list[str]:
         tau = cfg.z[2]
         ax1 = np.linspace(*cfg.z1_range, cfg.grid[0])
         ax2 = np.linspace(*cfg.z2_range, cfg.grid[1])
-        fg = kelvin.field_map(ax1, ax2, tau, lam)
+        fg = field_map(ax1, ax2, tau, lam)
         rows = [[a, b, fg.values[i, j], int(fg.mask[i, j])]
                 for i, a in enumerate(ax1) for j, b in enumerate(ax2)]
         path = f"{cfg.out}-field.csv"
         write_csv(path, ["z1", "z2", "field", "mask"], rows)
         files.append(path)
-        valid = fg.mask & kelvin.MASK_INVALID == 0
+        valid = fg.mask & MASK_INVALID == 0
         vmax = np.max(np.abs(fg.values[valid])) if np.any(valid) else 1.0
         img = np.where(valid, fg.values / (vmax or 1.0), np.nan)
         path = f"{cfg.out}-field.pgm"
@@ -248,7 +227,7 @@ def run(cfg: RunConfig) -> list[str]:
         ax1 = np.linspace(*cfg.z1_range, cfg.grid[0])
         ax2 = np.linspace(*cfg.z2_range, cfg.grid[1])
         for fam in (1, 2):
-            img = kelvin.render_wavefronts(ax1, ax2, tau, lam, fam)
+            img = render_wavefronts(ax1, ax2, tau, lam, fam)
             path = f"{cfg.out}-fronts-family{fam}.pgm"
             write_pgm(path, img.T[::-1])
             files.append(path)
@@ -262,7 +241,7 @@ NUMERIC_ERRORS = (
     detect.DecompositionResidual, detect.SingularGradientMatrix,
     asym.UnsupportedExponent, asym.DegenerateConfiguration,
     asym.DegenerateCurvature, asym.DegenerateRestrictedHessian,
-    kelvin.DegenerateFamily, kelvin.MergeProximity, kelvin.OutOfRange,
+    DegenerateFamily, MergeProximity, OutOfRange,
     np.linalg.LinAlgError,
 )
 

@@ -189,12 +189,6 @@ class DomainShift:
         e = as_point(self.eta).astype(float)
         object.__setattr__(self, "eta", e)
         object.__setattr__(self, "scale", float(np.linalg.norm(e)))
-        if self.scale == 0.0:
-            # zero shift is allowed (undeformed problems like T1)
-            pass
-
-    def at(self, x) -> np.ndarray:
-        return self.eta
 
 
 @dataclass(frozen=True)
@@ -261,7 +255,7 @@ def is_desired(shift: DomainShift, phase: PhaseSpec, p) -> bool:
     """
     p = as_point(p)
     gG = np.real(phase.G.grad(p))
-    eta = shift.at(p)
+    eta = shift.eta
     s = float(gG @ eta)
     if abs(s) <= TANGENCY_RTOL * np.linalg.norm(gG) * np.linalg.norm(eta):
         raise IndeterminateSide(f"grad(G).eta ~ 0 at {p}")
@@ -280,7 +274,7 @@ def bypass_side(shift: DomainShift, comp: SingularityComponent, p) -> int:
     if abs(gv) > SURFACE_TOL:
         raise ValueError(f"point not on surface {comp.label!r}: |g| = {abs(gv):.3e}")
     n = np.real(comp.g.grad(p))
-    eta = shift.at(p)
+    eta = shift.eta
     s = float(eta @ n)
     if abs(s) <= TANGENCY_RTOL * np.linalg.norm(eta) * np.linalg.norm(n):
         raise TangentialShift(f"eta tangent to {comp.label!r} at {p}")

@@ -520,7 +520,7 @@ def contribution_verdict(sp: SpecialPoint, problem: ProblemSpec) -> tuple[bool, 
     if sp.kind is PointKind.CONICAL:
         comp = _component(problem, sp.components[0])
         _, _, _, eps, al = cone_vectors(comp, problem.phase.G,
-                                        problem.shift.at(x), x)
+                                        problem.shift.eta, x)
         re = np.hypot(eps[0], eps[1])
         ra = np.hypot(al[0], al[1])
         if abs(eps[2]) <= re + 1e-12:

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .asym import AsymptoticTerm
+from .asym import AsymptoticTerm, evaluate
 from .core import (
     AmplitudeSpec,
     Box3,
@@ -49,6 +49,7 @@ __all__ = [
     "wedge_test",
     "kelvin_wave_terms",
     "transient_term",
+    "wake_terms",
     "field_point",
     "field_map",
     "render_wavefronts",
@@ -81,7 +82,7 @@ class KelvinParams:
     z1: float
     z2: float
     tau: float
-    Lambda: float
+    Lambda: Optional[float] = None   # the terms do not depend on it
 
     @property
     def lam(self) -> float:
@@ -187,14 +188,19 @@ def wedge_test(z1: float, z2: float, tau: float) -> bool:
     return bool(abs(z2 / (tau - z1)) <= WEDGE_SLOPE)
 
 
+def _crest_phase(w: float, z1: float, tau: float) -> float:
+    """Phase G* = w^3 (z1 - tau) / (2w^2 - 1) at the crossing point with
+    frequency w."""
+    return w ** 3 * (z1 - tau) / (2 * w ** 2 - 1)
+
+
 def _wave_frame(w: float, z1: float, z2: float, tau: float):
     """Closed-form frame scalars at the crossing point with frequency w > 1."""
     a1 = -z1 + (tau - z1) / (2 * w ** 2 - 1)
     a2 = -abs(z2) * w / np.sqrt(w ** 2 - 1)
     beta = abs(z2) * w * (2 * w ** 2 - 3) / (w ** 2 - 1) ** 1.5
     J = abs((1 / z2) / (z1 - (tau - z1) / (2 * w ** 2 - 1)))
-    G0 = w ** 3 * (z1 - tau) / (2 * w ** 2 - 1)
-    return a1, a2, beta, J, G0
+    return a1, a2, beta, J, _crest_phase(w, z1, tau)
 
 
 def kelvin_wave_terms(params: KelvinParams) -> list[AsymptoticTerm]:
@@ -251,14 +257,20 @@ def transient_term(params: KelvinParams) -> Optional[AsymptoticTerm]:
     return AsymptoticTerm(A, -1.0, G0)
 
 
+def wake_terms(params: KelvinParams) -> list[AsymptoticTerm]:
+    """The closed-form terms of one observation point: the wave families,
+    then the transient (the representative half of each conjugate pair)."""
+    terms = kelvin_wave_terms(params)
+    tt = transient_term(params)
+    if tt is not None:
+        terms.append(tt)
+    return terms
+
+
 def field_point(z1: float, z2: float, tau: float, lam: float) -> float:
     """Real field value at one sample from the closed-form terms."""
-    p = KelvinParams(z1, z2, tau, lam)
-    total = sum((t.value(lam) for t in kelvin_wave_terms(p)), 0j)
-    tt = transient_term(p)
-    if tt is not None:
-        total += tt.value(lam)
-    return 2 * float(np.real(KELVIN_PREFACTOR * total))
+    return evaluate(wake_terms(KelvinParams(z1, z2, tau, lam)), lam,
+                    KELVIN_PREFACTOR, real_field=True)
 
 
 def field_map(z1_axis, z2_axis, tau: float, lam: float) -> FieldGrid:
@@ -318,7 +330,5 @@ def render_wavefronts(z1_axis, z2_axis, tau: float, lam: float,
             ws = stationary_frequencies(abs(b) / (tau - a))
             if ws is None:
                 continue
-            w = ws[family - 1]
-            G0 = w ** 3 * (a - tau) / (2 * w ** 2 - 1)
-            img[i, j] = np.cos(lam * G0)
+            img[i, j] = np.cos(lam * _crest_phase(ws[family - 1], a, tau))
     return img

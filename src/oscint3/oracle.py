@@ -3,7 +3,8 @@
 Three oracles, none of which shares code with the asymptotic machinery:
 
 * quad_deformed_3d: tensor-product Gauss-Legendre over the shifted copy of
-  R^3, with optional cosine taper and a Richardson error estimate.
+  R^3, with optional cosine taper; its error estimate is the difference
+  between the n-node and the (n-32)-node rules.
 * quad_contour_1d: adaptive quadrature of f(w) e^{i*Lambda*w} along a
   piecewise contour in one complex variable; used to verify the universal
   factor I(mu) and to build exact factorized references for the canonical
@@ -30,8 +31,6 @@ __all__ = [
     "QuadratureSpec",
     "Contour1D",
     "gamma_tilde",
-    "gamma_tilted",
-    "real_segment",
     "small_loop",
     "quad_contour_1d",
     "quad_deformed_3d",
@@ -115,16 +114,6 @@ def gamma_tilde(sign: int, r: float = 0.5, T: float = 30.0,
     return Contour1D(tuple(segs))
 
 
-def gamma_tilted(sign: int, T: float = 30.0) -> Contour1D:
-    """Real line rotated by +-45 degrees through the origin."""
-    d = np.exp(1j * sign * np.pi / 4)
-    return Contour1D((("line", -T * d, T * d),))
-
-
-def real_segment(a: float, b: float) -> Contour1D:
-    return Contour1D((("line", complex(a), complex(b)),))
-
-
 def small_loop(r: float = 0.5) -> Contour1D:
     return Contour1D((("arc", 0j, r, 0.0, 2 * np.pi),))
 
@@ -194,8 +183,8 @@ def quad_deformed_3d(problem: ProblemSpec, lam: float,
                      spec: QuadratureSpec) -> tuple[complex, float]:
     """Brute-force integral over the shifted domain R^3 + i*eta.
 
-    Returns (value, error) where the error estimate compares the n-node grid
-    against an independent slightly coarser one; Gauss-Legendre converges
+    Returns (value, error) where the error is the difference between the
+    n-node rule and the max(16, n-32)-node rule; Gauss-Legendre converges
     spectrally once the oscillation is resolved, so a small node offset is a
     sensitive detector of an under-resolved integrand.  Shipped field
     evaluators broadcast over (..., 3) input, which this routine relies on
@@ -208,7 +197,8 @@ def quad_deformed_3d(problem: ProblemSpec, lam: float,
     fine = _quad_grid(problem, lam, spec, spec.n, eta)
     err = abs(fine - coarse)
     if err > 1e-3 * max(abs(fine), 1e-300):
-        raise NonConvergent(f"Richardson estimate {err:.3e} vs value {abs(fine):.3e}")
+        raise NonConvergent(f"n vs n-32 node difference {err:.3e} "
+                            f"vs value {abs(fine):.3e}")
     return fine, err
 
 

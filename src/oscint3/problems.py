@@ -21,8 +21,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import asym, oracle
 from . import kelvin as kelvin_mod
-from . import oracle
 from .core import (
     AmplitudeSpec,
     Box3,
@@ -76,10 +76,21 @@ def quadratic_field(A=None, b=(0.0, 0.0, 0.0), c: float = 0.0) -> ScalarField3:
 
 @dataclass(frozen=True)
 class ProblemEntry:
+    """One shipped problem and the hooks every run mode goes through.
+
+    `terms(problem)` returns the leading-order terms, which do not depend on
+    Lambda.  With `real_field` they are one of each conjugate pair and the
+    field is 2*Re(prefactor * sum).  `reference(problem, lam, spec=None)` is
+    the independent value; the quadrature references (cone, kelvin) take
+    their nodes from `spec`, default `default_quad`, and the others ignore
+    it.
+    """
+
     name: str
-    build: Callable[..., ProblemSpec]
-    reference: Callable[[ProblemSpec, float], complex]
+    build: Callable[[], ProblemSpec]
+    reference: Callable[..., complex]
     default_quad: oracle.QuadratureSpec
+    terms: Callable[[ProblemSpec], list[asym.AsymptoticTerm]] = asym.expand
     real_field: bool = False
 
 
@@ -106,7 +117,7 @@ def _build_gaussian_sp() -> ProblemSpec:
         name="gaussian-sp")
 
 
-def _ref_gaussian_sp(problem, lam) -> complex:
+def _ref_gaussian_sp(problem, lam, spec=None) -> complex:
     return _gauss_factor(lam) ** 3
 
 
@@ -120,7 +131,7 @@ def _build_pole_sp() -> ProblemSpec:
         name="pole-sp")
 
 
-def _ref_pole_sp(problem, lam) -> complex:
+def _ref_pole_sp(problem, lam, spec=None) -> complex:
     return np.exp(1j * lam) * _pole_factor(lam) * _gauss_factor(lam) ** 2
 
 
@@ -135,7 +146,7 @@ def _build_double_cross() -> ProblemSpec:
         name="double-cross")
 
 
-def _ref_double_cross(problem, lam) -> complex:
+def _ref_double_cross(problem, lam, spec=None) -> complex:
     return _pole_factor(lam) ** 2 * _gauss_factor(lam)
 
 
@@ -153,7 +164,7 @@ def _build_triple_cross() -> ProblemSpec:
         name="triple-cross")
 
 
-def _ref_triple_cross(problem, lam) -> complex:
+def _ref_triple_cross(problem, lam, spec=None) -> complex:
     return _pole_factor(lam, quadratic=True) ** 3
 
 
@@ -168,19 +179,25 @@ def _build_cone() -> ProblemSpec:
         name="cone")
 
 
-def _ref_cone(problem, lam) -> complex:
-    spec = oracle.QuadratureSpec(R=3.0, n=384, taper=0.15)
-    val, _ = oracle.quad_deformed_3d(problem, lam, spec)
+_CONE_QUAD = oracle.QuadratureSpec(R=3.0, n=384, taper=0.15)
+
+
+def _ref_cone(problem, lam, spec=None) -> complex:
+    val, _ = oracle.quad_deformed_3d(problem, lam, spec or _CONE_QUAD)
     return val
 
 
-def _build_kelvin(z1=2.0, z2=2.0, tau=10.0) -> ProblemSpec:
-    return kelvin_mod.kelvin_problem(z1, z2, tau)
+def _build_kelvin() -> ProblemSpec:
+    return kelvin_mod.kelvin_problem(2.0, 2.0, 10.0)
 
 
-def _ref_kelvin(problem, lam) -> complex:
+def _ref_kelvin(problem, lam, spec=None) -> complex:
     z1, z2, tau = problem.phase.z
-    return oracle.kelvin_oracle(z1, z2, tau, lam)
+    return oracle.kelvin_oracle(z1, z2, tau, lam, spec)
+
+
+def _terms_kelvin(problem) -> list[asym.AsymptoticTerm]:
+    return kelvin_mod.wake_terms(kelvin_mod.KelvinParams(*problem.phase.z))
 
 
 REGISTRY: dict[str, ProblemEntry] = {
@@ -195,16 +212,15 @@ REGISTRY: dict[str, ProblemEntry] = {
     "triple-cross": ProblemEntry("triple-cross", _build_triple_cross,
                                  _ref_triple_cross,
                                  oracle.QuadratureSpec(R=6.0, n=256)),
-    "cone": ProblemEntry("cone", _build_cone, _ref_cone,
-                         oracle.QuadratureSpec(R=3.0, n=384)),
+    "cone": ProblemEntry("cone", _build_cone, _ref_cone, _CONE_QUAD),
     "kelvin": ProblemEntry("kelvin", _build_kelvin, _ref_kelvin,
                            oracle.QuadratureSpec(R=12.0, n=128),
-                           real_field=True),
+                           terms=_terms_kelvin, real_field=True),
 }
 
 
-def get_problem(name: str, **kwargs) -> tuple[ProblemSpec, ProblemEntry]:
+def get_problem(name: str) -> tuple[ProblemSpec, ProblemEntry]:
     if name not in REGISTRY:
         raise KeyError(f"unknown problem {name!r}; known: {sorted(REGISTRY)}")
     entry = REGISTRY[name]
-    return entry.build(**kwargs), entry
+    return entry.build(), entry

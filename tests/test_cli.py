@@ -1,7 +1,14 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from oscint3.cli import ConfigError, RunConfig, main, parse_config, run, write_pgm
+from oscint3 import detect, kelvin, oracle, problems
+from oscint3.cli import (ConfigError, RunConfig, _quad_spec, main, parse_config,
+                         run, write_pgm)
+
+SCRIPTS = sorted((Path(__file__).parent.parent / "scripts").glob("*.py"))
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +77,8 @@ def test_parse_diagnostics_carry_line_numbers():
     "lambda = abc\n",
     "mode = field\nproblem = gaussian-sp\n",   # field needs kelvin
     "mode = fronts\nproblem = kelvin\ngrid = 0x0\n",
+    "quad-n = 15\n",                           # odd node count
+    "mode = compare\nproblem = cone\ntaper = 0.9\n",
 ])
 def test_parse_rejections(text):
     with pytest.raises(ConfigError):
@@ -108,6 +117,47 @@ def test_run_compare_decreasing_error(tmp_path):
     lines = [l for l in open(path, newline="").read().split("\r\n") if l]
     errs = [float(l.split(",")[5]) for l in lines[1:]]
     assert errs[1] < errs[0] < 3 / 20
+
+
+def _csv_body(path):
+    return [[float(c) for c in l.split(",")]
+            for l in open(path, newline="").read().split("\r\n")[1:] if l]
+
+
+def test_run_compare_detects_once(tmp_path, monkeypatch):
+    calls = []
+    real = detect.detect_all
+
+    def counting(problem, *args, **kwargs):
+        calls.append(problem)
+        return real(problem, *args, **kwargs)
+
+    monkeypatch.setattr(detect, "detect_all", counting)
+    cfg = parse_config(f"mode = compare\nproblem = pole-sp\n"
+                       f"lambda = 20,40,80\nout = {tmp_path}/cmp\n")
+    (path,) = run(cfg)
+    assert len(_csv_body(path)) == 3
+    assert len(calls) == 1
+
+
+def test_run_compare_kelvin_matches_closed_form_and_oracle(tmp_path):
+    z1, z2, tau, lam = 3.0, 1.5, 10.0, 40.0
+    cfg = parse_config(f"mode = compare\nproblem = kelvin\n"
+                       f"z = {z1},{z2},{tau}\nlambda = {lam}\n"
+                       f"out = {tmp_path}/kc\n")
+    (path,) = run(cfg)
+    ((_, asym_re, asym_im, oracle_re, oracle_im, _, _),) = _csv_body(path)
+    assert asym_re == kelvin.field_point(z1, z2, tau, lam)
+    spec = _quad_spec(cfg, problems.REGISTRY["kelvin"])
+    assert oracle_re == float(np.real(
+        oracle.kelvin_oracle(z1, z2, tau, lam, spec)))
+    assert asym_im == oracle_im == 0.0
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+def test_script_imports(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
 def test_run_oracle_seventeen_digits(tmp_path):
