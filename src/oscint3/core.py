@@ -10,13 +10,15 @@ G is the phase.  Everything downstream (detection of contributing points, the
 closed-form leading terms, the quadrature oracles) consumes the types defined
 in this module.
 
-Points are plain numpy arrays of shape (3,); fields are triples of callables
-(value, gradient, hessian) bundled in :class:`ScalarField3`.
+Points are numpy arrays of shape (..., 3): a single point is (3,), a stack of
+points carries its leading axes through every field evaluation.  Fields are
+triples of callables (value, gradient, hessian) bundled in
+:class:`ScalarField3`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -67,8 +69,9 @@ class ScalarField3:
     Parameters
     ----------
     value, gradient, hessian : callables
-        Closed-form evaluators; `gradient` returns a (3,) array, `hessian` a
-        symmetric (3, 3) array.  All accept real or complex (3,) input.
+        Closed-form evaluators of real or complex (..., 3) input: `value`
+        returns shape (...), `gradient` (..., 3) and `hessian` the symmetric
+        (..., 3, 3) stack.
     real_on_real : bool
         Declares that the field takes real values at real points.
     """
@@ -90,30 +93,38 @@ class ScalarField3:
 
 def check_field_derivatives(f: ScalarField3, points: Sequence[np.ndarray],
                             step: float = 1e-5, rtol: float = 1e-6) -> None:
-    """Cross-check gradient/hessian against central differences of `value`.
+    """Cross-check gradient/hessian against central differences of `value`,
+    and the broadcasting contract: on the stacked points, value, gradient and
+    hessian have shapes (m,), (m, 3), (m, 3, 3) and equal the per-point
+    results stacked.
 
     Raises AssertionError on mismatch; used by the test suite on every shipped
     field so that hand-coded derivatives cannot silently disagree.
     """
-    eye = np.eye(3)
-    for p in points:
-        p = as_point(p).astype(complex)
-        scale = max(1.0, float(np.max(np.abs(p))))
-        h = step * scale
-        g = f.grad(p)
-        fd_g = np.array([(f(p + h * eye[k]) - f(p - h * eye[k])) / (2 * h)
-                         for k in range(3)])
-        ref = max(1.0, float(np.max(np.abs(g))))
-        assert np.max(np.abs(fd_g - g)) <= rtol * ref, "gradient mismatch"
-        H = f.hess(p)
-        assert np.max(np.abs(H - H.T)) <= 1e-12 * max(1.0, np.max(np.abs(H)))
-        fd_H = np.array([[(f(p + h * eye[j] + h * eye[k])
-                           - f(p + h * eye[j] - h * eye[k])
-                           - f(p - h * eye[j] + h * eye[k])
-                           + f(p - h * eye[j] - h * eye[k])) / (4 * h * h)
-                          for k in range(3)] for j in range(3)])
-        refH = max(1.0, float(np.max(np.abs(H))))
-        assert np.max(np.abs(fd_H - H)) <= 200 * rtol * refH, "hessian mismatch"
+    pts = np.array([as_point(p) for p in points]).astype(complex)
+    for name, ev in (("value", f), ("gradient", f.grad), ("hessian", f.hess)):
+        single = np.array([np.asarray(ev(p)) for p in pts])
+        try:
+            stacked = np.asarray(ev(pts))
+        except (ValueError, IndexError) as e:
+            raise AssertionError(f"{name} does not broadcast: {e}") from e
+        assert stacked.shape == single.shape, f"{name}: shape {stacked.shape}"
+        assert np.array_equal(stacked, single), f"{name}: stacked != per-point"
+    # central differences at every point at once, step scaled per point
+    h = step * np.maximum(1.0, np.max(np.abs(pts), axis=-1))[:, None, None]
+    E = np.eye(3)
+    g, H = f.grad(pts), f.hess(pts)
+    p = pts[:, None, :]
+    fd_g = (f(p + h * E) - f(p - h * E)) / (2 * h[..., 0])
+    ref = np.maximum(1.0, np.max(np.abs(g), axis=-1))
+    assert np.all(np.max(np.abs(fd_g - g), axis=-1) <= rtol * ref), "gradient mismatch"
+    refH = np.maximum(1.0, np.max(np.abs(H), axis=(-2, -1)))
+    assert np.all(np.max(np.abs(H - np.swapaxes(H, -2, -1)), axis=(-2, -1))
+                  <= 1e-12 * refH), "hessian not symmetric"
+    q, ej, ek = pts[:, None, None, :], h[..., None] * E[:, None, :], h[..., None] * E
+    fd_H = (f(q + ej + ek) - f(q + ej - ek) - f(q - ej + ek) + f(q - ej - ek)) / (4 * h * h)
+    assert np.all(np.max(np.abs(fd_H - H), axis=(-2, -1)) <= 200 * rtol * refH), \
+        "hessian mismatch"
 
 
 @dataclass(frozen=True)
@@ -183,12 +194,9 @@ class DomainShift:
     """Constant imaginary displacement: Gamma = R^3 + i*eta."""
 
     eta: np.ndarray
-    scale: float = field(init=False)
 
     def __post_init__(self):
-        e = as_point(self.eta).astype(float)
-        object.__setattr__(self, "eta", e)
-        object.__setattr__(self, "scale", float(np.linalg.norm(e)))
+        object.__setattr__(self, "eta", as_point(self.eta).astype(float))
 
 
 @dataclass(frozen=True)
@@ -211,14 +219,14 @@ class Box3:
             object.__setattr__(self, "excluded_center",
                                as_point(self.excluded_center).astype(float))
 
-    def contains(self, p, margin: float = 0.0) -> bool:
+    def contains(self, p, margin: float = 0.0):
+        """Membership of (..., 3) points, as a bool array of shape (...)."""
         p = np.asarray(p, dtype=float)
-        if np.any(p < self.lo - margin) or np.any(p > self.hi + margin):
-            return False
+        inside = np.all((p >= self.lo - margin) & (p <= self.hi + margin), axis=-1)
         if self.excluded_center is not None:
-            if np.linalg.norm(p - self.excluded_center) < self.excluded_radius:
-                return False
-        return True
+            inside &= (np.linalg.norm(p - self.excluded_center, axis=-1)
+                       >= self.excluded_radius)
+        return inside
 
     def grid(self, n: int) -> np.ndarray:
         """Uniform n^3 seed grid (interior nodes), excluded ball removed."""

@@ -8,20 +8,23 @@ contribution; for those points we report a witness vector a with a.grad(g) = 0
 for every incident surface and a.grad(G) != 0, which certifies the deformation
 direction.
 
-Finders are damped Newton iterations from a seed grid over the search box,
-deduplicated and re-verified at tightened tolerance.
+Each kind of special point is a root of a small system F(y) = 0 (grad G = 0,
+the Lagrange system on g = 0, ...).  Every finder hands its residual, its
+Jacobian and its start vectors (a seed grid over the search box) to one
+damped Newton solver that runs all seeds at once on (n_seeds, k) stacks, then
+keeps the roots inside the box that pass the finder's membership filter and
+deduplicates them.  The finder adds its own flags and multipliers.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field as dfield
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .core import (
-    Box3,
     ProblemSpec,
     ScalarField3,
     SingularityComponent,
@@ -97,54 +100,94 @@ class SpecialPoint:
         return name in self.flags
 
 
-def _newton(fun, jac, x0, tol=ROOT_TOL, maxiter=50):
-    """Damped Newton; returns the root or None."""
-    x = np.asarray(x0, dtype=float).copy()
+def _steps(J: np.ndarray, f: np.ndarray):
+    """Newton steps J^-1 f over a stack, and which of them exist.
+    np.linalg.solve raises for the whole stack when one matrix is exactly
+    singular (a zero pivot); those matrices alone are then set aside."""
+    try:
+        return np.linalg.solve(J, f[..., None])[..., 0], np.ones(len(f), dtype=bool)
+    except np.linalg.LinAlgError:
+        ok = np.linalg.slogdet(J)[0] != 0
+        J = np.where(ok[:, None, None], J, np.eye(J.shape[-1]))
+        return np.linalg.solve(J, f[..., None])[..., 0], ok
+
+
+def _newton(fun, jac, y0: np.ndarray, tol: float, maxiter: int = 50):
+    """Damped Newton on every row of y0 at once; returns (y, converged).
+
+    `fun` maps (m, k) rows to (m, k) residuals, `jac` to (m, k, k) Jacobians.
+    Each row stops at |F| < 1e-14 or once its step is below tol*(1 + |y|);
+    it fails on a non-finite |F|, an exactly singular Jacobian, 20 step
+    halvings without a decrease of |F|, or after maxiter steps.
+    """
+    y = np.array(y0, dtype=float)
+    converged = np.zeros(len(y), dtype=bool)
+    live = np.arange(len(y))
     with np.errstate(all="ignore"):
-        return _newton_loop(fun, jac, x, tol, maxiter)
-
-
-def _newton_loop(fun, jac, x, tol, maxiter):
-    for _ in range(maxiter):
-        f = np.asarray(fun(x), dtype=float)
-        nf = np.linalg.norm(f)
-        if not np.isfinite(nf):
-            return None
-        if nf < 1e-14:
-            return x
-        J = np.asarray(jac(x), dtype=float)
-        try:
-            step = np.linalg.solve(J, f)
-        except np.linalg.LinAlgError:
-            return None
-        # backtracking line search on |F|
-        lam = 1.0
-        for _ in range(20):
-            xn = x - lam * step
-            fn = np.linalg.norm(np.asarray(fun(xn), dtype=float))
-            if np.isfinite(fn) and (fn < nf or fn < 1e-14):
+        for _ in range(maxiter):
+            if live.size == 0:
                 break
-            lam *= 0.5
-        else:
-            return None
-        x = xn
-        if np.linalg.norm(lam * step) < tol * (1 + np.linalg.norm(x)):
-            return x
-    return None
+            f = fun(y[live])
+            nf = np.linalg.norm(f, axis=-1)
+            converged[live[nf < 1e-14]] = True
+            go = np.isfinite(nf) & (nf >= 1e-14)
+            step, ok = _steps(jac(y[live[go]]), f[go])
+            live, nf, step = live[go][ok], nf[go][ok], step[ok]
+            # backtracking line search on |F|, row by row
+            x, lam, todo = y[live], np.ones(len(live)), np.arange(len(live))
+            for _ in range(20):
+                y[live[todo]] = x[todo] - lam[todo, None] * step[todo]
+                fn = np.linalg.norm(fun(y[live[todo]]), axis=-1)
+                todo = todo[~(np.isfinite(fn) & ((fn < nf[todo]) | (fn < 1e-14)))]
+                if todo.size == 0:
+                    break
+                lam[todo] *= 0.5
+            small = (np.linalg.norm(lam[:, None] * step, axis=-1)
+                     < tol * (1 + np.linalg.norm(y[live], axis=-1)))
+            small[todo] = False
+            converged[live[small]] = True
+            live = np.setdiff1d(live[~small], live[todo], assume_unique=True)
+    return y, converged
 
 
-def _dedup(points: list[np.ndarray], radius: float = DEDUP_RADIUS) -> list[np.ndarray]:
+def _dedup(x: np.ndarray, radius: float = DEDUP_RADIUS) -> list[np.ndarray]:
+    """Greedy representatives of the rows of x, visited in lexicographic
+    order of the rounded coordinates."""
     out: list[np.ndarray] = []
-    for p in sorted(points, key=lambda q: tuple(np.round(q, 12))):
-        if all(np.linalg.norm(p - q) > radius for q in out):
-            out.append(p)
+    for i in np.lexsort(np.round(x, 12).T[::-1]):
+        if all(np.linalg.norm(x[i] - q) > radius for q in out):
+            out.append(x[i])
     return out
 
 
-def _seeds(problem: ProblemSpec, seeds, n: int = 9):
+def _roots(problem: ProblemSpec, fun, jac, y0, tol, on=(), keep=None):
+    """Solve fun = 0 from every row of y0 and return the distinct roots.
+
+    The first three coordinates of a row are the point.  Roots outside the
+    search box, off a surface of the components `on`, or failing `keep` are
+    dropped; the rest are deduplicated on the point.  The other coordinates
+    (a Lagrange multiplier) come from the first root, in seed order, within
+    DEDUP_RADIUS of the representative.
+    """
+    y, converged = _newton(fun, jac, y0, tol)
+    y = y[converged]
+    with np.errstate(all="ignore"):
+        y = y[problem.search_region.contains(y[:, :3], margin=1e-9)]
+        for c in on:
+            y = y[np.abs(np.real(c.g(y[:, :3]))) <= MEMBERSHIP_TOL]
+        if keep is not None:
+            y = y[keep(y)]
+    out = []
+    for x in _dedup(y[:, :3]):
+        first = np.argmax(np.linalg.norm(y[:, :3] - x, axis=-1) <= DEDUP_RADIUS)
+        out.append(np.concatenate([x, y[first, 3:]]))
+    return out
+
+
+def _seeds(problem: ProblemSpec, seeds, n: int = 9) -> np.ndarray:
     if seeds is not None and len(seeds) > 0:
-        return [np.asarray(s, dtype=float) for s in seeds]
-    return list(problem.search_region.grid(n))
+        return np.asarray(seeds, dtype=float).reshape(-1, 3)
+    return problem.search_region.grid(n)
 
 
 def _rgrad(f: ScalarField3, x) -> np.ndarray:
@@ -241,130 +284,87 @@ def cone_vectors(comp, phase_G, shift_eta, x):
 # ---------------------------------------------------------------------------
 # finders
 
-def _hessian_ok(problem, x) -> bool:
-    H = _rhess(problem.phase.G, x)
-    return abs(np.linalg.det(H)) > 1e-10
-
-
 def find_sp_interior(problem: ProblemSpec, seeds=None, tol: float = ROOT_TOL):
     """Interior stationary points: grad(G) = 0 with nondegenerate Hessian."""
     G = problem.phase.G
-    roots = []
-    for s in _seeds(problem, seeds):
-        x = _newton(lambda p: _rgrad(G, p), lambda p: _rhess(G, p), s, tol)
-        if x is not None and problem.search_region.contains(x, margin=1e-9):
-            if np.linalg.norm(_rgrad(G, x)) <= NEAR_ZERO:
-                roots.append(x)
     out = []
-    for x in _dedup(roots):
-        flags = set()
-        if not _hessian_ok(problem, x):
-            flags.add("DEGENERATE_HESSIAN")
-        out.append(SpecialPoint(x, PointKind.SP_INTERIOR, flags=frozenset(flags)))
+    for x in _roots(problem, lambda x: _rgrad(G, x), lambda x: _rhess(G, x),
+                    _seeds(problem, seeds), tol,
+                    keep=lambda x: np.linalg.norm(_rgrad(G, x), axis=-1) <= NEAR_ZERO):
+        degenerate = abs(np.linalg.det(_rhess(G, x))) <= 1e-10
+        out.append(SpecialPoint(x, PointKind.SP_INTERIOR, flags=frozenset(
+            {"DEGENERATE_HESSIAN"} if degenerate else ())))
     return out
 
 
 def find_sp_on_surface(problem: ProblemSpec, comp: SingularityComponent,
                        seeds=None, tol: float = ROOT_TOL):
     """Stationary points of G restricted to {g = 0}: solve g=0, grad(G)=a*grad(g)."""
-    G = problem.phase.G
+    G, g = problem.phase.G, comp.g
 
     def fun(y):
-        x, a = y[:3], y[3]
-        return np.concatenate([[np.real(comp.g(x))],
-                               _rgrad(G, x) - a * _rgrad(comp.g, x)])
+        x, a = y[:, :3], y[:, 3:]
+        return np.column_stack([np.real(g(x)), _rgrad(G, x) - a * _rgrad(g, x)])
 
     def jac(y):
-        x, a = y[:3], y[3]
-        J = np.zeros((4, 4))
-        J[0, :3] = _rgrad(comp.g, x)
-        J[1:, :3] = _rhess(G, x) - a * _rhess(comp.g, x)
-        J[1:, 3] = -_rgrad(comp.g, x)
+        x, a = y[:, :3], y[:, 3, None, None]
+        J = np.zeros((len(y), 4, 4))
+        J[:, 0, :3] = _rgrad(g, x)
+        J[:, 1:, :3] = _rhess(G, x) - a * _rhess(g, x)
+        J[:, 1:, 3] = -J[:, 0, :3]
         return J
 
-    sols = []
-    for s in _seeds(problem, seeds):
-        with np.errstate(all="ignore"):
-            n = _rgrad(comp.g, s)
-            gG = _rgrad(G, s)
-        if not np.all(np.isfinite(n)):
-            continue
-        a0 = float(gG @ n) / max(float(n @ n), 1e-30)
-        y = _newton(fun, jac, np.append(s, a0), tol)
-        if y is None:
-            continue
-        x, a = y[:3], float(y[3])
-        if not problem.search_region.contains(x, margin=1e-9):
-            continue
-        if abs(np.real(comp.g(x))) > MEMBERSHIP_TOL:
-            continue
-        if abs(a) <= NEAR_ZERO:
-            continue  # an interior stationary point that happens to sit on sigma
-        sols.append((x, a))
+    s = _seeds(problem, seeds)
+    with np.errstate(all="ignore"):
+        n, gG = _rgrad(g, s), _rgrad(G, s)
+        a0 = np.sum(gG * n, axis=-1) / np.maximum(np.sum(n * n, axis=-1), 1e-30)
+    y0 = np.column_stack([s, a0])[np.all(np.isfinite(n), axis=-1)]
     out = []
-    for x in _dedup([x for x, _ in sols]):
-        a = next(a for xx, a in sols if np.linalg.norm(xx - x) <= DEDUP_RADIUS)
-        flags = set()
-        M, _ = restricted_hessian(comp, G, x, a)
-        if abs(np.linalg.det(M)) <= 1e-10:
-            flags.add("DEGENERATE_RESTRICTED_HESSIAN")
-            flags.add("NEAR_DEGENERATE")
-        out.append(SpecialPoint(x, PointKind.SP_ON_SURFACE, (comp.label,),
-                                alphas=(a,), flags=frozenset(flags)))
+    # a = 0 is an interior stationary point that happens to sit on sigma
+    for y in _roots(problem, fun, jac, y0, tol, on=(comp,),
+                    keep=lambda y: np.abs(y[:, 3]) > NEAR_ZERO):
+        x, a = y[:3], float(y[3])
+        degenerate = abs(np.linalg.det(restricted_hessian(comp, G, x, a)[0])) <= 1e-10
+        out.append(SpecialPoint(x, PointKind.SP_ON_SURFACE, (comp.label,), alphas=(a,),
+                                flags=frozenset({"DEGENERATE_RESTRICTED_HESSIAN",
+                                                 "NEAR_DEGENERATE"} if degenerate else ())))
     return out
 
 
 def find_sp_on_crossing(problem: ProblemSpec, compA, compB,
                         seeds=None, tol: float = ROOT_TOL):
     """Stationary points of G along the transversal crossing curve of two surfaces."""
-    G = problem.phase.G
+    G, gA, gB = problem.phase.G, compA.g, compB.g
 
     def tvec(x):
-        return np.cross(_rgrad(compA.g, x), _rgrad(compB.g, x))
+        return np.cross(_rgrad(gA, x), _rgrad(gB, x))
 
     def fun(x):
-        return np.array([np.real(compA.g(x)), np.real(compB.g(x)),
-                         tvec(x) @ _rgrad(G, x)])
+        return np.column_stack([np.real(gA(x)), np.real(gB(x)),
+                                np.sum(tvec(x) * _rgrad(G, x), axis=-1)])
 
     def jac(x):
-        gA, gB = _rgrad(compA.g, x), _rgrad(compB.g, x)
-        HA, HB, HG = _rhess(compA.g, x), _rhess(compB.g, x), _rhess(G, x)
-        gG = _rgrad(G, x)
-        t = np.cross(gA, gB)
-        J = np.zeros((3, 3))
-        J[0] = gA
-        J[1] = gB
-        # d/dx of (gA x gB).gradG, product rule over all three factors
-        J[2] = np.array([np.cross(HA[:, l], gB) @ gG
-                         + np.cross(gA, HB[:, l]) @ gG
-                         + t @ HG[:, l] for l in range(3)])
-        return J
+        nA, nB, gG = _rgrad(gA, x), _rgrad(gB, x), _rgrad(G, x)
+        # d/dx of (nA x nB).grad(G), product rule over all three factors,
+        # each written as a triple product with the differentiated factor first
+        d = (np.einsum("ni,nil->nl", np.cross(nB, gG), _rhess(gA, x))
+             + np.einsum("ni,nil->nl", np.cross(gG, nA), _rhess(gB, x))
+             + np.einsum("ni,nil->nl", np.cross(nA, nB), _rhess(G, x)))
+        return np.stack([nA, nB, d], axis=1)
 
-    sols = []
-    for s in _seeds(problem, seeds):
-        x = _newton(fun, jac, s, tol)
-        if x is None or not problem.search_region.contains(x, margin=1e-9):
-            continue
-        if max(abs(np.real(compA.g(x))), abs(np.real(compB.g(x)))) > MEMBERSHIP_TOL:
-            continue
-        if np.linalg.norm(tvec(x)) <= 1e-10:
-            continue
-        sols.append(x)
     out = []
-    for x in _dedup(sols):
-        A = np.column_stack([_rgrad(compA.g, x), _rgrad(compB.g, x)])
+    for x in _roots(problem, fun, jac, _seeds(problem, seeds), tol, on=(compA, compB),
+                    keep=lambda x: np.linalg.norm(tvec(x), axis=-1) > 1e-10):
+        A = np.column_stack([_rgrad(gA, x), _rgrad(gB, x)])
         gG = _rgrad(G, x)
-        al, res, *_ = np.linalg.lstsq(A, gG, rcond=None)
+        al, *_ = np.linalg.lstsq(A, gG, rcond=None)
         if np.linalg.norm(A @ al - gG) > 1e-9 * max(1.0, np.linalg.norm(gG)):
             raise DecompositionResidual(f"grad(G) not in span of surface normals at {x}")
         a1, a2 = float(al[0]), float(al[1])
-        flags = set()
         beta = crossing_curvature(compA, compB, G, x, a1, a2)
-        if abs(beta) <= 1e-6:
-            flags.add("NEAR_DEGENERATE")
-        out.append(SpecialPoint(x, PointKind.SP_ON_CROSSING,
-                                (compA.label, compB.label),
-                                alphas=(a1, a2), flags=frozenset(flags)))
+        out.append(SpecialPoint(x, PointKind.SP_ON_CROSSING, (compA.label, compB.label),
+                                alphas=(a1, a2), flags=frozenset(
+                                    {"NEAR_DEGENERATE"} if abs(beta) <= 1e-6 else ())))
     return out
 
 
@@ -374,61 +374,38 @@ def find_triple_crossings(problem: ProblemSpec, compA, compB, compC,
     G = problem.phase.G
     comps = (compA, compB, compC)
 
-    def fun(x):
-        return np.array([np.real(c.g(x)) for c in comps])
-
     def jac(x):
-        return np.array([_rgrad(c.g, x) for c in comps])
+        return np.stack([_rgrad(c.g, x) for c in comps], axis=1)
 
-    sols = []
-    for s in _seeds(problem, seeds):
-        x = _newton(fun, jac, s, tol)
-        if x is None or not problem.search_region.contains(x, margin=1e-9):
-            continue
-        if max(abs(np.real(c.g(x))) for c in comps) > MEMBERSHIP_TOL:
-            continue
-        sols.append(x)
     out = []
-    for x in _dedup(sols):
-        Gm = np.array([_rgrad(c.g, x) for c in comps]).T
+    for x in _roots(problem, lambda x: np.column_stack([np.real(c.g(x)) for c in comps]),
+                    jac, _seeds(problem, seeds), tol, on=comps):
+        Gm = jac(x[None])[0].T
         if abs(np.linalg.det(Gm)) <= 1e-10:
             raise SingularGradientMatrix(f"gradient matrix singular at {x}")
-        al = np.linalg.solve(Gm, _rgrad(G, x))
+        gG = _rgrad(G, x)
         # the formulas assume G is non-stationary along each pairwise crossing line
-        stationary_on_line = False
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            t = np.cross(_rgrad(comps[i].g, x), _rgrad(comps[j].g, x))
-            if abs(t @ _rgrad(G, x)) <= NEAR_ZERO * np.linalg.norm(t):
-                stationary_on_line = True
-        if stationary_on_line:
+        if any(abs(t @ gG) <= NEAR_ZERO * np.linalg.norm(t)
+               for t in (np.cross(Gm[:, i], Gm[:, j]) for i, j in ((0, 1), (0, 2), (1, 2)))):
             continue
-        out.append(SpecialPoint(x, PointKind.TRIPLE_CROSSING,
-                                tuple(c.label for c in comps),
-                                alphas=tuple(float(a) for a in al)))
+        out.append(SpecialPoint(x, PointKind.TRIPLE_CROSSING, tuple(c.label for c in comps),
+                                alphas=tuple(float(a) for a in np.linalg.solve(Gm, gG))))
     return out
 
 
 def find_conical_points(problem: ProblemSpec, comp: SingularityComponent,
                         seeds=None, tol: float = ROOT_TOL):
     """Points where grad(g) = 0 on {g = 0} and Hess g has signature (2,1) or (1,2)."""
-    sols = []
-    for s in _seeds(problem, seeds):
-        x = _newton(lambda p: _rgrad(comp.g, p), lambda p: _rhess(comp.g, p), s, tol)
-        if x is None or not problem.search_region.contains(x, margin=1e-9):
-            continue
-        if abs(np.real(comp.g(x))) > MEMBERSHIP_TOL:
-            continue
-        if np.linalg.norm(_rgrad(comp.g, x)) > NEAR_ZERO:
-            continue
-        sols.append(x)
+    g = comp.g
     out = []
-    for x in _dedup(sols):
-        lam = np.linalg.eigvalsh(_rhess(comp.g, x))
+    for x in _roots(problem, lambda x: _rgrad(g, x), lambda x: _rhess(g, x),
+                    _seeds(problem, seeds), tol, on=(comp,),
+                    keep=lambda x: np.linalg.norm(_rgrad(g, x), axis=-1) <= NEAR_ZERO):
+        lam = np.linalg.eigvalsh(_rhess(g, x))
         npos = int(np.sum(lam > 1e-8))
         nneg = int(np.sum(lam < -1e-8))
-        if npos + nneg != 3 or npos not in (1, 2):
-            continue  # wrong signature: not a double-sided cone
-        out.append(SpecialPoint(x, PointKind.CONICAL, (comp.label,)))
+        if npos + nneg == 3 and npos in (1, 2):   # else not a double-sided cone
+            out.append(SpecialPoint(x, PointKind.CONICAL, (comp.label,)))
     return out
 
 

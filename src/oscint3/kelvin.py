@@ -109,38 +109,40 @@ def kelvin_problem(z1: float = 0.0, z2: float = 0.0, tau: float = 0.0,
                    search_radius: float = 6.0) -> ProblemSpec:
     """Assemble the ship-wake integral for given observation point and time."""
 
+    def const(v):
+        """Constant gradient or Hessian v over the leading axes of xi."""
+        return lambda xi: np.broadcast_to(v, xi.shape[:-1] + np.shape(v))
+
     g1 = _field(lambda xi: xi[..., 2] - xi[..., 0],
-                lambda xi: np.array([-1.0, 0.0, 1.0]),
-                lambda xi: np.zeros((3, 3)))
+                const(np.array([-1.0, 0.0, 1.0])), const(np.zeros((3, 3))))
 
     def rho(xi):
         return np.sqrt(xi[..., 0] ** 2 + xi[..., 1] ** 2)
 
     def g2_grad(xi):
         r = rho(xi)
-        return np.array([-xi[0] / r, -xi[1] / r, 2 * xi[2]])
+        return np.stack([-xi[..., 0] / r, -xi[..., 1] / r, 2 * xi[..., 2]], axis=-1)
 
     def g2_hess(xi):
-        x1, x2 = xi[0], xi[1]
-        r = rho(xi)
-        H = np.zeros((3, 3), dtype=complex)
-        H[0, 0] = -x2 ** 2 / r ** 3
-        H[1, 1] = -x1 ** 2 / r ** 3
-        H[0, 1] = H[1, 0] = x1 * x2 / r ** 3
-        H[2, 2] = 2.0
+        x1, x2 = xi[..., 0], xi[..., 1]
+        r3 = rho(xi) ** 3
+        H = np.zeros(xi.shape + (3,), dtype=complex)
+        H[..., 0, 0] = -x2 ** 2 / r3
+        H[..., 1, 1] = -x1 ** 2 / r3
+        H[..., 0, 1] = H[..., 1, 0] = x1 * x2 / r3
+        H[..., 2, 2] = 2.0
         return H
 
     g2 = _field(lambda xi: xi[..., 2] ** 2 - rho(xi), g2_grad, g2_hess)
 
     N = _field(lambda xi: xi[..., 0] * xi[..., 2],
-               lambda xi: np.array([xi[2], 0.0 * xi[2], xi[0]]),
-               lambda xi: np.array([[0.0, 0, 1], [0, 0, 0], [1, 0, 0]]))
+               lambda xi: np.stack([xi[..., 2], 0.0 * xi[..., 2], xi[..., 0]], axis=-1),
+               const(np.array([[0.0, 0, 1], [0, 0, 0], [1, 0, 0]])))
 
     def phase_family(z):
         zz1, zz2, tt = z
         return _field(lambda xi: xi[..., 0] * zz1 + xi[..., 1] * zz2 - xi[..., 2] * tt,
-                      lambda xi: np.array([zz1, zz2, -tt]),
-                      lambda xi: np.zeros((3, 3)))
+                      const(np.array([zz1, zz2, -tt])), const(np.zeros((3, 3))))
 
     z = (float(z1), float(z2), float(tau))
     phase = PhaseSpec(G=phase_family(z), z=z, family=phase_family)
@@ -283,7 +285,7 @@ def field_map(z1_axis, z2_axis, tau: float, lam: float) -> FieldGrid:
     for i, a in enumerate(z1_axis):
         for j, b in enumerate(z2_axis):
             m = 0
-            total = 0j
+            terms = []
             if abs(b) < 0.05 or np.hypot(a, b) < 0.05:
                 mask[i, j] = MASK_INVALID
                 continue
@@ -294,10 +296,9 @@ def field_map(z1_axis, z2_axis, tau: float, lam: float) -> FieldGrid:
                     m |= MASK_INVALID
                 else:
                     try:
-                        wt = kelvin_wave_terms(p)
-                        if wt:
+                        terms = kelvin_wave_terms(p)
+                        if terms:
                             m |= MASK_WAVE
-                        total += sum((t.value(lam) for t in wt), 0j)
                     except DegenerateFamily:
                         m |= MASK_INVALID
             if not m & MASK_INVALID:
@@ -305,11 +306,11 @@ def field_map(z1_axis, z2_axis, tau: float, lam: float) -> FieldGrid:
                     tt = transient_term(p)
                     if tt is not None:
                         m |= MASK_TRANSIENT
-                        total += tt.value(lam)
+                        terms.append(tt)
                 except MergeProximity:
                     m |= MASK_INVALID
             if not m & MASK_INVALID:
-                vals[i, j] = 2 * float(np.real(KELVIN_PREFACTOR * total))
+                vals[i, j] = evaluate(terms, lam, KELVIN_PREFACTOR, real_field=True)
             mask[i, j] = m
     return FieldGrid(z1_axis, z2_axis, vals, mask, tau, lam)
 

@@ -52,11 +52,12 @@ def gaussian_field(center=(0.0, 0.0, 0.0)) -> ScalarField3:
 
     def grad(xi):
         d = xi - c
-        return -2.0 * d * np.exp(-np.sum(d * d))
+        return -2.0 * d * np.exp(-np.sum(d * d, axis=-1))[..., None]
 
     def hess(xi):
         d = xi - c
-        return (4.0 * np.outer(d, d) - 2.0 * np.eye(3)) * np.exp(-np.sum(d * d))
+        return ((4.0 * d[..., :, None] * d[..., None, :] - 2.0 * np.eye(3))
+                * np.exp(-np.sum(d * d, axis=-1))[..., None, None])
 
     return ScalarField3(value, grad, hess, real_on_real=True)
 
@@ -70,7 +71,8 @@ def quadratic_field(A=None, b=(0.0, 0.0, 0.0), c: float = 0.0) -> ScalarField3:
         q = 0.5 * np.einsum("...i,ij,...j->...", xi, A, xi)
         return q + xi @ b + c
 
-    return ScalarField3(value, lambda xi: A @ xi + b, lambda xi: A,
+    return ScalarField3(value, lambda xi: xi @ A.T + b,
+                        lambda xi: np.broadcast_to(A, xi.shape + (3,)),
                         real_on_real=True)
 
 

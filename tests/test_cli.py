@@ -1,9 +1,13 @@
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oscint3
 from oscint3 import detect, kelvin, oracle, problems
 from oscint3.cli import (ConfigError, RunConfig, _quad_spec, main, parse_config,
                          run, write_pgm)
@@ -218,6 +222,19 @@ def test_main_success(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out.strip()
     assert out.endswith("m-asym.csv")
+
+
+def test_module_entry_point_runs_without_warning(tmp_path):
+    src = str(Path(oscint3.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    res = subprocess.run(
+        [sys.executable, "-W", "always::RuntimeWarning", "-m", "oscint3.cli",
+         "--mode", "asym", "--problem", "gaussian-sp", "--out", str(tmp_path / "w")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert "RuntimeWarning" not in res.stderr
+    assert getattr(oscint3, "cli") is sys.modules["oscint3.cli"]
 
 
 def test_main_config_file(tmp_path, capsys):

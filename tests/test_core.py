@@ -136,6 +136,20 @@ def test_kelvin_fields_pass_derivative_crosscheck():
         check_field_derivatives(c.g, pts)
 
 
+def test_derivative_crosscheck_rejects_single_point_hessian():
+    """A Hessian written with np.outer is right at one point but does not
+    broadcast over a stack of points."""
+    base = problems.gaussian_field()
+
+    def hess(xi):
+        return (4.0 * np.outer(xi, xi) - 2.0 * np.eye(3)) * base.value(xi)
+
+    f = core.ScalarField3(base.value, base.gradient, hess, real_on_real=True)
+    pts = np.random.default_rng(10).uniform(-1, 1, size=(5, 3))
+    with pytest.raises(AssertionError):
+        check_field_derivatives(f, pts)
+
+
 def test_real_property_of_shipped_fields():
     prob = kelvin.kelvin_problem(1.0, 0.5, 10.0)
     rng = np.random.default_rng(9)
@@ -153,6 +167,9 @@ def test_box_grid_and_exclusion():
     assert np.all(np.linalg.norm(g, axis=1) >= 0.3)
     assert not box.contains(np.array([0.1, 0.0, 0.0]))
     assert box.contains(np.array([0.9, 0.9, -0.9]))
+    pts = np.array([[[0.1, 0.0, 0.0], [0.9, 0.9, -0.9]],
+                    [[1.2, 0.0, 0.0], [0.0, 0.0, 0.5]]])
+    assert np.array_equal(box.contains(pts), [[False, True], [False, True]])
 
 
 def test_empty_box_rejected():

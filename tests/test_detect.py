@@ -42,10 +42,11 @@ def test_interior_degenerate_flagged():
         return (np.sum(xi * xi, axis=-1)) ** 2 / 4
 
     def grad(xi):
-        return np.sum(xi * xi) * xi
+        return np.sum(xi * xi, axis=-1)[..., None] * xi
 
     def hess(xi):
-        return np.sum(xi * xi) * np.eye(3) + 2 * np.outer(xi, xi)
+        return (np.sum(xi * xi, axis=-1)[..., None, None] * np.eye(3)
+                + 2 * xi[..., :, None] * xi[..., None, :])
 
     from oscint3.core import ScalarField3
     G = ScalarField3(value, grad, hess, real_on_real=True)
@@ -168,6 +169,101 @@ def test_convergence_certificate():
                 assert abs(np.real(comp.g(x))) <= 1e-11
             if sp.kind is PointKind.SP_INTERIOR:
                 assert np.linalg.norm(np.real(prob.phase.G.grad(x))) <= 1e-10
+
+
+def test_surface_singular_jacobian_fails_alone():
+    """At the centre of the sphere the 4x4 Jacobian is all zeros; that seed
+    must fail without taking the other seed of the stack with it."""
+    g = SingularityComponent(quadratic_field(2 * np.eye(3), c=-1.0), -1.0, "sph")
+    p = _problem(quadratic_field(b=(0, 0, 1)), comps=[g])
+    pts = detect.find_sp_on_surface(p, g, seeds=[np.zeros(3),
+                                                 np.array([0.1, 0.1, 0.8])])
+    assert len(pts) == 1
+    assert np.allclose(pts[0].location, [0, 0, 1], atol=1e-12)
+
+
+# detect_all output of the per-seed Newton finders the batched solver replaced:
+# (kind, components, alphas, contributes, reason, location) per point
+PINNED_POINTS = {
+    ("gaussian-sp", None): [
+        ("sp-interior", (),
+         (), True, "interior-sp",
+         (0.0, 0.0, 0.0)),
+    ],
+    ("pole-sp", None): [
+        ("sp-on-surface", ("plane",),
+         (1.0,), True, "bypass-below-all",
+         (1.0, 0.0, 0.0)),
+    ],
+    ("double-cross", None): [
+        ("sp-on-crossing", ("pA", "pB"),
+         (1.0, 1.0), True, "bypass-below-all",
+         (0.0, 0.0, 0.0)),
+    ],
+    ("triple-cross", None): [
+        ("triple-crossing", ("p1", "p2", "p3"),
+         (1.0, 1.0, 1.0), True, "bypass-below-all",
+         (0.0, 0.0, 0.0)),
+    ],
+    ("cone", None): [
+        ("conical", ("cone",),
+         (), True, "cone-trapped:K-",
+         (0.0, 0.0, 0.0)),
+    ],
+    ("kelvin", (3.0, 1.5, 10.0)): [
+        ("sp-on-crossing", ("pole-line", "dispersion-cone"),
+         (-2.2838821814150134, 1.6621746990298343), True, "bypass-below-all",
+         (-2.321091105251654, -4.8618210125772485, -2.321091105251654)),
+        ("sp-on-surface", ("dispersion-cone",),
+         (3.3541019662496847,), True, "bypass-below-all",
+         (-1.987615979999813, -0.9938079899999065, -1.4907119849998598)),
+        ("sp-on-crossing", ("pole-line", "dispersion-cone"),
+         (3.283882181415015, 6.460431508026777), False, "bypass-above:pole-line",
+         (-1.028095581921303, -0.24541252180744938, -1.028095581921303)),
+        ("sp-on-crossing", ("pole-line", "dispersion-cone"),
+         (3.2838821814150103, -6.460431508026773), False, "bypass-above:pole-line",
+         (1.0280955819213031, 0.24541252180744966, 1.0280955819213031)),
+        ("sp-on-surface", ("dispersion-cone",),
+         (-3.3541019662496843,), True, "bypass-below-all",
+         (1.9876159799998137, 0.9938079899999067, 1.4907119849998598)),
+        ("sp-on-crossing", ("pole-line", "dispersion-cone"),
+         (-2.2838821814150108, -1.6621746990298352), True, "bypass-below-all",
+         (2.3210911052516536, 4.861821012577243, 2.3210911052516536)),
+    ],
+    ("kelvin", (3.7608, 1.5996, 10.0)): [
+        ("sp-on-crossing", ("pole-line", "dispersion-cone"),
+         (-2.78933031262072, 1.8714896509189658), True, "bypass-below-all",
+         (-1.9264519266346443, -3.172052141078991, -1.9264519266346443)),
+        ("sp-on-surface", ("dispersion-cone",),
+         (4.086849250951153,), True, "bypass-below-all",
+         (-1.3773819627915973, -0.5858488054885765, -1.2234363669852333)),
+        ("sp-on-crossing", ("pole-line", "dispersion-cone"),
+         (1.5069303126207263, 5.505243210477013), False, "bypass-above:pole-line",
+         (-1.0450882797259455, -0.3173517080486095, -1.0450882797259455)),
+        ("sp-on-crossing", ("pole-line", "dispersion-cone"),
+         (1.5069303126207285, -5.505243210477014), False, "bypass-above:pole-line",
+         (1.0450882797259458, 0.31735170804860957, 1.0450882797259458)),
+        ("sp-on-surface", ("dispersion-cone",),
+         (-4.086849250951153,), True, "bypass-below-all",
+         (1.3773819627915975, 0.5858488054885767, 1.2234363669852333)),
+        ("sp-on-crossing", ("pole-line", "dispersion-cone"),
+         (-2.78933031262072, -1.8714896509189658), True, "bypass-below-all",
+         (1.926451926634644, 3.1720521410789906, 1.926451926634644)),
+    ],
+}
+
+
+@pytest.mark.parametrize("key", list(PINNED_POINTS), ids=str)
+def test_detect_all_matches_pinned_points(key):
+    name, z = key
+    prob = problems.get_problem(name)[0] if z is None else kelvin.kelvin_problem(*z)
+    got = detect.detect_all(prob)
+    assert len(got) == len(PINNED_POINTS[key])
+    for sp, (kind, comps, alphas, contributes, reason, loc) in zip(got, PINNED_POINTS[key]):
+        assert (sp.kind.value, sp.components, sp.contributes, sp.reason) == (
+            kind, comps, contributes, reason)
+        assert sp.alphas == pytest.approx(alphas, rel=1e-12, abs=1e-12)
+        assert np.max(np.abs(sp.location - loc)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,15 @@ def test_field_map_mirror_symmetry():
     assert np.array_equal(g.mask[:, :2], g.mask[:, :1:-1])
 
 
+def test_field_map_matches_field_point():
+    ax1, ax2 = np.linspace(-3, 7, 11), np.linspace(-3, 3, 7)
+    g = field_map(ax1, ax2, 10.0, 40.0)
+    for i, a in enumerate(ax1):
+        for j, b in enumerate(ax2):
+            if not g.mask[i, j] & MASK_INVALID:
+                assert g.values[i, j] == field_point(a, b, 10.0, 40.0)
+
+
 def test_field_map_masked_samples_are_zero():
     g = field_map([2.0], [np.sqrt(10.0 - 4.0)], 10.0, 40.0)   # merge curve
     assert g.mask[0, 0] & MASK_INVALID
