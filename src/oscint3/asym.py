@@ -99,13 +99,17 @@ class LocalFrame:
 
 @dataclass(frozen=True)
 class AsymptoticTerm:
+    """coeff * Lambda^power * exp(i*Lambda*phase0).  coeff and phase0 may be
+    arrays of one shape (one term over many samples); value has that shape."""
     coeff: complex
     power: float
     phase0: float
     source: Optional[SpecialPoint] = None
 
     def value(self, lam: float) -> complex:
-        return self.coeff * lam ** self.power * np.exp(1j * lam * self.phase0)
+        # ufuncs, not operators: scalar operators and SIMD loops differ in the last bit
+        return np.multiply(np.multiply(self.coeff, lam ** self.power),
+                           np.exp(np.multiply(1j * lam, self.phase0)))
 
 
 def _phase0(phase: PhaseSpec, x) -> float:
@@ -327,10 +331,11 @@ def evaluate(terms, lam: float, prefactor: complex = 1.0,
              real_field: bool = False):
     """prefactor * sum of the terms at Lambda.  With real_field=True the
     terms are one of each +-xi* pair (Hermitian symmetry) and the value is
-    2*Re(prefactor * sum)."""
-    total = prefactor * sum((t.value(lam) for t in terms), 0j)
+    2*Re(prefactor * sum).  Coefficients and phases may be arrays of one
+    shape; the value then has that shape."""
+    total = np.multiply(prefactor, sum((t.value(lam) for t in terms), 0j))
     if real_field:
-        return 2 * float(np.real(total))
+        return 2 * np.real(total)
     return total
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, replace
+from typing import Iterable
 
 import numpy as np
 
@@ -105,6 +106,9 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
                 cfg.out = v
             else:
                 raise ConfigError(f"unknown key {k!r}")
+        if not np.all(np.isfinite([*cfg.lambdas, *cfg.z, *cfg.z1_range,
+                                   *cfg.z2_range, cfg.quad_r, cfg.taper])):
+            raise ConfigError("numbers must be finite")
         _quad_spec(cfg, problems.REGISTRY[cfg.problem])   # checks quad-*, taper
     except ValueError as e:
         raise ConfigError(str(e)) from e
@@ -120,7 +124,7 @@ def _fmt(v) -> str:
     return f"{float(v):.16e}"
 
 
-def write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def write_csv(path: str, header: list[str], rows: Iterable[list]) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for row in rows:
@@ -209,8 +213,8 @@ def run(cfg: RunConfig) -> list[str]:
         ax1 = np.linspace(*cfg.z1_range, cfg.grid[0])
         ax2 = np.linspace(*cfg.z2_range, cfg.grid[1])
         fg = field_map(ax1, ax2, tau, lam)
-        rows = [[a, b, fg.values[i, j], int(fg.mask[i, j])]
-                for i, a in enumerate(ax1) for j, b in enumerate(ax2)]
+        rows = ([a, b, fg.values[i, j], int(fg.mask[i, j])]
+                for i, a in enumerate(ax1) for j, b in enumerate(ax2))
         path = f"{cfg.out}-field.csv"
         write_csv(path, ["z1", "z2", "field", "mask"], rows)
         files.append(path)

@@ -13,12 +13,15 @@ arctan(1/(2*sqrt(2))); a stationary point on the dispersion cone generates the
 circular transient from the onset of motion.
 
 The closed forms here are an independent derivation of the same frames the
-generic detect/asym path produces; the test suite checks they agree.
+generic detect/asym path produces; the test suite checks they agree.  Each
+is written once, in `_closed_forms`, which broadcasts over samples: a single
+point and a grid sample take the same array arithmetic and agree exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -62,7 +65,7 @@ EPS_SHIFT = 1e-3
 # mask bits for FieldGrid samples
 MASK_WAVE = 1        # wave-family terms active
 MASK_TRANSIENT = 2   # transient term active
-MASK_INVALID = 4     # sample excluded (z2 strip, wedge margin, merge proximity)
+MASK_INVALID = 4     # excluded: z2 strip, origin, wedge margin, degenerate, merge
 
 
 class OutOfRange(Exception):
@@ -97,8 +100,6 @@ class FieldGrid:
     z2_axis: np.ndarray
     values: np.ndarray       # real field samples, shape (n1, n2)
     mask: np.ndarray         # int bitmask per sample
-    tau: float
-    Lambda: float
 
 
 def _field(value, gradient, hessian, real=True) -> ScalarField3:
@@ -168,41 +169,69 @@ def curve_L_tangent(w: float, branch: int = +1) -> np.ndarray:
     return np.array([1.0, branch * (2 * w ** 2 - 1) / np.sqrt(w ** 2 - 1), 1.0])
 
 
+def _closed_forms(z1, z2, tau: float) -> SimpleNamespace:
+    """Every closed form of the wake at samples (z1, |z2|) at time tau.
+
+    z1, z2: float arrays of one shape S (>= 1-d); a single sample is a
+    one-element array, so it takes the grid's array arithmetic.  Over S: the
+    wedge test `inside`, the ray slope `lam`, the transient's merge gap `gap`
+    and term `tr_coeff`, `tr_phase`.  Over (2, *S), diverging family first:
+    frequencies `w` (NaN outside the wedge), `beta`, the verdict `formed` and
+    the term `coeff`, `phase`.  Off a formula's domain (z1 = tau, the origin,
+    tau <= 0) the value is NaN or inf, without a warning; callers mask it.
+    """
+    z1, z2 = np.atleast_1d(z1, np.abs(z2))
+    tau = np.float64(tau)            # 1/tau at tau = 0 is inf, not an exception
+    with np.errstate(all="ignore"):
+        lam = z2 / (tau - z1)
+        inside = (tau - z1 > 0) & (np.abs(lam) <= WEDGE_SLOPE)
+        rd = np.sqrt(np.where(inside, 1 - 8 * lam ** 2, np.nan))
+        den = 2 * np.sqrt(2) * np.abs(lam)
+        w = np.stack([np.sqrt(4 * lam ** 2 + 1 + rd) / den,
+                      np.sqrt(4 * lam ** 2 + 1 - rd) / den])
+
+        # frame at the crossing point with frequency w > 1; a formed trail has
+        # alpha1 < 0 and alpha2*w < 0 (see kelvin_wave_terms)
+        a1 = -z1 + (tau - z1) / (2 * w ** 2 - 1)
+        a2 = -z2 * w / np.sqrt(w ** 2 - 1)
+        beta = z2 * w * (2 * w ** 2 - 3) / (w ** 2 - 1) ** 1.5
+        J = np.abs((1 / z2) / (z1 - (tau - z1) / (2 * w ** 2 - 1)))
+        C0 = w * w * a1 * a2   # N = xi1*varpi = w^2 on L; alpha^{-mu} with mu=-1
+        coeff = (C0 * (2j * np.pi) ** 2 * np.exp(0.25j * np.pi * np.sign(beta))
+                 * np.sqrt(2 * np.pi) * J / np.sqrt(np.abs(beta)))
+        phase = w ** 3 * (z1 - tau) / (2 * w ** 2 - 1)   # crest phase G*
+
+        # transient: stationary point on the dispersion cone at varpi* = tau/(2r)
+        r = np.hypot(z1, z2)
+        ws = tau / (2 * r)
+        phi = np.arctan2(z2, z1)
+        alpha = -r
+        b2 = 2 * r ** 3 / tau ** 2
+        b3 = -4 * r ** 3 / tau ** 2
+        Jt = 1 / tau                     # orientation-corrected Jacobian
+        xi1 = ws ** 2 * np.cos(phi)
+        C00 = xi1 * ws / (ws - xi1) * alpha
+        tr_coeff = (C00 * 2j * np.pi
+                    * np.exp(0.25j * np.pi * (np.sign(b2) + np.sign(b3)))
+                    * 2 * np.pi * Jt / np.sqrt(np.abs(b2 * b3)))
+        return SimpleNamespace(
+            inside=inside, lam=lam, w=w, beta=beta, formed=(a1 < 0) & (a2 * w < 0),
+            coeff=coeff, phase=phase, gap=np.abs(2 * r - tau * z1 / r),
+            tr_coeff=tr_coeff, tr_phase=-tau ** 2 / (4 * r))
+
+
 def stationary_frequencies(lam: float) -> Optional[tuple[float, float]]:
     """The two positive stationary frequencies on L, (diverging, transverse),
-    or None outside the wedge (1 - 8*lam^2 < 0)."""
+    or None outside the wedge (|lam| > 1/(2*sqrt(2)))."""
     if lam == 0:
         raise ValueError("lam must be nonzero")
-    d = 1 - 8 * lam ** 2
-    if d < 0:
-        return None
-    rd = np.sqrt(d)
-    den = 2 * np.sqrt(2) * abs(lam)
-    w1 = np.sqrt(4 * lam ** 2 + 1 + rd) / den
-    w2 = np.sqrt(4 * lam ** 2 + 1 - rd) / den
-    return w1, w2
+    w = _closed_forms(0.0, lam, 1.0).w[:, 0]   # the ray through (0, lam) at tau = 1
+    return None if np.isnan(w[0]) else (w[0], w[1])
 
 
 def wedge_test(z1: float, z2: float, tau: float) -> bool:
     """Inside the wave wedge: behind the body and |z2/(tau-z1)| <= 1/(2*sqrt(2))."""
-    if tau - z1 <= 0:
-        return False
-    return bool(abs(z2 / (tau - z1)) <= WEDGE_SLOPE)
-
-
-def _crest_phase(w: float, z1: float, tau: float) -> float:
-    """Phase G* = w^3 (z1 - tau) / (2w^2 - 1) at the crossing point with
-    frequency w."""
-    return w ** 3 * (z1 - tau) / (2 * w ** 2 - 1)
-
-
-def _wave_frame(w: float, z1: float, z2: float, tau: float):
-    """Closed-form frame scalars at the crossing point with frequency w > 1."""
-    a1 = -z1 + (tau - z1) / (2 * w ** 2 - 1)
-    a2 = -abs(z2) * w / np.sqrt(w ** 2 - 1)
-    beta = abs(z2) * w * (2 * w ** 2 - 3) / (w ** 2 - 1) ** 1.5
-    J = abs((1 / z2) / (z1 - (tau - z1) / (2 * w ** 2 - 1)))
-    return a1, a2, beta, J, _crest_phase(w, z1, tau)
+    return bool(_closed_forms(z1, z2, tau).inside[0])
 
 
 def kelvin_wave_terms(params: KelvinParams) -> list[AsymptoticTerm]:
@@ -213,50 +242,29 @@ def kelvin_wave_terms(params: KelvinParams) -> list[AsymptoticTerm]:
     alpha1 < 0 together with the upward bypass in varpi (alpha2*w < 0, always
     true for w > 1).  Raises DegenerateFamily in the merge regime |beta| <= 1e-6.
     """
-    z1, z2, tau = params.z1, abs(params.z2), params.tau
-    if not wedge_test(z1, z2, tau):
+    f = _closed_forms(params.z1, params.z2, params.tau)
+    if not f.inside[0]:
         return []
-    ws = stationary_frequencies(z2 / (tau - z1))
-    if ws is None:
-        return []
-    terms = []
-    for w in ws:
-        a1, a2, beta, J, G0 = _wave_frame(w, z1, z2, tau)
+    if f.lam[0] == 0:
+        raise ValueError("lam must be nonzero")
+    for w, beta in zip(f.w[:, 0], f.beta[:, 0]):
         if abs(beta) <= 1e-6:
             raise DegenerateFamily(f"family at w={w:.6f} near the wedge boundary")
-        if not (a1 < 0 and a2 * w < 0):
-            continue
-        C0 = w * w * a1 * a2   # N = xi1*varpi = w^2 on L; alpha^{-mu} with mu=-1
-        A = (C0 * (2j * np.pi) ** 2 * np.exp(0.25j * np.pi * np.sign(beta))
-             * np.sqrt(2 * np.pi) * J / np.sqrt(abs(beta)))
-        terms.append(AsymptoticTerm(A, -0.5, G0))
-    return terms
+    return [AsymptoticTerm(f.coeff[k, 0], -0.5, f.phase[k, 0])
+            for k in (0, 1) if f.formed[k, 0]]
 
 
 def transient_term(params: KelvinParams) -> Optional[AsymptoticTerm]:
     """The cylindrical wave from the onset of motion: stationary point on the
     dispersion cone at varpi* = tau/(2*r).  None when tau <= 0 (causality)."""
-    z1, z2, tau = params.z1, abs(params.z2), params.tau
-    if tau <= 0:
+    if params.tau <= 0:
         return None
-    r = np.hypot(z1, z2)
-    if r == 0:
+    if params.z1 == 0 and params.z2 == 0:
         raise ValueError("transient undefined at the origin")
-    if abs(2 * r - tau * z1 / r) <= 1e-3:
+    f = _closed_forms(params.z1, params.z2, params.tau)
+    if f.gap[0] <= 1e-3:
         raise MergeProximity("transient point merging with a crossing point")
-    ws = tau / (2 * r)
-    phi = np.arctan2(z2, z1)
-    alpha = -r
-    b2 = 2 * r ** 3 / tau ** 2
-    b3 = -4 * r ** 3 / tau ** 2
-    J = 1 / tau                      # orientation-corrected Jacobian
-    G0 = -tau ** 2 / (4 * r)
-    xi1 = ws ** 2 * np.cos(phi)
-    C00 = xi1 * ws / (ws - xi1) * alpha
-    A = (C00 * 2j * np.pi
-         * np.exp(0.25j * np.pi * (np.sign(b2) + np.sign(b3)))
-         * 2 * np.pi * J / np.sqrt(abs(b2 * b3)))
-    return AsymptoticTerm(A, -1.0, G0)
+    return AsymptoticTerm(f.tr_coeff[0], -1.0, f.tr_phase[0])
 
 
 def wake_terms(params: KelvinParams) -> list[AsymptoticTerm]:
@@ -280,39 +288,27 @@ def field_map(z1_axis, z2_axis, tau: float, lam: float) -> FieldGrid:
     never exceptions.  The z2 < 0 half-plane is the mirror of z2 > 0."""
     z1_axis = np.asarray(z1_axis, dtype=float)
     z2_axis = np.asarray(z2_axis, dtype=float)
-    vals = np.zeros((len(z1_axis), len(z2_axis)))
-    mask = np.zeros(vals.shape, dtype=int)
-    for i, a in enumerate(z1_axis):
-        for j, b in enumerate(z2_axis):
-            m = 0
-            terms = []
-            if abs(b) < 0.05 or np.hypot(a, b) < 0.05:
-                mask[i, j] = MASK_INVALID
-                continue
-            p = KelvinParams(a, abs(b), tau, lam)
-            if wedge_test(a, abs(b), tau):
-                lam_c = abs(b) / (tau - a)
-                if WEDGE_SLOPE - lam_c < 0.02:
-                    m |= MASK_INVALID
-                else:
-                    try:
-                        terms = kelvin_wave_terms(p)
-                        if terms:
-                            m |= MASK_WAVE
-                    except DegenerateFamily:
-                        m |= MASK_INVALID
-            if not m & MASK_INVALID:
-                try:
-                    tt = transient_term(p)
-                    if tt is not None:
-                        m |= MASK_TRANSIENT
-                        terms.append(tt)
-                except MergeProximity:
-                    m |= MASK_INVALID
-            if not m & MASK_INVALID:
-                vals[i, j] = evaluate(terms, lam, KELVIN_PREFACTOR, real_field=True)
-            mask[i, j] = m
-    return FieldGrid(z1_axis, z2_axis, vals, mask, tau, lam)
+    z1, z2 = np.meshgrid(z1_axis, np.abs(z2_axis), indexing="ij")
+    f = _closed_forms(z1, z2, tau)
+    invalid = (z2 < 0.05) | (np.hypot(z1, z2) < 0.05)
+    wedge = f.inside & ~invalid
+    invalid |= wedge & ((WEDGE_SLOPE - f.lam < 0.02)
+                        | np.any(np.abs(f.beta) <= 1e-6, axis=0))
+    waves = f.formed & wedge & ~invalid
+    transient = (tau > 0) & ~invalid
+    merge = transient & (f.gap <= 1e-3)
+    invalid |= merge                  # the WAVE bit stays set
+    transient &= ~merge
+
+    def term(on, coeff, power, phase):
+        return AsymptoticTerm(np.where(on, coeff, 0), power, np.where(on, phase, 0))
+
+    terms = [term(waves[k] & ~invalid, f.coeff[k], -0.5, f.phase[k]) for k in (0, 1)]
+    terms.append(term(transient, f.tr_coeff, -1.0, f.tr_phase))
+    values = evaluate(terms, lam, KELVIN_PREFACTOR, real_field=True)
+    mask = (MASK_WAVE * np.any(waves, axis=0) | MASK_TRANSIENT * transient
+            | MASK_INVALID * invalid)
+    return FieldGrid(z1_axis, z2_axis, values, mask)
 
 
 def render_wavefronts(z1_axis, z2_axis, tau: float, lam: float,
@@ -321,15 +317,7 @@ def render_wavefronts(z1_axis, z2_axis, tau: float, lam: float,
     wedge (rendered neutral gray downstream).  family: 1 diverging, 2 transverse."""
     if family not in (1, 2):
         raise ValueError("family must be 1 or 2")
-    z1_axis = np.asarray(z1_axis, dtype=float)
-    z2_axis = np.asarray(z2_axis, dtype=float)
-    img = np.full((len(z1_axis), len(z2_axis)), np.nan)
-    for i, a in enumerate(z1_axis):
-        for j, b in enumerate(z2_axis):
-            if not wedge_test(a, abs(b), tau) or abs(b) < 1e-12:
-                continue
-            ws = stationary_frequencies(abs(b) / (tau - a))
-            if ws is None:
-                continue
-            img[i, j] = np.cos(lam * _crest_phase(ws[family - 1], a, tau))
-    return img
+    z1, z2 = np.meshgrid(np.asarray(z1_axis, dtype=float),
+                         np.abs(np.asarray(z2_axis, dtype=float)), indexing="ij")
+    f = _closed_forms(z1, z2, tau)
+    return np.cos(lam * np.where(f.inside & (z2 >= 1e-12), f.phase[family - 1], np.nan))

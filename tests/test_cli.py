@@ -83,6 +83,11 @@ def test_parse_diagnostics_carry_line_numbers():
     "mode = fronts\nproblem = kelvin\ngrid = 0x0\n",
     "quad-n = 15\n",                           # odd node count
     "mode = compare\nproblem = cone\ntaper = 0.9\n",
+    "lambda = nan\n",                          # non-finite numbers
+    "lambda = inf\n",
+    "z = nan,1,10\n",
+    "z1-range = nan:3\n",
+    "quad-r = nan\n",
 ])
 def test_parse_rejections(text):
     with pytest.raises(ConfigError):

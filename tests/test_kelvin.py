@@ -8,6 +8,7 @@ from oscint3.kelvin import (
     MASK_TRANSIENT,
     MASK_WAVE,
     WEDGE_SLOPE,
+    DegenerateFamily,
     KelvinParams,
     MergeProximity,
     OutOfRange,
@@ -217,6 +218,67 @@ def test_field_map_masked_samples_are_zero():
     g = field_map([2.0], [np.sqrt(10.0 - 4.0)], 10.0, 40.0)   # merge curve
     assert g.mask[0, 0] & MASK_INVALID
     assert g.values[0, 0] == 0.0
+
+
+def _reference_mask(a, b, tau):
+    """The per-sample mask rules of field_map, one sample at a time."""
+    if abs(b) < 0.05 or np.hypot(a, b) < 0.05:
+        return MASK_INVALID
+    m = 0
+    p = KelvinParams(a, abs(b), tau)
+    if wedge_test(a, abs(b), tau):
+        if WEDGE_SLOPE - abs(b) / (tau - a) < 0.02:
+            m |= MASK_INVALID
+        else:
+            try:
+                if kelvin_wave_terms(p):
+                    m |= MASK_WAVE
+            except DegenerateFamily:
+                m |= MASK_INVALID
+    if not m & MASK_INVALID:
+        try:
+            if transient_term(p) is not None:
+                m |= MASK_TRANSIENT
+        except MergeProximity:
+            m |= MASK_INVALID
+    return m
+
+
+@pytest.mark.parametrize("tau", [10.0, 0.0, -1.0])
+def test_grid_matches_per_sample_reference(tau):
+    """Grid masks equal the per-sample rules, and the fronts equal
+    cos(Lambda*G*) built from stationary_frequencies.  The z1 = 2 row meets
+    the tau = 10 merge curve 2r^2 = tau*z1 at z2 = sqrt(6), where the wave
+    bit stays on an invalid sample (mask 5)."""
+    lam = 40.0
+    z1 = np.linspace(-3, 11, 29)                      # holds 2.0 and 10.0
+    z2 = np.append(np.linspace(-3, 3, 25), np.sqrt(6.0))
+    g = field_map(z1, z2, tau, lam)
+    ref = np.array([[_reference_mask(a, b, tau) for b in z2] for a in z1])
+    assert np.array_equal(g.mask, ref)
+    if tau == 10.0:
+        assert g.mask[10, -1] == MASK_WAVE | MASK_INVALID
+    for fam in (1, 2):
+        want = np.full(g.mask.shape, np.nan)
+        for i, a in enumerate(z1):
+            for j, b in enumerate(z2):
+                if wedge_test(a, abs(b), tau) and abs(b) >= 1e-12:
+                    w = stationary_frequencies(abs(b) / (tau - a))[fam - 1]
+                    want[i, j] = np.cos(lam * w ** 3 * (a - tau) / (2 * w ** 2 - 1))
+        np.testing.assert_allclose(render_wavefronts(z1, z2, tau, lam, fam),
+                                   want, rtol=0, atol=1e-9)
+
+
+def test_grid_through_body_track_and_origin():
+    """Samples at z1 = tau, z2 = 0 and the origin are masked without a
+    RuntimeWarning (an error under the pytest configuration)."""
+    z1, z2 = np.array([-1.0, 0.0, 5.0, 10.0, 12.0]), np.array([-1.0, 0.0, 1.0])
+    g = field_map(z1, z2, 10.0, 40.0)
+    assert np.all(np.isfinite(g.values))
+    assert np.all(g.mask[:, 1] == MASK_INVALID)
+    for fam in (1, 2):
+        img = render_wavefronts(z1, z2, 10.0, 40.0, fam)
+        assert np.all(np.isnan(img[:, 1])) and np.all(np.isnan(img[3:]))
 
 
 def test_render_wavefronts_range_and_wedge():
