@@ -4,18 +4,30 @@ Each contributing point gets a frame: local coordinates w in which the phase
 is G* + (linear in the singular w's) + (quadratic in the free w's), with
 normalizers alpha, quadratic coefficients beta, and Jacobian J = det d(xi)/d(w).
 The contribution of the point is then a closed-form term A * Lambda^p *
-exp(i*Lambda*G*), with A built from the universal one-dimensional factor I(mu)
-and the frame scalars.
+exp(i*Lambda*G*).
 
-Frames are constructed with positive orientation (J > 0) by flipping one of
-the free axes when needed; the term formulas are linear in J, so this is a
-pure normalization and it is what matches the quadrature oracles.
+At every special point except a conical one the integral factorizes over the
+frame's axes.  A stationary point in the domain has m = 0 singular
+directions, one on a surface m = 1, one on a crossing curve m = 2 and a
+triple crossing m = 3.  Each singular direction w_k = alpha_k * g_k gives the
+universal one-dimensional factor I(mu_k) * alpha_k^(-mu_k) * Lambda^-(mu_k+1),
+and each of the 3 - m free directions gives the Fresnel factor
+sqrt(2*pi/|beta|) * exp(i*pi/4*sign(beta)) * Lambda^(-1/2).  So
+
+    A = N(x) * prod(uninvolved g^mu) * prod_k I(mu_k) alpha_k^(-mu_k) * J
+        * prod_free sqrt(2*pi/|beta|) exp(i*pi/4*sign(beta)),
+    p = -sum_k (mu_k + 1) - (3 - m)/2.
+
+A conical point has its own formula (`term_cone`).
+
+Frames are constructed with positive orientation (J > 0) by negating the last
+axis when needed; the terms are linear in J, so this is a pure normalization
+and it is what matches the quadrature oracles.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gamma as _euler_gamma
 from typing import Optional
 
@@ -28,21 +40,14 @@ from .detect import PointKind, SpecialPoint, Indeterminate
 __all__ = [
     "UnsupportedExponent",
     "MissingVerdict",
-    "DegenerateRestrictedHessian",
-    "DegenerateCurvature",
     "DegenerateConfiguration",
     "LocalFrame",
     "AsymptoticTerm",
     "gamma_factor",
-    "local_frame_interior",
-    "local_frame_single",
-    "local_frame_double",
+    "local_frame",
     "local_frame_cone",
     "local_coefficient",
-    "term_sp_interior",
-    "term_sp_surface",
-    "term_sp_crossing",
-    "term_triple",
+    "term_from_frame",
     "term_cone",
     "term_for_point",
     "expand",
@@ -56,14 +61,6 @@ class UnsupportedExponent(Exception):
 
 
 class MissingVerdict(Exception):
-    pass
-
-
-class DegenerateRestrictedHessian(Exception):
-    pass
-
-
-class DegenerateCurvature(Exception):
     pass
 
 
@@ -116,67 +113,33 @@ def _phase0(phase: PhaseSpec, x) -> float:
     return float(np.real(phase.G(x)))
 
 
-def local_frame_interior(phase: PhaseSpec, sp: SpecialPoint) -> LocalFrame:
+def local_frame(comps, phase: PhaseSpec, sp: SpecialPoint) -> LocalFrame:
+    """Frame at a stationary point of G on the intersection of the m surfaces
+    `comps` (m = 0 for an interior point, 3 for a triple crossing).
+
+    The rows of W = grad(w) are alpha_k * grad(g_k) for the singular
+    directions, then the tangent directions that diagonalize the restricted
+    Hessian, in descending order of its eigenvalues (the betas).  The last
+    row is negated when det W < 0, and J = 1/det W.
+    """
+    if len(sp.alphas) != len(comps):
+        raise MissingVerdict(f"{sp.kind.value} point has no stored alphas")
     x = sp.location
-    H = np.real(phase.G.hess(x)).astype(float)
-    lam, Q = np.linalg.eigh(H)
-    order = np.argsort(-lam)
-    lam, Q = lam[order], Q[:, order]
-    W = Q.T
-    if np.linalg.det(W) < 0:
-        W = W.copy()
-        W[2] *= -1.0
-    return LocalFrame(PointKind.SP_INTERIOR, x, (), (), tuple(lam), 1.0, W,
-                      _phase0(phase, x))
-
-
-def local_frame_single(comp: SingularityComponent, phase: PhaseSpec,
-                       sp: SpecialPoint) -> LocalFrame:
-    """Frame at a stationary point on a single surface: w1 = alpha*g, and an
-    orthonormal tangent pair diagonalizing the curvature-corrected Hessian."""
-    if not sp.alphas:
-        raise MissingVerdict("surface point has no stored alpha")
-    x, a = sp.location, sp.alphas[0]
-    M, P = detect.restricted_hessian(comp, phase.G, x, a)
-    if abs(np.linalg.det(M)) <= 1e-10:
-        raise DegenerateRestrictedHessian(f"restricted Hessian singular at {x}")
+    M, T = detect.restricted_hessian(comps, phase.G, x, sp.alphas)
+    if detect.degenerate(M):
+        raise DegenerateConfiguration(f"restricted Hessian singular at {x}")
     lam, V = np.linalg.eigh(M)
     order = np.argsort(-lam)
     lam, V = lam[order], V[:, order]
-    T = (P @ V).T                      # rows t2, t3
-    n1 = a * np.real(comp.g.grad(x)).astype(float)
-    W = np.vstack([n1, T])
-    d = np.linalg.det(W)
-    if d < 0:
-        W[2] *= -1.0
-        T = W[1:]
-        d = -d
-    return LocalFrame(PointKind.SP_ON_SURFACE, x, (comp.label,), (a,),
-                      tuple(lam), 1.0 / d, W, _phase0(phase, x))
-
-
-def local_frame_double(compA: SingularityComponent, compB: SingularityComponent,
-                       phase: PhaseSpec, sp: SpecialPoint) -> LocalFrame:
-    """Frame at a stationary point on a crossing curve: w1 = a1*gA, w2 = a2*gB,
-    w3 = arclength along the curve."""
-    if len(sp.alphas) != 2:
-        raise MissingVerdict("crossing point has no stored alphas")
-    x = sp.location
-    a1, a2 = sp.alphas
-    t = detect.crossing_tangent(compA, compB, x)
-    beta = detect.crossing_curvature(compA, compB, phase.G, x, a1, a2)
-    if abs(beta) <= 1e-6:
-        raise DegenerateCurvature(f"curve curvature ~ 0 at {x} (merge regime)")
-    W = np.vstack([a1 * np.real(compA.g.grad(x)).astype(float),
-                   a2 * np.real(compB.g.grad(x)).astype(float),
-                   t])
+    W = np.vstack([a * np.real(c.g.grad(x)).astype(float)
+                   for a, c in zip(sp.alphas, comps)] + [(T @ V).T])
     d = np.linalg.det(W)
     if d < 0:
         W[2] *= -1.0
         d = -d
-    return LocalFrame(PointKind.SP_ON_CROSSING, x,
-                      (compA.label, compB.label), (a1, a2), (beta,),
-                      1.0 / d, W, _phase0(phase, x))
+    return LocalFrame(sp.kind, x, tuple(c.label for c in comps),
+                      tuple(sp.alphas), tuple(lam), 1.0 / d, W,
+                      _phase0(phase, x))
 
 
 def local_frame_cone(comp: SingularityComponent, phase: PhaseSpec,
@@ -205,45 +168,22 @@ def local_coefficient(amplitude: AmplitudeSpec, involved: tuple[str, ...],
     return C
 
 
-def term_sp_interior(frame: LocalFrame,
-                     amplitude: AmplitudeSpec) -> AsymptoticTerm:
-    b1, b2, b3 = frame.betas
-    F0 = amplitude.value(frame.location)
-    if F0 == 0:
-        warnings.warn("amplitude vanishes at interior stationary point")
-    A = (F0 * np.exp(1j * np.pi / 4 * (np.sign(b1) + np.sign(b2) + np.sign(b3)))
-         * (2 * np.pi) ** 1.5 * frame.jacobian / np.sqrt(abs(b1 * b2 * b3)))
-    return AsymptoticTerm(A, -1.5, frame.phase0)
-
-
-def term_sp_surface(frame: LocalFrame, amplitude: AmplitudeSpec,
-                    mu: float) -> AsymptoticTerm:
-    b2, b3 = frame.betas
-    C = local_coefficient(amplitude, frame.components, frame.alphas,
+def term_from_frame(frame: LocalFrame, amplitude: AmplitudeSpec,
+                    mus) -> AsymptoticTerm:
+    """The product-formula term of a non-conical point with m = len(mus)
+    singular directions and the 3 - m free directions of `frame.betas`."""
+    m = len(mus)
+    A = local_coefficient(amplitude, frame.components, frame.alphas,
                           frame.location)
-    A = (C * gamma_factor(mu)
-         * np.exp(1j * np.pi / 4 * (np.sign(b2) + np.sign(b3)))
-         * 2 * np.pi * frame.jacobian / np.sqrt(abs(b2 * b3)))
-    return AsymptoticTerm(A, -mu - 2, frame.phase0)
-
-
-def term_sp_crossing(frame: LocalFrame, amplitude: AmplitudeSpec,
-                     mu1: float, mu2: float) -> AsymptoticTerm:
-    (beta,) = frame.betas
-    C = local_coefficient(amplitude, frame.components, frame.alphas,
-                          frame.location)
-    A = (C * gamma_factor(mu1) * gamma_factor(mu2)
-         * np.exp(1j * np.pi / 4 * np.sign(beta))
-         * np.sqrt(2 * np.pi) * frame.jacobian / np.sqrt(abs(beta)))
-    return AsymptoticTerm(A, -mu1 - mu2 - 2.5, frame.phase0)
-
-
-def term_triple(frame: LocalFrame, amplitude: AmplitudeSpec,
-                mus: tuple[float, float, float]) -> AsymptoticTerm:
-    C = local_coefficient(amplitude, frame.components, frame.alphas,
-                          frame.location)
-    A = C * np.prod([gamma_factor(m) for m in mus]) * frame.jacobian
-    return AsymptoticTerm(A, -sum(mus) - 3, frame.phase0)
+    for mu in mus:
+        A = A * gamma_factor(mu)
+    # prod over the free directions of sqrt(2*pi/|beta|) * exp(i*pi/4*sign(beta)),
+    # taken as one phase, one power of 2*pi and one root
+    A = (A * np.exp(1j * np.pi / 4 * np.sum(np.sign(frame.betas)))
+         * (2 * np.pi) ** ((3 - m) / 2) * frame.jacobian
+         / np.sqrt(abs(np.prod(frame.betas))))
+    # -sum(mu_k + 1) - (3 - m)/2, summed so that integer powers come out exact
+    return AsymptoticTerm(A, -sum(mus) - m - (3 - m) / 2, frame.phase0)
 
 
 def term_cone(frame: LocalFrame,
@@ -273,38 +213,14 @@ def _components_of(problem: ProblemSpec, labels):
 def term_for_point(problem: ProblemSpec,
                    sp: SpecialPoint) -> Optional[AsymptoticTerm]:
     """Build the frame and emit the term for one contributing point."""
-    phase, amp = problem.phase, problem.amplitude
-    if sp.kind is PointKind.SP_INTERIOR:
-        t = term_sp_interior(local_frame_interior(phase, sp), amp)
-    elif sp.kind is PointKind.SP_ON_SURFACE:
-        (c,) = _components_of(problem, sp.components)
-        t = term_sp_surface(local_frame_single(c, phase, sp), amp, c.mu)
-    elif sp.kind is PointKind.SP_ON_CROSSING:
-        cA, cB = _components_of(problem, sp.components)
-        t = term_sp_crossing(local_frame_double(cA, cB, phase, sp), amp,
-                             cA.mu, cB.mu)
-    elif sp.kind is PointKind.TRIPLE_CROSSING:
-        cs = _components_of(problem, sp.components)
-        frame = LocalFrame(sp.kind, sp.location, tuple(sp.components),
-                           tuple(sp.alphas), (),
-                           _triple_jacobian(cs, sp), None,
-                           _phase0(phase, sp.location))
-        t = term_triple(frame, amp, tuple(c.mu for c in cs))
-    elif sp.kind is PointKind.CONICAL:
-        (c,) = _components_of(problem, sp.components)
-        frame = local_frame_cone(c, phase, sp, problem.shift.eta)
-        t = term_cone(frame, amp)
-        if t is None:
-            return None
+    comps = _components_of(problem, sp.components)
+    if sp.kind is PointKind.CONICAL:
+        t = term_cone(local_frame_cone(comps[0], problem.phase, sp,
+                                       problem.shift.eta), problem.amplitude)
     else:
-        return None
-    return AsymptoticTerm(t.coeff, t.power, t.phase0, source=sp)
-
-
-def _triple_jacobian(comps, sp: SpecialPoint) -> float:
-    W = np.array([a * np.real(c.g.grad(sp.location)).astype(float)
-                  for a, c in zip(sp.alphas, comps)])
-    return 1.0 / abs(np.linalg.det(W))
+        t = term_from_frame(local_frame(comps, problem.phase, sp),
+                            problem.amplitude, tuple(c.mu for c in comps))
+    return None if t is None else replace(t, source=sp)
 
 
 def expand(problem: ProblemSpec, points=None) -> list[AsymptoticTerm]:
@@ -315,7 +231,7 @@ def expand(problem: ProblemSpec, points=None) -> list[AsymptoticTerm]:
     bad = [p for p in points if p.contributes and p.flagged("NEAR_DEGENERATE")]
     if bad:
         raise DegenerateConfiguration(
-            f"{len(bad)} contributing point(s) in the merge regime: "
+            f"{len(bad)} contributing point(s) near degeneracy: "
             + ", ".join(str(p.location) for p in bad))
     terms = []
     for sp in points:

@@ -244,7 +244,6 @@ NUMERIC_ERRORS = (
     detect.NoConvergence, detect.NonTransversal, detect.Indeterminate,
     detect.DecompositionResidual, detect.SingularGradientMatrix,
     asym.UnsupportedExponent, asym.DegenerateConfiguration,
-    asym.DegenerateCurvature, asym.DegenerateRestrictedHessian,
     DegenerateFamily, MergeProximity, OutOfRange,
     np.linalg.LinAlgError,
 )

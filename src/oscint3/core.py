@@ -25,7 +25,6 @@ import numpy as np
 
 __all__ = [
     "TangentialShift",
-    "IndeterminateSide",
     "ScalarField3",
     "SingularityComponent",
     "AmplitudeSpec",
@@ -33,8 +32,6 @@ __all__ = [
     "DomainShift",
     "Box3",
     "ProblemSpec",
-    "volume_form",
-    "is_desired",
     "bypass_side",
     "check_field_derivatives",
 ]
@@ -46,10 +43,6 @@ TANGENCY_RTOL = 1e-12
 
 class TangentialShift(Exception):
     """The shift eta is (numerically) tangent to a singularity surface."""
-
-
-class IndeterminateSide(Exception):
-    """grad(G) . eta is too close to zero to decide the deformation side."""
 
 
 def as_point(x) -> np.ndarray:
@@ -154,12 +147,9 @@ class AmplitudeSpec:
     smooth_factor: ScalarField3
     components: tuple[SingularityComponent, ...] = ()
 
-    def value(self, xi) -> complex:
-        """Evaluate F away from the singularities (principal branch powers)."""
-        return complex(self.value_vec(np.asarray(xi)))
-
     def value_vec(self, xi: np.ndarray):
-        """Vectorized evaluation over (..., 3) input; evaluators broadcast."""
+        """Evaluate F away from the singularities (principal branch powers),
+        vectorized over (..., 3) input; evaluators broadcast."""
         out = self.smooth_factor.value(xi) + 0j
         for c in self.components:
             gv = c.g.value(xi)
@@ -248,26 +238,6 @@ class ProblemSpec:
     search_region: Box3
     prefactor: complex = 1.0
     name: str = ""
-
-
-def volume_form(v1, v2, v3) -> complex:
-    """Signed complex volume of the parallelepiped spanned by three vectors."""
-    return complex(np.linalg.det(np.array([v1, v2, v3])))
-
-
-def is_desired(shift: DomainShift, phase: PhaseSpec, p) -> bool:
-    """Whether the shift already damps the exponential at p (Im G > 0 side).
-
-    True iff grad(G)(p) . eta > 0.  Raises IndeterminateSide in the tangential
-    case |grad(G) . eta| <= 1e-12 * |grad(G)| |eta|.
-    """
-    p = as_point(p)
-    gG = np.real(phase.G.grad(p))
-    eta = shift.eta
-    s = float(gG @ eta)
-    if abs(s) <= TANGENCY_RTOL * np.linalg.norm(gG) * np.linalg.norm(eta):
-        raise IndeterminateSide(f"grad(G).eta ~ 0 at {p}")
-    return s > 0
 
 
 def bypass_side(shift: DomainShift, comp: SingularityComponent, p) -> int:

@@ -201,49 +201,31 @@ def _rhess(f: ScalarField3, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # local geometry helpers (shared with the term construction in asym)
 
-def tangent_basis(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal pair spanning the plane perpendicular to n."""
-    nh = n / np.linalg.norm(n)
-    e = np.eye(3)[int(np.argmin(np.abs(nh)))]
-    t2 = e - (e @ nh) * nh
-    t2 /= np.linalg.norm(t2)
-    t3 = np.cross(nh, t2)
-    return t2, t3
+def restricted_hessian(comps, phase_G: ScalarField3, x: np.ndarray,
+                       alphas) -> tuple[np.ndarray, np.ndarray]:
+    """Hessian of G on the common tangent space of the surfaces `comps` at x.
 
-
-def restricted_hessian(comp: SingularityComponent, phase_G: ScalarField3,
-                       x: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """2x2 Hessian of G on the surface tangent plane, Lagrange-corrected.
-
-    Returns (M, P) with P the 3x2 orthonormal tangent basis.  The alpha*H_g
-    term accounts for the curvature of the constraint surface.
+    Returns (M, T): T is a 3 x (3-m) orthonormal basis of the null space of
+    the m stacked normals, and M = T.T (H_G - sum_k alpha_k H_gk) T.  The
+    alpha_k H_gk terms account for the curvature of the constraint surfaces;
+    with grad(G) = sum_k alpha_k grad(g_k), M is the second derivative of G
+    along the surfaces' intersection.  Two tangent surfaces raise
+    NonTransversal.
     """
-    n = _rgrad(comp.g, x)
-    t2, t3 = tangent_basis(n)
-    P = np.column_stack([t2, t3])
-    M = P.T @ (_rhess(phase_G, x) - alpha * _rhess(comp.g, x)) @ P
-    return M, P
+    N = np.array([_rgrad(c.g, x) for c in comps]).reshape(len(comps), 3)
+    if len(comps) == 2 and np.linalg.norm(np.cross(*N)) <= 1e-10:
+        raise NonTransversal(f"surfaces {comps[0].label!r}, {comps[1].label!r} "
+                             f"tangent at {x}")
+    T = np.linalg.eigh(N.T @ N)[1][:, :3 - len(comps)]
+    H = _rhess(phase_G, x) - sum(a * _rhess(c.g, x) for a, c in zip(alphas, comps))
+    return T.T @ H @ T, T
 
 
-def crossing_tangent(compA, compB, x) -> np.ndarray:
-    t = np.cross(_rgrad(compA.g, x), _rgrad(compB.g, x))
-    nt = np.linalg.norm(t)
-    if nt <= 1e-10:
-        raise NonTransversal(f"surfaces {compA.label!r}, {compB.label!r} tangent at {x}")
-    return t / nt
-
-
-def crossing_curvature(compA, compB, phase_G, x, a1: float, a2: float) -> float:
-    """d^2/ds^2 of G along the arclength-parametrized crossing curve.
-
-    With gamma''(0) determined by the constraints, grad(G).gamma'' collapses to
-    -sum_k alpha_k t.H_k t since grad(G) = a1 grad(gA) + a2 grad(gB).
-    """
-    t = crossing_tangent(compA, compB, x)
-    HG = _rhess(phase_G, x)
-    HA = _rhess(compA.g, x)
-    HB = _rhess(compB.g, x)
-    return float(t @ (HG - a1 * HA - a2 * HB) @ t)
+def degenerate(M: np.ndarray) -> bool:
+    """Whether the restricted Hessian M is too close to singular for the
+    stationary-phase factor 1/sqrt|det M|: the merge regime on a crossing
+    curve (one free direction), a degenerate critical point otherwise."""
+    return abs(np.linalg.det(M)) <= (1e-6 if len(M) == 1 else 1e-10)
 
 
 def cone_axes(comp: SingularityComponent, x: np.ndarray):
@@ -284,16 +266,21 @@ def cone_vectors(comp, phase_G, shift_eta, x):
 # ---------------------------------------------------------------------------
 # finders
 
+def _near_degenerate(comps, G, x, alphas) -> frozenset:
+    M, _ = restricted_hessian(comps, G, x, alphas)
+    return frozenset({"NEAR_DEGENERATE"} if degenerate(M) else ())
+
+
 def find_sp_interior(problem: ProblemSpec, seeds=None, tol: float = ROOT_TOL):
-    """Interior stationary points: grad(G) = 0 with nondegenerate Hessian."""
+    """Interior stationary points: grad(G) = 0; a near-singular Hessian is
+    flagged NEAR_DEGENERATE."""
     G = problem.phase.G
     out = []
     for x in _roots(problem, lambda x: _rgrad(G, x), lambda x: _rhess(G, x),
                     _seeds(problem, seeds), tol,
                     keep=lambda x: np.linalg.norm(_rgrad(G, x), axis=-1) <= NEAR_ZERO):
-        degenerate = abs(np.linalg.det(_rhess(G, x))) <= 1e-10
-        out.append(SpecialPoint(x, PointKind.SP_INTERIOR, flags=frozenset(
-            {"DEGENERATE_HESSIAN"} if degenerate else ())))
+        out.append(SpecialPoint(x, PointKind.SP_INTERIOR,
+                                flags=_near_degenerate((), G, x, ())))
     return out
 
 
@@ -324,10 +311,8 @@ def find_sp_on_surface(problem: ProblemSpec, comp: SingularityComponent,
     for y in _roots(problem, fun, jac, y0, tol, on=(comp,),
                     keep=lambda y: np.abs(y[:, 3]) > NEAR_ZERO):
         x, a = y[:3], float(y[3])
-        degenerate = abs(np.linalg.det(restricted_hessian(comp, G, x, a)[0])) <= 1e-10
         out.append(SpecialPoint(x, PointKind.SP_ON_SURFACE, (comp.label,), alphas=(a,),
-                                flags=frozenset({"DEGENERATE_RESTRICTED_HESSIAN",
-                                                 "NEAR_DEGENERATE"} if degenerate else ())))
+                                flags=_near_degenerate((comp,), G, x, (a,))))
     return out
 
 
@@ -361,10 +346,9 @@ def find_sp_on_crossing(problem: ProblemSpec, compA, compB,
         if np.linalg.norm(A @ al - gG) > 1e-9 * max(1.0, np.linalg.norm(gG)):
             raise DecompositionResidual(f"grad(G) not in span of surface normals at {x}")
         a1, a2 = float(al[0]), float(al[1])
-        beta = crossing_curvature(compA, compB, G, x, a1, a2)
         out.append(SpecialPoint(x, PointKind.SP_ON_CROSSING, (compA.label, compB.label),
-                                alphas=(a1, a2), flags=frozenset(
-                                    {"NEAR_DEGENERATE"} if abs(beta) <= 1e-6 else ())))
+                                alphas=(a1, a2),
+                                flags=_near_degenerate((compA, compB), G, x, (a1, a2))))
     return out
 
 

@@ -87,12 +87,6 @@ class KelvinParams:
     tau: float
     Lambda: Optional[float] = None   # the terms do not depend on it
 
-    @property
-    def lam(self) -> float:
-        if self.tau == self.z1:
-            raise ValueError("lambda undefined at z1 = tau")
-        return self.z2 / (self.tau - self.z1)
-
 
 @dataclass
 class FieldGrid:

@@ -82,18 +82,6 @@ class Contour1D:
 
     segments: tuple
 
-    def points(self, n_per_seg: int = 64) -> np.ndarray:
-        ts = np.linspace(0, 1, n_per_seg)
-        out = []
-        for seg in self.segments:
-            if seg[0] == "line":
-                _, a, b = seg
-                out.append(a + (b - a) * ts)
-            else:
-                _, c, r, t0, t1 = seg
-                out.append(c + r * np.exp(1j * (t0 + (t1 - t0) * ts)))
-        return np.concatenate(out)
-
 
 def gamma_tilde(sign: int, r: float = 0.5, T: float = 30.0,
                 H: float = 0.0) -> Contour1D:

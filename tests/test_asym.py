@@ -7,16 +7,11 @@ from oscint3.asym import (
     AsymptoticTerm,
     LocalFrame,
     gamma_factor,
+    local_frame,
     local_frame_cone,
-    local_frame_double,
-    local_frame_interior,
-    local_frame_single,
     sum_asymptotics,
     term_cone,
-    term_sp_crossing,
-    term_sp_interior,
-    term_sp_surface,
-    term_triple,
+    term_from_frame,
 )
 from oscint3.core import AmplitudeSpec, SingularityComponent
 from oscint3.detect import PointKind, SpecialPoint
@@ -51,7 +46,7 @@ def test_frame_single_canonical_plane():
     prob, _ = problems.get_problem("pole-sp")
     comp = prob.amplitude.components[0]
     sp = detect.find_sp_on_surface(prob, comp)[0]
-    f = local_frame_single(comp, prob.phase, sp)
+    f = local_frame((comp,), prob.phase, sp)
     assert f.alphas[0] == pytest.approx(1.0)
     assert f.betas == pytest.approx((1.0, 1.0))
     assert f.jacobian == pytest.approx(1.0)
@@ -65,7 +60,7 @@ def test_frame_single_curved_surface():
     sp = SpecialPoint(np.zeros(3), PointKind.SP_ON_SURFACE, ("par",),
                       alphas=(1.0,))
     from oscint3.core import PhaseSpec
-    f = local_frame_single(g, PhaseSpec(quadratic_field(b=(0, 0, 1))), sp)
+    f = local_frame((g,), PhaseSpec(quadratic_field(b=(0, 0, 1))), sp)
     assert f.betas == pytest.approx((2.0, 2.0))
 
 
@@ -73,7 +68,7 @@ def test_frame_double_canonical():
     prob, _ = problems.get_problem("double-cross")
     cA, cB = prob.amplitude.components
     sp = detect.find_sp_on_crossing(prob, cA, cB)[0]
-    f = local_frame_double(cA, cB, prob.phase, sp)
+    f = local_frame((cA, cB), prob.phase, sp)
     assert f.alphas == pytest.approx((1.0, 1.0))
     assert f.betas[0] == pytest.approx(1.0)
     assert f.jacobian == pytest.approx(1.0)
@@ -83,7 +78,7 @@ def test_frame_jacobian_matches_axes():
     prob, _ = problems.get_problem("double-cross")
     cA, cB = prob.amplitude.components
     sp = detect.find_sp_on_crossing(prob, cA, cB)[0]
-    f = local_frame_double(cA, cB, prob.phase, sp)
+    f = local_frame((cA, cB), prob.phase, sp)
     assert f.jacobian == pytest.approx(1.0 / np.linalg.det(f.axes), rel=1e-10)
 
 
@@ -137,7 +132,7 @@ def test_frame_consistency_surface_curved():
     sp = [s for s in detect.find_sp_on_surface(
         prob, cone, seeds=[np.array([0.4, 0.5, 1.05])])
         if s.location[2] > 0][0]
-    f = local_frame_single(cone, prob.phase, sp)
+    f = local_frame((cone,), prob.phase, sp)
     _check_frame_expansion(f, prob.phase.G, (1.0, 0.0, 0.0),
                            {1: f.betas[0], 2: f.betas[1]}, (cone,))
 
@@ -148,7 +143,7 @@ def test_frame_consistency_crossing_kelvin():
     w1, _ = kelvin.stationary_frequencies(1.5 / 7.0)
     sp = detect.find_sp_on_crossing(prob, cA, cB,
                                     seeds=[kelvin.curve_L(w1) + 0.02])[0]
-    f = local_frame_double(cA, cB, prob.phase, sp)
+    f = local_frame((cA, cB), prob.phase, sp)
     _check_frame_expansion(f, prob.phase.G, (1.0, 1.0, 0.0),
                            {2: f.betas[0]}, (cA, cB))
 
@@ -156,7 +151,7 @@ def test_frame_consistency_crossing_kelvin():
 def test_frame_consistency_interior():
     prob, _ = problems.get_problem("gaussian-sp")
     sp = detect.find_sp_interior(prob)[0]
-    f = local_frame_interior(prob.phase, sp)
+    f = local_frame((), prob.phase, sp)
     _check_frame_expansion(f, prob.phase.G, (0, 0, 0),
                            dict(enumerate(f.betas)))
 
@@ -181,8 +176,7 @@ def test_frame_consistency_cone_linear_part():
 def test_term_interior_gaussian():
     prob, _ = problems.get_problem("gaussian-sp")
     sp = detect.find_sp_interior(prob)[0]
-    t = term_sp_interior(local_frame_interior(prob.phase, sp),
-                         prob.amplitude)
+    t = term_from_frame(local_frame((), prob.phase, sp), prob.amplitude, ())
     assert t.power == -1.5
     assert t.phase0 == 0.0
     assert t.coeff == pytest.approx(
@@ -192,9 +186,9 @@ def test_term_interior_gaussian():
 def test_term_interior_sign_bookkeeping():
     from oscint3.core import PhaseSpec
     g = SpecialPoint(np.zeros(3), PointKind.SP_INTERIOR)
-    f = local_frame_interior(PhaseSpec(
+    f = local_frame((), PhaseSpec(
         quadratic_field(np.diag([1.0, 1.0, -1.0]))), g)
-    t = term_sp_interior(f, AmplitudeSpec(gaussian_field()))
+    t = term_from_frame(f, AmplitudeSpec(gaussian_field()), ())
     assert np.angle(t.coeff) == pytest.approx(np.pi / 4)
 
 
@@ -204,16 +198,16 @@ def test_term_interior_linear_in_J():
     f2 = LocalFrame(PointKind.SP_INTERIOR, np.zeros(3), (), (), (1, 1, 1),
                     2.0, np.eye(3), 0.0)
     amp = AmplitudeSpec(gaussian_field())
-    assert term_sp_interior(f2, amp).coeff == pytest.approx(
-        2 * term_sp_interior(f1, amp).coeff)
+    assert term_from_frame(f2, amp, ()).coeff == pytest.approx(
+        2 * term_from_frame(f1, amp, ()).coeff)
 
 
 def test_term_surface_canonical():
     prob, _ = problems.get_problem("pole-sp")
     comp = prob.amplitude.components[0]
     sp = detect.find_sp_on_surface(prob, comp)[0]
-    t = term_sp_surface(local_frame_single(comp, prob.phase, sp),
-                        prob.amplitude, comp.mu)
+    t = term_from_frame(local_frame((comp,), prob.phase, sp),
+                        prob.amplitude, (comp.mu,))
     assert t.power == -1.0
     assert t.phase0 == pytest.approx(1.0)
     assert t.coeff == pytest.approx(-4 * np.pi ** 2, rel=1e-10)
@@ -223,8 +217,8 @@ def test_term_crossing_canonical():
     prob, _ = problems.get_problem("double-cross")
     cA, cB = prob.amplitude.components
     sp = detect.find_sp_on_crossing(prob, cA, cB)[0]
-    t = term_sp_crossing(local_frame_double(cA, cB, prob.phase, sp),
-                         prob.amplitude, -1.0, -1.0)
+    t = term_from_frame(local_frame((cA, cB), prob.phase, sp),
+                        prob.amplitude, (-1.0, -1.0))
     assert t.power == -0.5
     assert t.coeff == pytest.approx(
         (2j * np.pi) ** 2 * np.sqrt(2 * np.pi) * np.exp(0.25j * np.pi),
@@ -239,7 +233,7 @@ def test_term_triple_canonical_linear_phase():
     frame = LocalFrame(PointKind.TRIPLE_CROSSING, np.zeros(3),
                        sp.components, sp.alphas, (), 1.0, np.eye(3), 0.0)
     amp = AmplitudeSpec(gaussian_field(), comps)
-    t = term_triple(frame, amp, (-1.0, -1.0, -1.0))
+    t = term_from_frame(frame, amp, (-1.0, -1.0, -1.0))
     assert t.power == 0.0
     assert t.coeff == pytest.approx((2j * np.pi) ** 3, rel=1e-12)
 
@@ -248,7 +242,7 @@ def test_term_triple_mixed_exponents():
     frame = LocalFrame(PointKind.TRIPLE_CROSSING, np.zeros(3),
                        (), (), (), 1.0, np.eye(3), 0.0)
     amp = AmplitudeSpec(quadratic_field(c=1.0))   # N = 1, no components
-    t = term_triple(frame, amp, (-1.0, -0.5, -0.5))
+    t = term_from_frame(frame, amp, (-1.0, -0.5, -0.5))
     want = 2j * np.pi * (2 * np.sqrt(np.pi) * np.exp(0.25j * np.pi)) ** 2
     assert t.power == -1.0
     assert t.coeff == pytest.approx(want, rel=1e-12)
@@ -326,8 +320,8 @@ def test_scaling_invariance_of_terms(c):
             DomainShift(np.array([-0.15, 0.0, 0.0])),
             Box3(np.array([0.0, -1.5, -1.5]), np.array([2.0, 1.5, 1.5])))
         sp = detect.find_sp_on_surface(prob, g, seeds=[np.array([1.1, 0.1, -0.1])])[0]
-        return term_sp_surface(local_frame_single(g, prob.phase, sp), amp,
-                               -1.0)
+        return term_from_frame(local_frame((g,), prob.phase, sp), amp,
+                               (-1.0,))
 
     t1, tc = build(1.0), build(c)
     assert tc.coeff == pytest.approx(t1.coeff, rel=1e-10)

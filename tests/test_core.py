@@ -1,70 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from oscint3 import core, kelvin, problems
 from oscint3.core import (
     DomainShift,
-    IndeterminateSide,
     SingularityComponent,
     TangentialShift,
     bypass_side,
     check_field_derivatives,
-    is_desired,
-    volume_form,
 )
-
-E = np.eye(3)
-
-
-def test_volume_form_identity():
-    assert volume_form(E[0], E[1], E[2]) == 1
-
-
-def test_volume_form_row_swap():
-    assert volume_form(E[1], E[0], E[2]) == -1
-
-
-def test_volume_form_imaginary_basis():
-    v = volume_form(1j * E[0], 1j * E[1], 1j * E[2])
-    assert v == pytest.approx(-1j)
-
-
-finite3 = st.lists(st.floats(-10, 10), min_size=3, max_size=3).map(np.array)
-
-
-@given(finite3, finite3, finite3, st.floats(-5, 5))
-def test_volume_form_alternating_multilinear(a, b, c, s):
-    v = volume_form(a, b, c)
-    assert volume_form(b, a, c) == pytest.approx(-v, abs=1e-9)
-    assert volume_form(s * a, b, c) == pytest.approx(s * v, rel=1e-9, abs=1e-9)
-    assert volume_form(a + b, b, c) == pytest.approx(v, rel=1e-9, abs=1e-9)
-
-
-def _linear_phase(b):
-    return core.PhaseSpec(problems.quadratic_field(b=b))
-
-
-def test_is_desired_aligned():
-    sh = DomainShift(np.array([0.1, 0.0, 0.0]))
-    assert is_desired(sh, _linear_phase((1, 0, 0)), np.zeros(3)) is True
-
-
-def test_is_desired_antialigned():
-    sh = DomainShift(np.array([-0.1, 0.0, 0.0]))
-    assert is_desired(sh, _linear_phase((1, 0, 0)), np.zeros(3)) is False
-
-
-def test_is_desired_kelvin_shift_needs_deformation():
-    # grad G = (z1, z2, -tau) vs eta = (0, 0, eps): product is -tau*eps < 0
-    sh = DomainShift(np.array([0.0, 0.0, 1e-3]))
-    assert is_desired(sh, _linear_phase((2.0, 1.0, -10.0)), np.zeros(3)) is False
-
-
-def test_is_desired_tangential_raises():
-    sh = DomainShift(np.array([0.0, 0.1, 0.0]))
-    with pytest.raises(IndeterminateSide):
-        is_desired(sh, _linear_phase((1, 0, 0)), np.zeros(3))
 
 
 def _kelvin_comps():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oscint3 import detect, kelvin, problems
+from oscint3 import asym, detect, kelvin, problems
 from oscint3.core import (
     AmplitudeSpec,
     Box3,
@@ -51,9 +51,13 @@ def test_interior_degenerate_flagged():
     from oscint3.core import ScalarField3
     G = ScalarField3(value, grad, hess, real_on_real=True)
     p = _problem(G)
-    pts = detect.find_sp_interior(p, seeds=[np.array([0.05, 0.02, -0.04])])
+    seeds = [np.array([0.05, 0.02, -0.04])]
+    pts = detect.find_sp_interior(p, seeds=seeds)
     assert len(pts) == 1
-    assert pts[0].flagged("DEGENERATE_HESSIAN")
+    assert pts[0].flagged("NEAR_DEGENERATE")
+    # no stationary-phase term exists there: expand refuses the point
+    with pytest.raises(asym.DegenerateConfiguration):
+        asym.expand(p, detect.detect_all(p, seeds=seeds))
 
 
 def test_surface_sp_plane():
@@ -264,6 +268,52 @@ def test_detect_all_matches_pinned_points(key):
             kind, comps, contributes, reason)
         assert sp.alphas == pytest.approx(alphas, rel=1e-12, abs=1e-12)
         assert np.max(np.abs(sp.location - loc)) <= 1e-12
+
+
+# asym.expand on the points above, as built by the per-kind frame and term
+# functions the single product formula replaced: (kind, power, coeff, phase0)
+PINNED_TERMS = {
+    ("gaussian-sp", None): [
+        ("sp-interior", -1.5, (-11.136655993663414+11.136655993663416j), 0.0),
+    ],
+    ("pole-sp", None): [
+        ("sp-on-surface", -1.0, (-39.47841760435743+2.4173558877289423e-15j), 1.0),
+    ],
+    ("double-cross", None): [
+        ("sp-on-crossing", -0.5, (-69.97367331049944-69.97367331049944j), 0.0),
+    ],
+    ("triple-cross", None): [
+        ("triple-crossing", 0.0, -248.05021344239853j, 0.0),
+    ],
+    ("cone", None): [
+        ("conical", -1.0, (41.38462655242353+0j), 0.0),
+    ],
+    ("kelvin", (3.0, 1.5, 10.0)): [
+        ("sp-on-crossing", -0.5, (243.40232249445774-243.4023224944577j), 8.954906217895706),
+        ("sp-on-surface", -1.0, 73.98027736240448j, 7.453559924999299),
+        ("sp-on-surface", -1.0, 73.98027736240438j, -7.453559924999297),
+        ("sp-on-crossing", -0.5, (-243.40232249445765-243.4023224944576j), -8.954906217895712),
+    ],
+    ("kelvin", (3.7608, 1.5996, 10.0)): [
+        ("sp-on-crossing", -0.5, (173.89408242682168-173.8940824268216j), 6.945504255788919),
+        ("sp-on-surface", -1.0, 91.47575757480661j, 6.117181834926166),
+        ("sp-on-surface", -1.0, 91.47575757480661j, -6.117181834926166),
+        ("sp-on-crossing", -0.5, (-173.89408242682148-173.89408242682148j), -6.94550425578892),
+    ],
+}
+
+
+@pytest.mark.parametrize("key", list(PINNED_POINTS), ids=str)
+def test_expand_matches_pinned_terms(key):
+    name, z = key
+    prob = problems.get_problem(name)[0] if z is None else kelvin.kelvin_problem(*z)
+    got = asym.expand(prob)
+    assert len(got) == len(PINNED_TERMS[key])
+    for t, (kind, power, coeff, phase0) in zip(got, PINNED_TERMS[key]):
+        assert t.source.kind.value == kind
+        assert t.power == power
+        assert abs(t.coeff - coeff) <= 1e-13 * abs(coeff)
+        assert abs(t.phase0 - phase0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

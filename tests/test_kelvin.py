@@ -107,12 +107,6 @@ def test_wedge_test_examples():
     assert wedge_test(2.0, -2.0, 10.0) is True      # mirror symmetric
 
 
-def test_kelvin_params_lam():
-    assert KelvinParams(3.0, 1.5, 10.0, 40.0).lam == pytest.approx(1.5 / 7.0)
-    with pytest.raises(ValueError):
-        KelvinParams(10.0, 1.0, 10.0, 40.0).lam
-
-
 # ---------------------------------------------------------------------------
 # closed-form terms
 

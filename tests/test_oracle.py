@@ -55,14 +55,6 @@ def test_quadrature_spec_validation():
         QuadratureSpec(window="hann")
 
 
-def test_contour_points_sampling():
-    c = gamma_tilde(-1, r=0.5, T=3.0)
-    pts = c.points(16)
-    assert np.isclose(pts[0], -3.0)
-    assert np.isclose(pts[-1], 3.0)
-    assert np.min(pts.imag) < -0.4     # the indentation dips below the axis
-
-
 # ---------------------------------------------------------------------------
 # deformed 3D quadrature
 
