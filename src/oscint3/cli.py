@@ -19,7 +19,7 @@ import numpy as np
 
 from . import asym, detect, oracle, problems
 from .kelvin import (MASK_INVALID, DegenerateFamily, MergeProximity,
-                     OutOfRange, field_map, render_wavefronts)
+                     field_map, render_wavefronts)
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "run", "main"]
 
@@ -241,10 +241,9 @@ def run(cfg: RunConfig) -> list[str]:
 
 NUMERIC_ERRORS = (
     oracle.SingularityTooClose, oracle.NonConvergent, oracle.PoleCollision,
-    detect.NoConvergence, detect.NonTransversal, detect.Indeterminate,
-    detect.DecompositionResidual, detect.SingularGradientMatrix,
+    detect.NonTransversal, detect.Indeterminate,
     asym.UnsupportedExponent, asym.DegenerateConfiguration,
-    DegenerateFamily, MergeProximity, OutOfRange,
+    DegenerateFamily, MergeProximity,
     np.linalg.LinAlgError,
 )
 

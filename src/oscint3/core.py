@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 # Membership / tangency tolerances; all shipped problems are O(1)-scaled.
+# |g| <= SURFACE_TOL puts a point on {g = 0}, here and in detection.
 SURFACE_TOL = 1e-10
 TANGENCY_RTOL = 1e-12
 

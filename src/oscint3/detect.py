@@ -1,19 +1,25 @@
 """Location and classification of the points that drive the asymptotics.
 
-Only special points contribute to the leading order of the integral: interior
-stationary points of G, stationary points of G restricted to a singularity
-surface or to a crossing curve, triple crossings, and conical points of a
-single surface.  Everything else admits a local deformation that kills its
-contribution; for those points we report a witness vector a with a.grad(g) = 0
-for every incident surface and a.grad(G) != 0, which certifies the deformation
-direction.
+Only special points contribute to the leading order of the integral.  A point
+is classified by the number m of singularity surfaces through it: with m = 0
+it is special when grad(G) = 0 (an interior stationary point); with m = 1 when
+G is stationary on the surface, or when grad(g) = 0 there and Hess g is
+indefinite (a conical point); with m = 2 when G is stationary along the
+crossing curve; with m = 3 it is a triple crossing.  One predicate, `judge`,
+makes that decision for the finders and for `classify_point` alike.  The m
+surfaces must cross transversally: sqrt(det(N N^T)) > 1e-10 for the stacked
+normals N, which is |n_A x n_B| for m = 2 and |det N| for m = 3.  G is
+stationary on their intersection when grad(G) = N^T alpha; the multipliers
+alpha_k must then be nonzero.  Otherwise the residual r = grad(G) - N^T alpha
+is a witness: r.grad(g_k) = 0 for every surface and r.grad(G) = |r|^2 != 0,
+so moving along r deforms the contour away from the point.
 
-Each kind of special point is a root of a small system F(y) = 0 (grad G = 0,
-the Lagrange system on g = 0, ...).  Every finder hands its residual, its
-Jacobian and its start vectors (a seed grid over the search box) to one
-damped Newton solver that runs all seeds at once on (n_seeds, k) stacks, then
-keeps the roots inside the box that pass the finder's membership filter and
-deduplicates them.  The finder adds its own flags and multipliers.
+Each finder solves a small system F(y) = 0 (grad G = 0, the Lagrange system
+on g = 0, ...) for its kind: its residual, Jacobian and start vectors (a seed
+grid over the search box) go to one damped Newton solver that runs all seeds
+at once on (n_seeds, k) stacks.  The roots inside the box and on the
+finder's surfaces are deduplicated, judged, and kept when they are of the
+finder's kind.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    SURFACE_TOL,
     ProblemSpec,
     ScalarField3,
     SingularityComponent,
@@ -35,23 +42,20 @@ from .core import (
 __all__ = [
     "PointKind",
     "SpecialPoint",
-    "NoConvergence",
     "NonTransversal",
-    "DecompositionResidual",
-    "SingularGradientMatrix",
     "Indeterminate",
     "find_sp_interior",
     "find_sp_on_surface",
     "find_sp_on_crossing",
     "find_triple_crossings",
     "find_conical_points",
+    "judge",
     "classify_point",
     "contribution_verdict",
     "detect_all",
 ]
 
 ROOT_TOL = 1e-12
-MEMBERSHIP_TOL = 1e-10
 DEDUP_RADIUS = 1e-6
 NEAR_ZERO = 1e-9
 
@@ -65,19 +69,15 @@ class PointKind(enum.Enum):
     NON_SPECIAL = "non-special"
 
 
-class NoConvergence(Exception):
-    pass
+# the stationary kind and the non-special reason for m = 0, 1, 2, 3 surfaces
+# (with m = 3 the normals span R^3, so grad(G) always decomposes)
+STATIONARY = (PointKind.SP_INTERIOR, PointKind.SP_ON_SURFACE,
+              PointKind.SP_ON_CROSSING, PointKind.TRIPLE_CROSSING)
+OFF_REASON = ("off-singularities", "non-stationary-on-surface",
+              "non-stationary-on-crossing")
 
 
 class NonTransversal(Exception):
-    pass
-
-
-class DecompositionResidual(Exception):
-    pass
-
-
-class SingularGradientMatrix(Exception):
     pass
 
 
@@ -160,27 +160,30 @@ def _dedup(x: np.ndarray, radius: float = DEDUP_RADIUS) -> list[np.ndarray]:
     return out
 
 
-def _roots(problem: ProblemSpec, fun, jac, y0, tol, on=(), keep=None):
-    """Solve fun = 0 from every row of y0 and return the distinct roots.
+def _roots(problem: ProblemSpec, kind: PointKind, comps, fun, jac, y0, tol):
+    """Solve fun = 0 from every row of y0 and return the distinct special
+    points of `kind` among the roots.
 
-    The first three coordinates of a row are the point.  Roots outside the
-    search box, off a surface of the components `on`, or failing `keep` are
-    dropped; the rest are deduplicated on the point.  The other coordinates
-    (a Lagrange multiplier) come from the first root, in seed order, within
-    DEDUP_RADIUS of the representative.
+    The first three coordinates of a row are the point (the others, a
+    Lagrange multiplier, only steer Newton).  Roots outside the search box
+    or off a surface of `comps` are dropped, the rest are deduplicated on the
+    point, and each representative is judged with the surfaces `comps`;
+    those `judge` finds Indeterminate are dropped.
     """
     y, converged = _newton(fun, jac, y0, tol)
-    y = y[converged]
+    x = y[converged, :3]
     with np.errstate(all="ignore"):
-        y = y[problem.search_region.contains(y[:, :3], margin=1e-9)]
-        for c in on:
-            y = y[np.abs(np.real(c.g(y[:, :3]))) <= MEMBERSHIP_TOL]
-        if keep is not None:
-            y = y[keep(y)]
+        x = x[problem.search_region.contains(x, margin=1e-9)]
+        for c in comps:
+            x = x[np.abs(np.real(c.g(x))) <= SURFACE_TOL]
     out = []
-    for x in _dedup(y[:, :3]):
-        first = np.argmax(np.linalg.norm(y[:, :3] - x, axis=-1) <= DEDUP_RADIUS)
-        out.append(np.concatenate([x, y[first, 3:]]))
+    for p in _dedup(x):
+        try:
+            sp = judge(problem, p, comps)
+        except Indeterminate:
+            continue
+        if sp.kind is kind:
+            out.append(sp)
     return out
 
 
@@ -198,6 +201,11 @@ def _rhess(f: ScalarField3, x) -> np.ndarray:
     return np.real(f.hess(x)).astype(float)
 
 
+def _normals(comps, x) -> np.ndarray:
+    """The m x 3 matrix N whose rows are the surfaces' normals grad(g_k) at x."""
+    return np.array([_rgrad(c.g, x) for c in comps]).reshape(len(comps), 3)
+
+
 # ---------------------------------------------------------------------------
 # local geometry helpers (shared with the term construction in asym)
 
@@ -209,13 +217,10 @@ def restricted_hessian(comps, phase_G: ScalarField3, x: np.ndarray,
     the m stacked normals, and M = T.T (H_G - sum_k alpha_k H_gk) T.  The
     alpha_k H_gk terms account for the curvature of the constraint surfaces;
     with grad(G) = sum_k alpha_k grad(g_k), M is the second derivative of G
-    along the surfaces' intersection.  Two tangent surfaces raise
-    NonTransversal.
+    along the surfaces' intersection.  The surfaces must cross transversally
+    (`judge` checks that).
     """
-    N = np.array([_rgrad(c.g, x) for c in comps]).reshape(len(comps), 3)
-    if len(comps) == 2 and np.linalg.norm(np.cross(*N)) <= 1e-10:
-        raise NonTransversal(f"surfaces {comps[0].label!r}, {comps[1].label!r} "
-                             f"tangent at {x}")
+    N = _normals(comps, x)
     T = np.linalg.eigh(N.T @ N)[1][:, :3 - len(comps)]
     H = _rhess(phase_G, x) - sum(a * _rhess(c.g, x) for a, c in zip(alphas, comps))
     return T.T @ H @ T, T
@@ -233,7 +238,8 @@ def cone_axes(comp: SingularityComponent, x: np.ndarray):
 
     Returns (W, J, s): W is the 3x3 matrix with rows grad(w_n) at x, J the
     (positive) Jacobian det d(xi)/d(w), and s = +-1 the sign that brings the
-    Hessian of s*g to signature (2, 1).
+    Hessian of s*g to signature (2, 1).  This is the signature test of a
+    conical point: Indeterminate unless Hess g is nondegenerate and indefinite.
     """
     H = _rhess(comp.g, x)
     lam, Q = np.linalg.eigh(H)
@@ -266,22 +272,12 @@ def cone_vectors(comp, phase_G, shift_eta, x):
 # ---------------------------------------------------------------------------
 # finders
 
-def _near_degenerate(comps, G, x, alphas) -> frozenset:
-    M, _ = restricted_hessian(comps, G, x, alphas)
-    return frozenset({"NEAR_DEGENERATE"} if degenerate(M) else ())
-
-
 def find_sp_interior(problem: ProblemSpec, seeds=None, tol: float = ROOT_TOL):
     """Interior stationary points: grad(G) = 0; a near-singular Hessian is
     flagged NEAR_DEGENERATE."""
     G = problem.phase.G
-    out = []
-    for x in _roots(problem, lambda x: _rgrad(G, x), lambda x: _rhess(G, x),
-                    _seeds(problem, seeds), tol,
-                    keep=lambda x: np.linalg.norm(_rgrad(G, x), axis=-1) <= NEAR_ZERO):
-        out.append(SpecialPoint(x, PointKind.SP_INTERIOR,
-                                flags=_near_degenerate((), G, x, ())))
-    return out
+    return _roots(problem, PointKind.SP_INTERIOR, (), lambda x: _rgrad(G, x),
+                  lambda x: _rhess(G, x), _seeds(problem, seeds), tol)
 
 
 def find_sp_on_surface(problem: ProblemSpec, comp: SingularityComponent,
@@ -306,14 +302,7 @@ def find_sp_on_surface(problem: ProblemSpec, comp: SingularityComponent,
         n, gG = _rgrad(g, s), _rgrad(G, s)
         a0 = np.sum(gG * n, axis=-1) / np.maximum(np.sum(n * n, axis=-1), 1e-30)
     y0 = np.column_stack([s, a0])[np.all(np.isfinite(n), axis=-1)]
-    out = []
-    # a = 0 is an interior stationary point that happens to sit on sigma
-    for y in _roots(problem, fun, jac, y0, tol, on=(comp,),
-                    keep=lambda y: np.abs(y[:, 3]) > NEAR_ZERO):
-        x, a = y[:3], float(y[3])
-        out.append(SpecialPoint(x, PointKind.SP_ON_SURFACE, (comp.label,), alphas=(a,),
-                                flags=_near_degenerate((comp,), G, x, (a,))))
-    return out
+    return _roots(problem, PointKind.SP_ON_SURFACE, (comp,), fun, jac, y0, tol)
 
 
 def find_sp_on_crossing(problem: ProblemSpec, compA, compB,
@@ -321,12 +310,10 @@ def find_sp_on_crossing(problem: ProblemSpec, compA, compB,
     """Stationary points of G along the transversal crossing curve of two surfaces."""
     G, gA, gB = problem.phase.G, compA.g, compB.g
 
-    def tvec(x):
-        return np.cross(_rgrad(gA, x), _rgrad(gB, x))
-
     def fun(x):
+        t = np.cross(_rgrad(gA, x), _rgrad(gB, x))
         return np.column_stack([np.real(gA(x)), np.real(gB(x)),
-                                np.sum(tvec(x) * _rgrad(G, x), axis=-1)])
+                                np.sum(t * _rgrad(G, x), axis=-1)])
 
     def jac(x):
         nA, nB, gG = _rgrad(gA, x), _rgrad(gB, x), _rgrad(G, x)
@@ -337,117 +324,74 @@ def find_sp_on_crossing(problem: ProblemSpec, compA, compB,
              + np.einsum("ni,nil->nl", np.cross(nA, nB), _rhess(G, x)))
         return np.stack([nA, nB, d], axis=1)
 
-    out = []
-    for x in _roots(problem, fun, jac, _seeds(problem, seeds), tol, on=(compA, compB),
-                    keep=lambda x: np.linalg.norm(tvec(x), axis=-1) > 1e-10):
-        A = np.column_stack([_rgrad(gA, x), _rgrad(gB, x)])
-        gG = _rgrad(G, x)
-        al, *_ = np.linalg.lstsq(A, gG, rcond=None)
-        if np.linalg.norm(A @ al - gG) > 1e-9 * max(1.0, np.linalg.norm(gG)):
-            raise DecompositionResidual(f"grad(G) not in span of surface normals at {x}")
-        a1, a2 = float(al[0]), float(al[1])
-        out.append(SpecialPoint(x, PointKind.SP_ON_CROSSING, (compA.label, compB.label),
-                                alphas=(a1, a2),
-                                flags=_near_degenerate((compA, compB), G, x, (a1, a2))))
-    return out
+    return _roots(problem, PointKind.SP_ON_CROSSING, (compA, compB), fun, jac,
+                  _seeds(problem, seeds), tol)
 
 
 def find_triple_crossings(problem: ProblemSpec, compA, compB, compC,
                           seeds=None, tol: float = ROOT_TOL):
     """Isolated points where three surfaces meet transversally."""
-    G = problem.phase.G
     comps = (compA, compB, compC)
-
-    def jac(x):
-        return np.stack([_rgrad(c.g, x) for c in comps], axis=1)
-
-    out = []
-    for x in _roots(problem, lambda x: np.column_stack([np.real(c.g(x)) for c in comps]),
-                    jac, _seeds(problem, seeds), tol, on=comps):
-        Gm = jac(x[None])[0].T
-        if abs(np.linalg.det(Gm)) <= 1e-10:
-            raise SingularGradientMatrix(f"gradient matrix singular at {x}")
-        gG = _rgrad(G, x)
-        # the formulas assume G is non-stationary along each pairwise crossing line
-        if any(abs(t @ gG) <= NEAR_ZERO * np.linalg.norm(t)
-               for t in (np.cross(Gm[:, i], Gm[:, j]) for i, j in ((0, 1), (0, 2), (1, 2)))):
-            continue
-        out.append(SpecialPoint(x, PointKind.TRIPLE_CROSSING, tuple(c.label for c in comps),
-                                alphas=tuple(float(a) for a in np.linalg.solve(Gm, gG))))
-    return out
+    return _roots(problem, PointKind.TRIPLE_CROSSING, comps,
+                  lambda x: np.column_stack([np.real(c.g(x)) for c in comps]),
+                  lambda x: np.stack([_rgrad(c.g, x) for c in comps], axis=1),
+                  _seeds(problem, seeds), tol)
 
 
 def find_conical_points(problem: ProblemSpec, comp: SingularityComponent,
                         seeds=None, tol: float = ROOT_TOL):
     """Points where grad(g) = 0 on {g = 0} and Hess g has signature (2,1) or (1,2)."""
     g = comp.g
-    out = []
-    for x in _roots(problem, lambda x: _rgrad(g, x), lambda x: _rhess(g, x),
-                    _seeds(problem, seeds), tol, on=(comp,),
-                    keep=lambda x: np.linalg.norm(_rgrad(g, x), axis=-1) <= NEAR_ZERO):
-        lam = np.linalg.eigvalsh(_rhess(g, x))
-        npos = int(np.sum(lam > 1e-8))
-        nneg = int(np.sum(lam < -1e-8))
-        if npos + nneg == 3 and npos in (1, 2):   # else not a double-sided cone
-            out.append(SpecialPoint(x, PointKind.CONICAL, (comp.label,)))
-    return out
+    return _roots(problem, PointKind.CONICAL, (comp,), lambda x: _rgrad(g, x),
+                  lambda x: _rhess(g, x), _seeds(problem, seeds), tol)
 
 
 # ---------------------------------------------------------------------------
 # classification and verdicts
 
+def judge(problem: ProblemSpec, x: np.ndarray, comps) -> SpecialPoint:
+    """Kind of the real point x, given the m = len(comps) <= 3 surfaces through it.
+
+    With m = 1 and |grad g| <= NEAR_ZERO, x is conical (the signature test
+    of `cone_axes`).  Otherwise grad(G) = N^T alpha + r with alpha from least
+    squares on the stacked normals N: x is NON_SPECIAL with witness r when
+    |r| > NEAR_ZERO * max(1, |grad G|), else the stationary kind for m with
+    multipliers alpha, flagged NEAR_DEGENERATE by `degenerate`.  Raises
+    NonTransversal when sqrt(det(N N^T)) <= 1e-10, and Indeterminate for a
+    multiplier within NEAR_ZERO of zero (G is then stationary on a larger
+    set: the surfaces' intersection with one surface left out), a cone apex
+    that is not double-sided, or more than three surfaces.
+    """
+    m, labels = len(comps), tuple(c.label for c in comps)
+    if m > 3:
+        raise Indeterminate(f"{m} coincident surfaces at {x}")
+    N = _normals(comps, x)
+    if m == 1 and np.linalg.norm(N[0]) <= NEAR_ZERO:
+        cone_axes(comps[0], x)
+        return SpecialPoint(x, PointKind.CONICAL, labels)
+    # sqrt(det(N N^T)) as the product of the singular values of N: the Gram
+    # determinant itself loses half its digits near tangency
+    if np.prod(np.linalg.svd(N, compute_uv=False)) <= 1e-10:
+        raise NonTransversal(f"surfaces {labels} not transversal at {x}")
+    gG = _rgrad(problem.phase.G, x)
+    al = np.linalg.lstsq(N.T, gG, rcond=None)[0]
+    r = gG - N.T @ al
+    if np.linalg.norm(r) > NEAR_ZERO * max(1.0, np.linalg.norm(gG)):
+        return SpecialPoint(x, PointKind.NON_SPECIAL, labels, witness=r,
+                            reason=OFF_REASON[m])
+    if np.any(np.abs(al) <= NEAR_ZERO):
+        raise Indeterminate(f"zero multiplier {al} at {x}")
+    alphas = tuple(float(a) for a in al)
+    M, _ = restricted_hessian(comps, problem.phase.G, x, alphas)
+    return SpecialPoint(x, STATIONARY[m], labels, alphas=alphas,
+                        flags=frozenset({"NEAR_DEGENERATE"} if degenerate(M) else ()))
+
+
 def classify_point(problem: ProblemSpec, p) -> SpecialPoint:
-    """Full case analysis at a single real point of the search region."""
+    """`judge` at a single real point with the surfaces |g| <= SURFACE_TOL."""
     x = np.asarray(p, dtype=float)
-    G = problem.phase.G
-    incident = [c for c in problem.amplitude.components
-                if abs(np.real(c.g(x))) <= MEMBERSHIP_TOL]
-    labels = tuple(c.label for c in incident)
-    gG = _rgrad(G, x)
-
-    if len(incident) == 0:
-        if np.linalg.norm(gG) <= NEAR_ZERO:
-            return SpecialPoint(x, PointKind.SP_INTERIOR, reason="interior-sp")
-        return SpecialPoint(x, PointKind.NON_SPECIAL, witness=gG,
-                            reason="off-singularities")
-
-    if len(incident) == 1:
-        c = incident[0]
-        n = _rgrad(c.g, x)
-        if np.linalg.norm(n) <= NEAR_ZERO:
-            lam = np.linalg.eigvalsh(_rhess(c.g, x))
-            if np.min(np.abs(lam)) <= 1e-8:
-                raise Indeterminate(f"degenerate Hessian of g at {x}")
-            npos = int(np.sum(lam > 0))
-            if npos in (1, 2):
-                return SpecialPoint(x, PointKind.CONICAL, labels)
-            raise Indeterminate(f"definite Hessian on {c.label!r} at {x}")
-        nh = n / np.linalg.norm(n)
-        tang = gG - (gG @ nh) * nh
-        if np.linalg.norm(tang) <= NEAR_ZERO:
-            a = float(gG @ n) / float(n @ n)
-            return SpecialPoint(x, PointKind.SP_ON_SURFACE, labels, alphas=(a,))
-        a = np.cross(n, np.cross(n, gG))
-        return SpecialPoint(x, PointKind.NON_SPECIAL, labels, witness=a,
-                            reason="non-stationary-on-surface")
-
-    if len(incident) == 2:
-        cA, cB = incident
-        t = np.cross(_rgrad(cA.g, x), _rgrad(cB.g, x))
-        if np.linalg.norm(t) <= 1e-10:
-            raise NonTransversal(f"crossing not transversal at {x}")
-        if abs(t @ gG) <= NEAR_ZERO * np.linalg.norm(t) * max(1.0, np.linalg.norm(gG)):
-            A = np.column_stack([_rgrad(cA.g, x), _rgrad(cB.g, x)])
-            al, *_ = np.linalg.lstsq(A, gG, rcond=None)
-            return SpecialPoint(x, PointKind.SP_ON_CROSSING, labels,
-                                alphas=(float(al[0]), float(al[1])))
-        return SpecialPoint(x, PointKind.NON_SPECIAL, labels, witness=t,
-                            reason="non-stationary-on-crossing")
-
-    if len(incident) == 3:
-        return SpecialPoint(x, PointKind.TRIPLE_CROSSING, labels)
-
-    raise Indeterminate(f"{len(incident)} coincident surfaces at {x}")
+    return judge(problem, x, [c for c in problem.amplitude.components
+                              if abs(np.real(c.g(x))) <= SURFACE_TOL])
 
 
 def _component(problem, label) -> SingularityComponent:

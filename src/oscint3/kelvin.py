@@ -40,14 +40,11 @@ from .core import (
 __all__ = [
     "KELVIN_PREFACTOR",
     "WEDGE_SLOPE",
-    "OutOfRange",
     "DegenerateFamily",
     "MergeProximity",
     "KelvinParams",
     "FieldGrid",
     "kelvin_problem",
-    "curve_L",
-    "curve_L_tangent",
     "stationary_frequencies",
     "wedge_test",
     "kelvin_wave_terms",
@@ -66,10 +63,6 @@ EPS_SHIFT = 1e-3
 MASK_WAVE = 1        # wave-family terms active
 MASK_TRANSIENT = 2   # transient term active
 MASK_INVALID = 4     # excluded: z2 strip, origin, wedge margin, degenerate, merge
-
-
-class OutOfRange(Exception):
-    pass
 
 
 class DegenerateFamily(Exception):
@@ -148,19 +141,6 @@ def kelvin_problem(z1: float = 0.0, z2: float = 0.0, tau: float = 0.0,
                excluded_center=np.zeros(3), excluded_radius=0.05)
     return ProblemSpec(amp, phase, DomainShift(np.array([0.0, 0.0, EPS_SHIFT])),
                        box, prefactor=KELVIN_PREFACTOR, name="kelvin")
-
-
-def curve_L(w: float, branch: int = +1) -> np.ndarray:
-    """Point of the crossing curve of the two pole surfaces at frequency w."""
-    if abs(w) < 1:
-        raise OutOfRange(f"|w| >= 1 required, got {w}")
-    return np.array([w, branch * np.sqrt(w ** 4 - w ** 2), w])
-
-
-def curve_L_tangent(w: float, branch: int = +1) -> np.ndarray:
-    if abs(w) <= 1:
-        raise OutOfRange(f"|w| > 1 required, got {w}")
-    return np.array([1.0, branch * (2 * w ** 2 - 1) / np.sqrt(w ** 2 - 1), 1.0])
 
 
 def _closed_forms(z1, z2, tau: float) -> SimpleNamespace:

@@ -31,7 +31,6 @@ __all__ = [
     "QuadratureSpec",
     "Contour1D",
     "gamma_tilde",
-    "small_loop",
     "quad_contour_1d",
     "quad_deformed_3d",
     "kelvin_oracle",
@@ -102,17 +101,11 @@ def gamma_tilde(sign: int, r: float = 0.5, T: float = 30.0,
     return Contour1D(tuple(segs))
 
 
-def small_loop(r: float = 0.5) -> Contour1D:
-    return Contour1D((("arc", 0j, r, 0.0, 2 * np.pi),))
-
-
 def quad_contour_1d(f: Callable[[complex], complex], contour: Contour1D,
-                    lam: float = 0.0, branch_cut_below: bool = True,
-                    limit: int = 400) -> complex:
+                    lam: float = 0.0, limit: int = 400) -> complex:
     """Adaptive quadrature of f(w) * exp(i*lam*w) along the contour.
 
-    When `branch_cut_below`, multivalued integrands supplied through `f`
-    should use `branch_arg`/`branch_power` so the cut sits just below the
+    Multivalued integrands supplied through `f` should use `branch_arg`/`branch_power` so the cut sits just below the
     positive real axis (arg in (-3*pi/2, pi/2]), matching the indented-below
     contour convention.
     """

@@ -16,6 +16,7 @@ from oscint3.asym import (
 from oscint3.core import AmplitudeSpec, SingularityComponent
 from oscint3.detect import PointKind, SpecialPoint
 from oscint3.problems import gaussian_field, quadratic_field
+from wake_curve import curve_L
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +143,7 @@ def test_frame_consistency_crossing_kelvin():
     cA, cB = prob.amplitude.components
     w1, _ = kelvin.stationary_frequencies(1.5 / 7.0)
     sp = detect.find_sp_on_crossing(prob, cA, cB,
-                                    seeds=[kelvin.curve_L(w1) + 0.02])[0]
+                                    seeds=[curve_L(w1) + 0.02])[0]
     f = local_frame((cA, cB), prob.phase, sp)
     _check_frame_expansion(f, prob.phase.G, (1.0, 1.0, 0.0),
                            {2: f.betas[0]}, (cA, cB))

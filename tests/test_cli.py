@@ -1,4 +1,3 @@
-import importlib.util
 import os
 import subprocess
 import sys
@@ -11,8 +10,6 @@ import oscint3
 from oscint3 import detect, kelvin, oracle, problems
 from oscint3.cli import (ConfigError, RunConfig, _quad_spec, main, parse_config,
                          run, write_pgm)
-
-SCRIPTS = sorted((Path(__file__).parent.parent / "scripts").glob("*.py"))
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +158,6 @@ def test_run_compare_kelvin_matches_closed_form_and_oracle(tmp_path):
     assert oracle_re == float(np.real(
         oracle.kelvin_oracle(z1, z2, tau, lam, spec)))
     assert asym_im == oracle_im == 0.0
-
-
-@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
-def test_script_imports(path):
-    spec = importlib.util.spec_from_file_location(path.stem, path)
-    spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
 def test_run_oracle_seventeen_digits(tmp_path):

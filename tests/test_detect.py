@@ -13,6 +13,7 @@ from oscint3.core import (
 )
 from oscint3.detect import PointKind, SpecialPoint, classify_point, contribution_verdict
 from oscint3.problems import gaussian_field, quadratic_field
+from wake_curve import curve_L
 
 
 def _problem(G, comps=(), eta=(0.0, 0.0, 1e-3), box=2.0):
@@ -113,7 +114,7 @@ def test_crossing_sp_kelvin_frequencies():
     cA, cB = prob.amplitude.components
     w1 = np.sqrt(1.25 + np.sqrt(0.5)) / (np.sqrt(2) * 0.5)
     w2 = np.sqrt(1.25 - np.sqrt(0.5)) / (np.sqrt(2) * 0.5)
-    seeds = [kelvin.curve_L(w) + 0.02 for w in (w1, w2)]
+    seeds = [curve_L(w) + 0.02 for w in (w1, w2)]
     pts = detect.find_sp_on_crossing(prob, cA, cB, seeds=seeds)
     freqs = sorted(p.location[2] for p in pts)
     assert freqs == pytest.approx(sorted([w1, w2]), abs=1e-9)
@@ -348,6 +349,32 @@ def test_classify_on_crossing_nonstationary():
         n = np.real(comp.g.grad(p))
         assert abs(sp.witness @ n) <= 1e-9 * np.linalg.norm(sp.witness) * np.linalg.norm(n)
     assert abs(sp.witness @ np.real(prob.phase.G.grad(p))) > 1e-9
+
+
+@pytest.mark.parametrize("key", list(PINNED_POINTS), ids=str)
+def test_classify_point_matches_detect_all(key):
+    name, z = key
+    prob = problems.get_problem(name)[0] if z is None else kelvin.kelvin_problem(*z)
+    for sp in detect.detect_all(prob):
+        cp = classify_point(prob, sp.location)
+        assert (cp.kind, cp.components, cp.flags) == (sp.kind, sp.components, sp.flags)
+        assert contribution_verdict(cp, prob) == (sp.contributes, sp.reason)
+        assert cp.alphas == pytest.approx(sp.alphas, rel=1e-12, abs=1e-12)
+
+
+def test_classify_zero_multiplier_indeterminate():
+    # a plane through an interior stationary point of G: alpha = 0
+    plane = SingularityComponent(quadratic_field(b=(1.0, 0.0, 0.0)), -1.0, "s")
+    p = _problem(quadratic_field(np.eye(3)), comps=[plane])
+    with pytest.raises(detect.Indeterminate):
+        classify_point(p, np.zeros(3))
+    # three planes, G stationary along the x3 axis where p0 and p1 cross: alpha_2 = 0
+    comps = tuple(SingularityComponent(quadratic_field(b=np.eye(3)[k]), -1.0,
+                                       f"p{k}") for k in range(3))
+    p = _problem(quadratic_field(b=(2.0, 3.0, 0.0)), comps=comps)
+    with pytest.raises(detect.Indeterminate):
+        classify_point(p, np.zeros(3))
+    assert detect.find_triple_crossings(p, *comps) == []
 
 
 def test_classify_recovers_kinds():

@@ -11,9 +11,6 @@ from oscint3.kelvin import (
     DegenerateFamily,
     KelvinParams,
     MergeProximity,
-    OutOfRange,
-    curve_L,
-    curve_L_tangent,
     field_map,
     field_point,
     kelvin_problem,
@@ -23,6 +20,7 @@ from oscint3.kelvin import (
     transient_term,
     wedge_test,
 )
+from wake_curve import curve_L, curve_L_tangent
 
 
 # ---------------------------------------------------------------------------
@@ -33,9 +31,9 @@ def test_curve_L_endpoints_and_branches():
     w = np.sqrt(1.5)
     p = curve_L(w, branch=-1)
     assert p[1] == pytest.approx(-np.sqrt(w ** 4 - w ** 2))
-    with pytest.raises(OutOfRange):
+    with pytest.raises(ValueError):
         curve_L(0.5)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(ValueError):
         curve_L_tangent(1.0)
 
 

@@ -13,7 +13,6 @@ from oscint3.oracle import (
     kelvin_oracle,
     quad_contour_1d,
     quad_deformed_3d,
-    small_loop,
 )
 
 
@@ -21,7 +20,8 @@ from oscint3.oracle import (
 # 1D contour quadrature
 
 def test_small_loop_simple_pole():
-    v = quad_contour_1d(lambda w: 1.0 / w, small_loop())
+    loop = Contour1D((("arc", 0j, 0.5, 0.0, 2 * np.pi),))
+    v = quad_contour_1d(lambda w: 1.0 / w, loop)
     assert v == pytest.approx(2j * np.pi, abs=1e-10)
 
 
