@@ -1,9 +1,10 @@
-"""Local canonical frames and leading-order contribution terms.
+"""Leading-order contribution terms from local frames.
 
-Each contributing point gets a frame: local coordinates w in which the phase
-is G* + (linear in the singular w's) + (quadratic in the free w's), with
-normalizers alpha, quadratic coefficients beta, and Jacobian J = det d(xi)/d(w).
-The contribution of the point is then a closed-form term A * Lambda^p *
+`detect.judge` gives every special point a frame (`detect.LocalFrame`):
+local coordinates w in which the phase is G* + (linear in the singular w's)
++ (quadratic in the free w's), with normalizers alpha, quadratic
+coefficients beta, and Jacobian J = det d(xi)/d(w).  This module turns a
+frame and the amplitude into a closed-form term A * Lambda^p *
 exp(i*Lambda*G*).
 
 At every special point except a conical one the integral factorizes over the
@@ -19,10 +20,6 @@ sqrt(2*pi/|beta|) * exp(i*pi/4*sign(beta)) * Lambda^(-1/2).  So
     p = -sum_k (mu_k + 1) - (3 - m)/2.
 
 A conical point has its own formula (`term_cone`).
-
-Frames are constructed with positive orientation (J > 0) by negating the last
-axis when needed; the terms are linear in J, so this is a pure normalization
-and it is what matches the quadrature oracles.
 """
 
 from __future__ import annotations
@@ -34,18 +31,14 @@ from typing import Optional
 import numpy as np
 
 from . import detect
-from .core import AmplitudeSpec, PhaseSpec, ProblemSpec, SingularityComponent
-from .detect import PointKind, SpecialPoint, Indeterminate
+from .core import AmplitudeSpec, ProblemSpec
+from .detect import LocalFrame, PointKind, SpecialPoint
 
 __all__ = [
     "UnsupportedExponent",
-    "MissingVerdict",
     "DegenerateConfiguration",
-    "LocalFrame",
     "AsymptoticTerm",
     "gamma_factor",
-    "local_frame",
-    "local_frame_cone",
     "local_coefficient",
     "term_from_frame",
     "term_cone",
@@ -57,10 +50,6 @@ __all__ = [
 
 
 class UnsupportedExponent(Exception):
-    pass
-
-
-class MissingVerdict(Exception):
     pass
 
 
@@ -82,19 +71,6 @@ def gamma_factor(mu: float) -> complex:
 
 
 @dataclass(frozen=True)
-class LocalFrame:
-    kind: PointKind
-    location: np.ndarray
-    components: tuple[str, ...]
-    alphas: tuple[float, ...]
-    betas: tuple[float, ...]
-    jacobian: float
-    axes: np.ndarray            # rows = grad(w_n) at the point
-    phase0: float
-    cone_sign: float = 1.0      # s with s*g ~ w1^2+w2^2-w3^2 (conical only)
-
-
-@dataclass(frozen=True)
 class AsymptoticTerm:
     """coeff * Lambda^power * exp(i*Lambda*phase0).  coeff and phase0 may be
     arrays of one shape (one term over many samples); value has that shape."""
@@ -107,49 +83,6 @@ class AsymptoticTerm:
         # ufuncs, not operators: scalar operators and SIMD loops differ in the last bit
         return np.multiply(np.multiply(self.coeff, lam ** self.power),
                            np.exp(np.multiply(1j * lam, self.phase0)))
-
-
-def _phase0(phase: PhaseSpec, x) -> float:
-    return float(np.real(phase.G(x)))
-
-
-def local_frame(comps, phase: PhaseSpec, sp: SpecialPoint) -> LocalFrame:
-    """Frame at a stationary point of G on the intersection of the m surfaces
-    `comps` (m = 0 for an interior point, 3 for a triple crossing).
-
-    The rows of W = grad(w) are alpha_k * grad(g_k) for the singular
-    directions, then the tangent directions that diagonalize the restricted
-    Hessian, in descending order of its eigenvalues (the betas).  The last
-    row is negated when det W < 0, and J = 1/det W.
-    """
-    if len(sp.alphas) != len(comps):
-        raise MissingVerdict(f"{sp.kind.value} point has no stored alphas")
-    x = sp.location
-    M, T = detect.restricted_hessian(comps, phase.G, x, sp.alphas)
-    if detect.degenerate(M):
-        raise DegenerateConfiguration(f"restricted Hessian singular at {x}")
-    lam, V = np.linalg.eigh(M)
-    order = np.argsort(-lam)
-    lam, V = lam[order], V[:, order]
-    W = np.vstack([a * np.real(c.g.grad(x)).astype(float)
-                   for a, c in zip(sp.alphas, comps)] + [(T @ V).T])
-    d = np.linalg.det(W)
-    if d < 0:
-        W[2] *= -1.0
-        d = -d
-    return LocalFrame(sp.kind, x, tuple(c.label for c in comps),
-                      tuple(sp.alphas), tuple(lam), 1.0 / d, W,
-                      _phase0(phase, x))
-
-
-def local_frame_cone(comp: SingularityComponent, phase: PhaseSpec,
-                     sp: SpecialPoint, shift_eta=None) -> LocalFrame:
-    x = sp.location
-    eta = np.zeros(3) if shift_eta is None else np.asarray(shift_eta, float)
-    W, J, s, eps, al = detect.cone_vectors(comp, phase.G, eta, x)
-    return LocalFrame(PointKind.CONICAL, x, (comp.label,),
-                      tuple(float(v) for v in al), (), J, W,
-                      _phase0(phase, x), cone_sign=s)
 
 
 def local_coefficient(amplitude: AmplitudeSpec, involved: tuple[str, ...],
@@ -186,16 +119,12 @@ def term_from_frame(frame: LocalFrame, amplitude: AmplitudeSpec,
     return AsymptoticTerm(A, -sum(mus) - m - (3 - m) / 2, frame.phase0)
 
 
-def term_cone(frame: LocalFrame,
-              amplitude: AmplitudeSpec) -> Optional[AsymptoticTerm]:
-    """Contribution of a conical point of a simple-pole quadric; returns None
-    when grad(G) lies outside the dual cone (no contribution)."""
+def term_cone(frame: LocalFrame, amplitude: AmplitudeSpec) -> AsymptoticTerm:
+    """Contribution of a conical point of a simple-pole quadric whose
+    grad(G) lies inside the dual cone (`detect.contribution_verdict` checks
+    that)."""
     a1, a2, a3 = frame.alphas
     disc = a3 * a3 - a1 * a1 - a2 * a2
-    if abs(disc) <= 1e-9:
-        raise Indeterminate("grad(G) within tolerance of the dual cone boundary")
-    if disc < 0:
-        return None
     # C from F = N/g = cone_sign * N / (w1^2+w2^2-w3^2), other factors at x
     C = frame.cone_sign * complex(amplitude.smooth_factor(frame.location))
     for c in amplitude.components:
@@ -205,22 +134,18 @@ def term_cone(frame: LocalFrame,
     return AsymptoticTerm(A, -1.0, frame.phase0)
 
 
-def _components_of(problem: ProblemSpec, labels):
-    by = {c.label: c for c in problem.amplitude.components}
-    return [by[l] for l in labels]
-
-
-def term_for_point(problem: ProblemSpec,
-                   sp: SpecialPoint) -> Optional[AsymptoticTerm]:
-    """Build the frame and emit the term for one contributing point."""
-    comps = _components_of(problem, sp.components)
+def term_for_point(problem: ProblemSpec, sp: SpecialPoint) -> AsymptoticTerm:
+    """The term of one contributing point, from the frame `detect.judge`
+    built; a NEAR_DEGENERATE point has none."""
+    if sp.flagged("NEAR_DEGENERATE"):
+        raise DegenerateConfiguration(f"restricted Hessian singular at {sp.location}")
     if sp.kind is PointKind.CONICAL:
-        t = term_cone(local_frame_cone(comps[0], problem.phase, sp,
-                                       problem.shift.eta), problem.amplitude)
+        t = term_cone(sp.frame, problem.amplitude)
     else:
-        t = term_from_frame(local_frame(comps, problem.phase, sp),
-                            problem.amplitude, tuple(c.mu for c in comps))
-    return None if t is None else replace(t, source=sp)
+        mu = {c.label: c.mu for c in problem.amplitude.components}
+        t = term_from_frame(sp.frame, problem.amplitude,
+                            tuple(mu[lab] for lab in sp.components))
+    return replace(t, source=sp)
 
 
 def expand(problem: ProblemSpec, points=None) -> list[AsymptoticTerm]:
@@ -228,19 +153,7 @@ def expand(problem: ProblemSpec, points=None) -> list[AsymptoticTerm]:
     depend on Lambda.  `points` defaults to a fresh detection pass."""
     if points is None:
         points = detect.detect_all(problem)
-    bad = [p for p in points if p.contributes and p.flagged("NEAR_DEGENERATE")]
-    if bad:
-        raise DegenerateConfiguration(
-            f"{len(bad)} contributing point(s) near degeneracy: "
-            + ", ".join(str(p.location) for p in bad))
-    terms = []
-    for sp in points:
-        if not sp.contributes:
-            continue
-        t = term_for_point(problem, sp)
-        if t is not None:
-            terms.append(t)
-    return terms
+    return [term_for_point(problem, sp) for sp in points if sp.contributes]
 
 
 def evaluate(terms, lam: float, prefactor: complex = 1.0,
@@ -255,7 +168,7 @@ def evaluate(terms, lam: float, prefactor: complex = 1.0,
     return total
 
 
-def sum_asymptotics(problem: ProblemSpec, lam: float, points=None):
+def sum_asymptotics(problem: ProblemSpec, lam: float):
     """`expand` then `evaluate` at one Lambda; returns (value, terms)."""
-    terms = expand(problem, points)
+    terms = expand(problem)
     return evaluate(terms, lam, problem.prefactor), terms

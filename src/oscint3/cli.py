@@ -1,9 +1,12 @@
 """Command-line surface: run detection, asymptotics, oracles, comparisons,
 and field/wavefront rendering on the shipped problems.
 
-Config is plain `key = value` text (later keys win); any key can be overridden
-on the command line as `--key value`.  Outputs are CSV tables (RFC-4180-ish,
-17 significant digits) and ASCII PGM images.
+Config is plain `key = value` text.  Keys apply in order, a repeated key at
+its last position, so later keys win (`tau` after `z` replaces z's third
+entry; `z` after `tau` replaces all three).  Any key can be overridden on the
+command line as `--key value`, which applies after every key of the file.
+Outputs are CSV tables (RFC-4180-ish, 17 significant digits) and ASCII PGM
+images.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure.
 """
@@ -64,9 +67,12 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
             continue
         if "=" not in line:
             raise ConfigError(f"line {ln}: expected 'key = value', got {raw!r}")
-        k, v = line.split("=", 1)
-        kv[k.strip()] = v.strip()
-    kv.update(overrides or {})
+        k, v = (part.strip() for part in line.split("=", 1))
+        kv.pop(k, None)   # a repeated key applies at its last position
+        kv[k] = v
+    for k, v in (overrides or {}).items():
+        kv.pop(k, None)
+        kv[k] = v
     cfg = RunConfig()
     try:
         for k, v in kv.items():
@@ -147,7 +153,7 @@ def write_pgm(path: str, img: np.ndarray) -> None:
 def _quad_spec(cfg: RunConfig, entry: problems.ProblemEntry) -> oracle.QuadratureSpec:
     d = entry.default_quad
     return oracle.QuadratureSpec(R=cfg.quad_r or d.R, n=cfg.quad_n or d.n,
-                                 window=d.window, taper=cfg.taper, shift=d.shift)
+                                 taper=cfg.taper, shift=d.shift)
 
 
 def run(cfg: RunConfig) -> list[str]:

@@ -6,13 +6,21 @@ it is special when grad(G) = 0 (an interior stationary point); with m = 1 when
 G is stationary on the surface, or when grad(g) = 0 there and Hess g is
 indefinite (a conical point); with m = 2 when G is stationary along the
 crossing curve; with m = 3 it is a triple crossing.  One predicate, `judge`,
-makes that decision for the finders and for `classify_point` alike.  The m
-surfaces must cross transversally: sqrt(det(N N^T)) > 1e-10 for the stacked
-normals N, which is |n_A x n_B| for m = 2 and |det N| for m = 3.  G is
-stationary on their intersection when grad(G) = N^T alpha; the multipliers
-alpha_k must then be nonzero.  Otherwise the residual r = grad(G) - N^T alpha
-is a witness: r.grad(g_k) = 0 for every surface and r.grad(G) = |r|^2 != 0,
-so moving along r deforms the contour away from the point.
+makes that decision for the finders and for `classify_point` alike, and it
+builds the point's local frame from the same data.  The m surfaces must cross
+transversally: sqrt(det(N N^T)) > 1e-10 for the stacked normals N, which is
+|n_A x n_B| for m = 2 and |det N| for m = 3.  G is stationary on their
+intersection when grad(G) = N^T alpha; the multipliers alpha_k must then be
+nonzero.  Otherwise the residual r = grad(G) - N^T alpha is a witness:
+r.grad(g_k) = 0 for every surface and r.grad(G) = |r|^2 != 0, so moving
+along r deforms the contour away from the point.
+
+The frame (`LocalFrame`) is the point's local normal form: coordinates w in
+which G is G* + (linear in the singular w's) + (quadratic in the free w's).
+At a stationary point the singular axes are w_k = alpha_k * g_k and the free
+axes diagonalize the restricted Hessian of G (its eigenvalues are the betas);
+at a conical point the axes are the quadric's canonical coordinates.  `asym`
+turns a frame into a term, and `contribution_verdict` reads a cone's frame.
 
 Each finder solves a small system F(y) = 0 (grad G = 0, the Lagrange system
 on g = 0, ...) for its kind: its residual, Jacobian and start vectors (a seed
@@ -41,6 +49,7 @@ from .core import (
 
 __all__ = [
     "PointKind",
+    "LocalFrame",
     "SpecialPoint",
     "NonTransversal",
     "Indeterminate",
@@ -56,8 +65,10 @@ __all__ = [
 ]
 
 ROOT_TOL = 1e-12
+NEWTON_MAXITER = 50
 DEDUP_RADIUS = 1e-6
 NEAR_ZERO = 1e-9
+SEED_GRID = 9          # seeds per axis of the search box
 
 
 class PointKind(enum.Enum):
@@ -85,6 +96,19 @@ class Indeterminate(Exception):
     """A defining quantity sits within 1e-9 of zero; classification refused."""
 
 
+@dataclass(frozen=True)
+class LocalFrame:
+    kind: PointKind
+    location: np.ndarray
+    components: tuple[str, ...]
+    alphas: tuple[float, ...]
+    betas: tuple[float, ...]
+    jacobian: float
+    axes: np.ndarray            # rows = grad(w_n) at the point
+    phase0: float
+    cone_sign: float = 1.0      # s with s*g ~ w1^2+w2^2-w3^2 (conical only)
+
+
 @dataclass
 class SpecialPoint:
     location: np.ndarray
@@ -95,6 +119,7 @@ class SpecialPoint:
     reason: str = ""
     alphas: tuple[float, ...] = ()
     flags: frozenset = dfield(default_factory=frozenset)
+    frame: Optional[LocalFrame] = None
 
     def flagged(self, name: str) -> bool:
         return name in self.flags
@@ -112,19 +137,19 @@ def _steps(J: np.ndarray, f: np.ndarray):
         return np.linalg.solve(J, f[..., None])[..., 0], ok
 
 
-def _newton(fun, jac, y0: np.ndarray, tol: float, maxiter: int = 50):
+def _newton(fun, jac, y0: np.ndarray):
     """Damped Newton on every row of y0 at once; returns (y, converged).
 
     `fun` maps (m, k) rows to (m, k) residuals, `jac` to (m, k, k) Jacobians.
-    Each row stops at |F| < 1e-14 or once its step is below tol*(1 + |y|);
+    Each row stops at |F| < 1e-14 or once its step is below ROOT_TOL*(1 + |y|);
     it fails on a non-finite |F|, an exactly singular Jacobian, 20 step
-    halvings without a decrease of |F|, or after maxiter steps.
+    halvings without a decrease of |F|, or after NEWTON_MAXITER steps.
     """
     y = np.array(y0, dtype=float)
     converged = np.zeros(len(y), dtype=bool)
     live = np.arange(len(y))
     with np.errstate(all="ignore"):
-        for _ in range(maxiter):
+        for _ in range(NEWTON_MAXITER):
             if live.size == 0:
                 break
             f = fun(y[live])
@@ -143,24 +168,24 @@ def _newton(fun, jac, y0: np.ndarray, tol: float, maxiter: int = 50):
                     break
                 lam[todo] *= 0.5
             small = (np.linalg.norm(lam[:, None] * step, axis=-1)
-                     < tol * (1 + np.linalg.norm(y[live], axis=-1)))
+                     < ROOT_TOL * (1 + np.linalg.norm(y[live], axis=-1)))
             small[todo] = False
             converged[live[small]] = True
             live = np.setdiff1d(live[~small], live[todo], assume_unique=True)
     return y, converged
 
 
-def _dedup(x: np.ndarray, radius: float = DEDUP_RADIUS) -> list[np.ndarray]:
+def _dedup(x: np.ndarray) -> list[np.ndarray]:
     """Greedy representatives of the rows of x, visited in lexicographic
     order of the rounded coordinates."""
     out: list[np.ndarray] = []
     for i in np.lexsort(np.round(x, 12).T[::-1]):
-        if all(np.linalg.norm(x[i] - q) > radius for q in out):
+        if all(np.linalg.norm(x[i] - q) > DEDUP_RADIUS for q in out):
             out.append(x[i])
     return out
 
 
-def _roots(problem: ProblemSpec, kind: PointKind, comps, fun, jac, y0, tol):
+def _roots(problem: ProblemSpec, kind: PointKind, comps, fun, jac, y0):
     """Solve fun = 0 from every row of y0 and return the distinct special
     points of `kind` among the roots.
 
@@ -170,7 +195,7 @@ def _roots(problem: ProblemSpec, kind: PointKind, comps, fun, jac, y0, tol):
     point, and each representative is judged with the surfaces `comps`;
     those `judge` finds Indeterminate are dropped.
     """
-    y, converged = _newton(fun, jac, y0, tol)
+    y, converged = _newton(fun, jac, y0)
     x = y[converged, :3]
     with np.errstate(all="ignore"):
         x = x[problem.search_region.contains(x, margin=1e-9)]
@@ -187,10 +212,10 @@ def _roots(problem: ProblemSpec, kind: PointKind, comps, fun, jac, y0, tol):
     return out
 
 
-def _seeds(problem: ProblemSpec, seeds, n: int = 9) -> np.ndarray:
+def _seeds(problem: ProblemSpec, seeds) -> np.ndarray:
     if seeds is not None and len(seeds) > 0:
         return np.asarray(seeds, dtype=float).reshape(-1, 3)
-    return problem.search_region.grid(n)
+    return problem.search_region.grid(SEED_GRID)
 
 
 def _rgrad(f: ScalarField3, x) -> np.ndarray:
@@ -207,20 +232,19 @@ def _normals(comps, x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# local geometry helpers (shared with the term construction in asym)
+# local geometry of a special point (the data of its frame)
 
-def restricted_hessian(comps, phase_G: ScalarField3, x: np.ndarray,
+def restricted_hessian(comps, phase_G: ScalarField3, x: np.ndarray, N: np.ndarray,
                        alphas) -> tuple[np.ndarray, np.ndarray]:
     """Hessian of G on the common tangent space of the surfaces `comps` at x.
 
     Returns (M, T): T is a 3 x (3-m) orthonormal basis of the null space of
-    the m stacked normals, and M = T.T (H_G - sum_k alpha_k H_gk) T.  The
+    the m stacked normals N, and M = T.T (H_G - sum_k alpha_k H_gk) T.  The
     alpha_k H_gk terms account for the curvature of the constraint surfaces;
     with grad(G) = sum_k alpha_k grad(g_k), M is the second derivative of G
     along the surfaces' intersection.  The surfaces must cross transversally
     (`judge` checks that).
     """
-    N = _normals(comps, x)
     T = np.linalg.eigh(N.T @ N)[1][:, :3 - len(comps)]
     H = _rhess(phase_G, x) - sum(a * _rhess(c.g, x) for a, c in zip(alphas, comps))
     return T.T @ H @ T, T
@@ -261,27 +285,18 @@ def cone_axes(comp: SingularityComponent, x: np.ndarray):
     return W, 1.0 / d, s
 
 
-def cone_vectors(comp, phase_G, shift_eta, x):
-    """(eps, alpha) of the conical point: the shift and grad(G) in w-coordinates."""
-    W, J, s = cone_axes(comp, x)
-    eps = W @ np.asarray(shift_eta, dtype=float)
-    alpha = np.linalg.solve(W.T, _rgrad(phase_G, x))
-    return W, J, s, eps, alpha
-
-
 # ---------------------------------------------------------------------------
 # finders
 
-def find_sp_interior(problem: ProblemSpec, seeds=None, tol: float = ROOT_TOL):
+def find_sp_interior(problem: ProblemSpec, seeds=None):
     """Interior stationary points: grad(G) = 0; a near-singular Hessian is
     flagged NEAR_DEGENERATE."""
     G = problem.phase.G
     return _roots(problem, PointKind.SP_INTERIOR, (), lambda x: _rgrad(G, x),
-                  lambda x: _rhess(G, x), _seeds(problem, seeds), tol)
+                  lambda x: _rhess(G, x), _seeds(problem, seeds))
 
 
-def find_sp_on_surface(problem: ProblemSpec, comp: SingularityComponent,
-                       seeds=None, tol: float = ROOT_TOL):
+def find_sp_on_surface(problem: ProblemSpec, comp: SingularityComponent, seeds=None):
     """Stationary points of G restricted to {g = 0}: solve g=0, grad(G)=a*grad(g)."""
     G, g = problem.phase.G, comp.g
 
@@ -302,11 +317,10 @@ def find_sp_on_surface(problem: ProblemSpec, comp: SingularityComponent,
         n, gG = _rgrad(g, s), _rgrad(G, s)
         a0 = np.sum(gG * n, axis=-1) / np.maximum(np.sum(n * n, axis=-1), 1e-30)
     y0 = np.column_stack([s, a0])[np.all(np.isfinite(n), axis=-1)]
-    return _roots(problem, PointKind.SP_ON_SURFACE, (comp,), fun, jac, y0, tol)
+    return _roots(problem, PointKind.SP_ON_SURFACE, (comp,), fun, jac, y0)
 
 
-def find_sp_on_crossing(problem: ProblemSpec, compA, compB,
-                        seeds=None, tol: float = ROOT_TOL):
+def find_sp_on_crossing(problem: ProblemSpec, compA, compB, seeds=None):
     """Stationary points of G along the transversal crossing curve of two surfaces."""
     G, gA, gB = problem.phase.G, compA.g, compB.g
 
@@ -325,55 +339,64 @@ def find_sp_on_crossing(problem: ProblemSpec, compA, compB,
         return np.stack([nA, nB, d], axis=1)
 
     return _roots(problem, PointKind.SP_ON_CROSSING, (compA, compB), fun, jac,
-                  _seeds(problem, seeds), tol)
+                  _seeds(problem, seeds))
 
 
-def find_triple_crossings(problem: ProblemSpec, compA, compB, compC,
-                          seeds=None, tol: float = ROOT_TOL):
+def find_triple_crossings(problem: ProblemSpec, compA, compB, compC, seeds=None):
     """Isolated points where three surfaces meet transversally."""
     comps = (compA, compB, compC)
     return _roots(problem, PointKind.TRIPLE_CROSSING, comps,
                   lambda x: np.column_stack([np.real(c.g(x)) for c in comps]),
                   lambda x: np.stack([_rgrad(c.g, x) for c in comps], axis=1),
-                  _seeds(problem, seeds), tol)
+                  _seeds(problem, seeds))
 
 
-def find_conical_points(problem: ProblemSpec, comp: SingularityComponent,
-                        seeds=None, tol: float = ROOT_TOL):
+def find_conical_points(problem: ProblemSpec, comp: SingularityComponent, seeds=None):
     """Points where grad(g) = 0 on {g = 0} and Hess g has signature (2,1) or (1,2)."""
     g = comp.g
     return _roots(problem, PointKind.CONICAL, (comp,), lambda x: _rgrad(g, x),
-                  lambda x: _rhess(g, x), _seeds(problem, seeds), tol)
+                  lambda x: _rhess(g, x), _seeds(problem, seeds))
 
 
 # ---------------------------------------------------------------------------
 # classification and verdicts
 
 def judge(problem: ProblemSpec, x: np.ndarray, comps) -> SpecialPoint:
-    """Kind of the real point x, given the m = len(comps) <= 3 surfaces through it.
+    """Kind and frame of the real point x, given the m = len(comps) <= 3
+    surfaces through it.
 
     With m = 1 and |grad g| <= NEAR_ZERO, x is conical (the signature test
-    of `cone_axes`).  Otherwise grad(G) = N^T alpha + r with alpha from least
-    squares on the stacked normals N: x is NON_SPECIAL with witness r when
-    |r| > NEAR_ZERO * max(1, |grad G|), else the stationary kind for m with
-    multipliers alpha, flagged NEAR_DEGENERATE by `degenerate`.  Raises
-    NonTransversal when sqrt(det(N N^T)) <= 1e-10, and Indeterminate for a
-    multiplier within NEAR_ZERO of zero (G is then stationary on a larger
-    set: the surfaces' intersection with one surface left out), a cone apex
-    that is not double-sided, or more than three surfaces.
+    of `cone_axes`); its frame has the quadric's canonical axes W and
+    alphas = grad(G) in w.  Otherwise grad(G) = N^T alpha + r with alpha
+    from least squares on the stacked normals N: x is NON_SPECIAL with
+    witness r when |r| > NEAR_ZERO * max(1, |grad G|), else the stationary
+    kind for m with multipliers alpha, flagged NEAR_DEGENERATE by
+    `degenerate`.  Its frame has the rows alpha_k * grad(g_k), then the
+    tangent directions that diagonalize the restricted Hessian, in
+    descending order of its eigenvalues (the betas); the last row is
+    negated when det W < 0 (the terms are linear in J = 1/det W, so this
+    only normalizes J > 0).  Raises NonTransversal when
+    sqrt(det(N N^T)) <= 1e-10, and Indeterminate for a multiplier within
+    NEAR_ZERO of zero (G is then stationary on a larger set: the surfaces'
+    intersection with one surface left out), a cone apex that is not
+    double-sided, or more than three surfaces.
     """
     m, labels = len(comps), tuple(c.label for c in comps)
     if m > 3:
         raise Indeterminate(f"{m} coincident surfaces at {x}")
+    G = problem.phase.G
+    G0, gG = float(np.real(G(x))), _rgrad(G, x)
     N = _normals(comps, x)
     if m == 1 and np.linalg.norm(N[0]) <= NEAR_ZERO:
-        cone_axes(comps[0], x)
-        return SpecialPoint(x, PointKind.CONICAL, labels)
+        W, J, s = cone_axes(comps[0], x)
+        al = np.linalg.solve(W.T, gG)
+        return SpecialPoint(x, PointKind.CONICAL, labels, frame=LocalFrame(
+            PointKind.CONICAL, x, labels, tuple(float(a) for a in al), (), J, W,
+            G0, cone_sign=s))
     # sqrt(det(N N^T)) as the product of the singular values of N: the Gram
     # determinant itself loses half its digits near tangency
     if np.prod(np.linalg.svd(N, compute_uv=False)) <= 1e-10:
         raise NonTransversal(f"surfaces {labels} not transversal at {x}")
-    gG = _rgrad(problem.phase.G, x)
     al = np.linalg.lstsq(N.T, gG, rcond=None)[0]
     r = gG - N.T @ al
     if np.linalg.norm(r) > NEAR_ZERO * max(1.0, np.linalg.norm(gG)):
@@ -382,8 +405,17 @@ def judge(problem: ProblemSpec, x: np.ndarray, comps) -> SpecialPoint:
     if np.any(np.abs(al) <= NEAR_ZERO):
         raise Indeterminate(f"zero multiplier {al} at {x}")
     alphas = tuple(float(a) for a in al)
-    M, _ = restricted_hessian(comps, problem.phase.G, x, alphas)
-    return SpecialPoint(x, STATIONARY[m], labels, alphas=alphas,
+    M, T = restricted_hessian(comps, G, x, N, alphas)
+    betas, V = np.linalg.eigh(M)
+    order = np.argsort(-betas)
+    W = np.vstack([a * n for a, n in zip(alphas, N)] + [(T @ V[:, order]).T])
+    d = np.linalg.det(W)
+    if d < 0:
+        W[2] *= -1.0
+        d = -d
+    frame = LocalFrame(STATIONARY[m], x, labels, alphas, tuple(betas[order]),
+                       1.0 / d, W, G0)
+    return SpecialPoint(x, STATIONARY[m], labels, alphas=alphas, frame=frame,
                         flags=frozenset({"NEAR_DEGENERATE"} if degenerate(M) else ()))
 
 
@@ -423,9 +455,9 @@ def contribution_verdict(sp: SpecialPoint, problem: ProblemSpec) -> tuple[bool, 
         return True, "bypass-below-all"
 
     if sp.kind is PointKind.CONICAL:
-        comp = _component(problem, sp.components[0])
-        _, _, _, eps, al = cone_vectors(comp, problem.phase.G,
-                                        problem.shift.eta, x)
+        # the shift and grad(G) in the cone's canonical coordinates w
+        eps = sp.frame.axes @ problem.shift.eta
+        al = sp.frame.alphas
         re = np.hypot(eps[0], eps[1])
         ra = np.hypot(al[0], al[1])
         if abs(eps[2]) <= re + 1e-12:

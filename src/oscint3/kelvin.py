@@ -58,6 +58,7 @@ __all__ = [
 KELVIN_PREFACTOR = 1j / (8 * np.pi ** 3)
 WEDGE_SLOPE = 1 / (2 * np.sqrt(2))
 EPS_SHIFT = 1e-3
+SEARCH_RADIUS = 6.0   # half-width of the detection box in every xi
 
 # mask bits for FieldGrid samples
 MASK_WAVE = 1        # wave-family terms active
@@ -89,12 +90,11 @@ class FieldGrid:
     mask: np.ndarray         # int bitmask per sample
 
 
-def _field(value, gradient, hessian, real=True) -> ScalarField3:
-    return ScalarField3(value, gradient, hessian, real_on_real=real)
+def _field(value, gradient, hessian) -> ScalarField3:
+    return ScalarField3(value, gradient, hessian, real_on_real=True)
 
 
-def kelvin_problem(z1: float = 0.0, z2: float = 0.0, tau: float = 0.0,
-                   search_radius: float = 6.0) -> ProblemSpec:
+def kelvin_problem(z1: float = 0.0, z2: float = 0.0, tau: float = 0.0) -> ProblemSpec:
     """Assemble the ship-wake integral for given observation point and time."""
 
     def const(v):
@@ -136,7 +136,7 @@ def kelvin_problem(z1: float = 0.0, z2: float = 0.0, tau: float = 0.0,
     phase = PhaseSpec(G=phase_family(z), z=z, family=phase_family)
     amp = AmplitudeSpec(N, (SingularityComponent(g1, -1.0, "pole-line"),
                             SingularityComponent(g2, -1.0, "dispersion-cone")))
-    R = search_radius
+    R = SEARCH_RADIUS
     box = Box3(np.array([-R, -R, -R]), np.array([R, R, R]),
                excluded_center=np.zeros(3), excluded_radius=0.05)
     return ProblemSpec(amp, phase, DomainShift(np.array([0.0, 0.0, EPS_SHIFT])),

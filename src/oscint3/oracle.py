@@ -16,7 +16,7 @@ Three oracles, none of which shares code with the asymptotic machinery:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -36,6 +36,13 @@ __all__ = [
     "kelvin_oracle",
 ]
 
+QUAD_LIMIT = 400               # subintervals per segment for scipy's quad
+MARGIN_PROBES = 40             # probe points per axis of the singularity check
+SINGULARITY_MARGIN = 1e-3      # least |g| allowed on the shifted grid
+RAD_PER_PANEL = 24.0           # phase advance per Gauss-Legendre panel
+PANEL_NODES = 16               # Gauss-Legendre nodes per panel
+WAKE_PREFACTOR = 1j / (8 * np.pi ** 3)   # restated here: the oracle imports no kelvin code
+
 
 class SingularityTooClose(Exception):
     pass
@@ -52,11 +59,10 @@ class PoleCollision(Exception):
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Tensor quadrature parameters: truncation radius, nodes per axis,
-    window selection, optional shift override."""
+    cosine-window taper fraction (0 for none), optional shift override."""
 
     R: float = 8.0
     n: int = 128
-    window: str = "cosine"   # "cosine" or "none"
     taper: float = 0.15
     shift: Optional[DomainShift] = None
 
@@ -65,8 +71,6 @@ class QuadratureSpec:
             raise ValueError("need R > 0 and even n >= 16")
         if not 0 <= self.taper <= 0.5:
             raise ValueError("taper fraction in [0, 0.5]")
-        if self.window not in ("cosine", "none"):
-            raise ValueError(f"unknown window {self.window!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -82,19 +86,15 @@ class Contour1D:
     segments: tuple
 
 
-def gamma_tilde(sign: int, r: float = 0.5, T: float = 30.0,
-                H: float = 0.0) -> Contour1D:
-    """Real line indented around 0 by a semicircle below (sign=-1) or above
-    (sign=+1); optional vertical end legs up to height H (for integrands that
-    need the ends pushed into the decaying half-plane)."""
+def gamma_tilde(r: float = 0.5, T: float = 30.0, H: float = 0.0) -> Contour1D:
+    """Real line indented around 0 by a semicircle below; optional vertical
+    end legs up to height H (for integrands that need the ends pushed into
+    the decaying half-plane)."""
     segs = []
     if H > 0:
         segs.append(("line", -T + 1j * H, -T + 0j))
     segs.append(("line", -T + 0j, -r + 0j))
-    if sign < 0:
-        segs.append(("arc", 0j, r, np.pi, 2 * np.pi))
-    else:
-        segs.append(("arc", 0j, r, np.pi, 0.0))
+    segs.append(("arc", 0j, r, np.pi, 2 * np.pi))
     segs.append(("line", r + 0j, T + 0j))
     if H > 0:
         segs.append(("line", T + 0j, T + 1j * H))
@@ -102,7 +102,7 @@ def gamma_tilde(sign: int, r: float = 0.5, T: float = 30.0,
 
 
 def quad_contour_1d(f: Callable[[complex], complex], contour: Contour1D,
-                    lam: float = 0.0, limit: int = 400) -> complex:
+                    lam: float = 0.0) -> complex:
     """Adaptive quadrature of f(w) * exp(i*lam*w) along the contour.
 
     Multivalued integrands supplied through `f` should use `branch_arg`/`branch_power` so the cut sits just below the
@@ -127,8 +127,8 @@ def quad_contour_1d(f: Callable[[complex], complex], contour: Contour1D,
         import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            re, ere = quad(lambda t: np.real(h(t)), 0, 1, limit=limit)
-            im, eim = quad(lambda t: np.imag(h(t)), 0, 1, limit=limit)
+            re, ere = quad(lambda t: np.real(h(t)), 0, 1, limit=QUAD_LIMIT)
+            im, eim = quad(lambda t: np.imag(h(t)), 0, 1, limit=QUAD_LIMIT)
         if max(ere, eim) > 1e-4 * max(1.0, abs(complex(re, im))):
             raise NonConvergent("1D contour quadrature did not converge")
         total += complex(re, im)
@@ -155,8 +155,6 @@ def _taper(x: np.ndarray, R: float, t: float) -> np.ndarray:
     m = np.abs(x) > a
     if t > 0:
         y[m] = 0.5 * (1 + np.cos(np.pi * (np.abs(x[m]) - a) / (R - a)))
-    else:
-        y[m] = 1.0
     return y
 
 
@@ -183,26 +181,23 @@ def quad_deformed_3d(problem: ProblemSpec, lam: float,
     return fine, err
 
 
-def _check_singularity_margin(problem: ProblemSpec, eta, R: float,
-                              n_probe: int = 40, margin: float = 1e-3) -> None:
+def _check_singularity_margin(problem: ProblemSpec, eta, R: float) -> None:
     if not problem.amplitude.components:
         return
-    ax = np.linspace(-R, R, n_probe)
+    ax = np.linspace(-R, R, MARGIN_PROBES)
     X = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).astype(complex)
     X += 1j * eta
     for c in problem.amplitude.components:
-        if np.min(np.abs(c.g(X))) < margin:
+        if np.min(np.abs(c.g(X))) < SINGULARITY_MARGIN:
             raise SingularityTooClose(
-                f"|{c.label}| < {margin} on the shifted grid")
+                f"|{c.label}| < {SINGULARITY_MARGIN} on the shifted grid")
 
 
 def _quad_grid(problem: ProblemSpec, lam: float, spec: QuadratureSpec,
                n: int, eta) -> complex:
     xg, wg = leggauss(n)
     x = spec.R * xg
-    w = spec.R * wg
-    if spec.window == "cosine":
-        w = w * _taper(x, spec.R, spec.taper)
+    w = spec.R * wg * _taper(x, spec.R, spec.taper)
     F, G = problem.amplitude, problem.phase.G
     total = 0j
     # slab over the first axis; the volume form of a constant shift is 1
@@ -222,18 +217,17 @@ def _quad_grid(problem: ProblemSpec, lam: float, spec: QuadratureSpec,
 # ---------------------------------------------------------------------------
 # Kelvin residue oracle
 
-def _graded_panels(R: float, h_base: float, lam: float, tau: float,
-                   rad_per_panel: float = 24.0) -> np.ndarray:
+def _graded_panels(R: float, h_base: float, lam: float, tau: float) -> np.ndarray:
     """Panel edges on [-R, R], width limited by the local oscillation rate
     lam*tau/(2*sqrt(x)) of the square-root phase near the origin."""
     edges = [0.0]
     x = 0.0
     while x < R:
         if x < 1e-6:
-            h = max(2e-3, rad_per_panel / (lam * tau) * 2 * np.sqrt(2e-3))
+            h = max(2e-3, RAD_PER_PANEL / (lam * tau) * 2 * np.sqrt(2e-3))
         else:
             freq = lam * tau / (2 * np.sqrt(x))
-            h = min(h_base, rad_per_panel / freq)
+            h = min(h_base, RAD_PER_PANEL / freq)
         h = max(h, 5e-4)
         x = min(x + h, R)
         edges.append(x)
@@ -242,10 +236,10 @@ def _graded_panels(R: float, h_base: float, lam: float, tau: float,
 
 
 def _axis_nodes(R: float, lam: float, tau: float, fmax: float,
-                p: int = 16, oversample: float = 1.0):
-    h_base = 24.0 / (lam * fmax * oversample)
+                oversample: float = 1.0):
+    h_base = RAD_PER_PANEL / (lam * fmax * oversample)
     e = _graded_panels(R, h_base, lam, tau)
-    xg, wg = leggauss(p)
+    xg, wg = leggauss(PANEL_NODES)
     mid = 0.5 * (e[1:] + e[:-1])
     hw = 0.5 * (e[1:] - e[:-1])
     X = (mid[:, None] + hw[:, None] * xg[None, :]).ravel()
@@ -254,8 +248,7 @@ def _axis_nodes(R: float, lam: float, tau: float, fmax: float,
 
 
 def kelvin_oracle(z1: float, z2: float, tau: float, lam: float,
-                  spec: Optional[QuadratureSpec] = None,
-                  prefactor: complex = 1j / (8 * np.pi ** 3)) -> complex:
+                  spec: Optional[QuadratureSpec] = None) -> complex:
     """Reference value of the ship-wake integral by residue reduction.
 
     For tau > 0 the frequency contour (shifted up by i*eps) closes downward
@@ -273,9 +266,8 @@ def kelvin_oracle(z1: float, z2: float, tau: float, lam: float,
     X1, W1 = _axis_nodes(spec.R, lam, tau, fmax, oversample=oversample)
     X2, W2 = _axis_nodes(spec.R, lam, tau, fmax, oversample=oversample)
     X1 = _jitter_collisions(X1, X2)
-    t = spec.taper if spec.window == "cosine" else 0.0
-    W1 = W1 * _taper(X1, spec.R, t)
-    W2 = W2 * _taper(X2, spec.R, t)
+    W1 = W1 * _taper(X1, spec.R, spec.taper)
+    W2 = W2 * _taper(X2, spec.R, spec.taper)
     u = W1 * np.exp(1j * lam * X1 * z1)
     v = W2 * np.exp(1j * lam * X2 * z2)
     total = 0j
@@ -291,7 +283,7 @@ def kelvin_oracle(z1: float, z2: float, tau: float, lam: float,
         pp = x1 * np.exp(-1j * lam * s * tau) / (2 * (s - x1))
         pm = -x1 * np.exp(1j * lam * s * tau) / (2 * (s + x1))
         total += u[i0:i0 + B] @ (t1 + pp + pm) @ v
-    return prefactor * (-2j * np.pi) * total
+    return WAKE_PREFACTOR * (-2j * np.pi) * total
 
 
 def _jitter_collisions(X1: np.ndarray, X2: np.ndarray,

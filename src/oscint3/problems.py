@@ -17,7 +17,7 @@ contour routine, so they are independent of the closed-form terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -101,13 +101,13 @@ def _gauss_factor(lam: float) -> complex:
     return complex(np.sqrt(np.pi / (1 - 0.5j * lam)))
 
 
-def _pole_factor(lam: float, quadratic: bool = False, T: float = 8.0) -> complex:
+def _pole_factor(lam: float, quadratic: bool = False) -> complex:
     """int over the indented-below line of e^{-w^2} e^{i*lam*(w + [w^2/2])} / w dw."""
     if quadratic:
         f = lambda w: np.exp(-w * w + 0.5j * lam * w * w) / w
     else:
         f = lambda w: np.exp(-w * w) / w
-    return oracle.quad_contour_1d(f, oracle.gamma_tilde(-1, r=0.3, T=T), lam)
+    return oracle.quad_contour_1d(f, oracle.gamma_tilde(r=0.3, T=8.0), lam)
 
 
 def _build_gaussian_sp() -> ProblemSpec:

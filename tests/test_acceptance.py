@@ -9,7 +9,6 @@ wall-clock measurements.
 import time
 
 import numpy as np
-import pytest
 
 from oscint3 import detect, kelvin, oracle, problems
 from oscint3.asym import gamma_factor, sum_asymptotics
@@ -34,7 +33,7 @@ def test_criterion_1_universal_factor():
     t0 = time.perf_counter()
     worst = 0.0
     for mu in (-1.5, -1.0, -0.5, 0.25, 0.5):
-        contour = oracle.gamma_tilde(-1, r=0.5, T=40.0, H=40.0)
+        contour = oracle.gamma_tilde(r=0.5, T=40.0, H=40.0)
         if mu == -1.0:
             f = lambda w: 1.0 / w
         else:

@@ -26,3 +26,28 @@ def test_numeric_errors_are_raised():
                            getattr(exc, "id", None))
     ours = [e.__name__ for e in NUMERIC_ERRORS if e.__module__.startswith("oscint3")]
     assert ours and [n for n in ours if n not in raised] == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Module-level imports of `path` that no name in it uses and that its
+    `__all__` does not list."""
+    tree = ast.parse(path.read_text())
+    bound, exported = {}, set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update((a.asname or a.name.split(".")[0], node.lineno)
+                         for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update((a.asname or a.name, node.lineno) for a in node.names)
+        elif isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in bound.items()
+            if name not in used and name not in exported]
+
+
+def test_no_unused_imports():
+    files = [*Path(oscint3.__file__).parent.glob("*.py"),
+             *Path(__file__).parent.glob("*.py")]
+    assert [u for f in sorted(files) for u in _unused_imports(f)] == []

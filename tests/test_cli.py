@@ -8,8 +8,7 @@ import pytest
 
 import oscint3
 from oscint3 import detect, kelvin, oracle, problems
-from oscint3.cli import (ConfigError, RunConfig, _quad_spec, main, parse_config,
-                         run, write_pgm)
+from oscint3.cli import ConfigError, _quad_spec, main, parse_config, run, write_pgm
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +51,12 @@ def test_parse_square_grid_shorthand():
 def test_parse_z_and_tau():
     cfg = parse_config("z = 3, 1.5, 10\ntau = 12\n")
     assert cfg.z == (3.0, 1.5, 12.0)
+    # a --key override applies after the file, even to a key the file set first
+    cfg = parse_config("tau = 6\nz = 1,2,10\n", {"tau": "8"})
+    assert cfg.z == (1.0, 2.0, 8.0)
+    # a key repeated in the file applies at its last position
+    cfg = parse_config("tau = 6\nz = 1,2,10\ntau = 7\n")
+    assert cfg.z == (1.0, 2.0, 7.0)
 
 
 def test_later_key_wins():

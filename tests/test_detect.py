@@ -392,17 +392,23 @@ def test_classify_recovers_kinds():
 # verdicts
 
 def test_verdict_cone_examples():
-    # eta = (0,0,-1), grad(G) on the axis: trapped
+    # eta = (0,0,-1), grad(G) on the axis: trapped; on the dual cone's
+    # boundary (b = (1, 0, 1)): refused
     cone = SingularityComponent(quadratic_field(np.diag([2.0, 2.0, -2.0])),
                                 -1.0, "cone")
     for b, eta, expected in [((0.0, 0.0, 1.0), (0, 0, -1e-3), True),
                              ((0.6, 0.0, 1.0), (0, 0, -1e-3), True),
                              ((1.0, 0.0, 0.5), (0, 0, -1e-3), False),
-                             ((0.0, 0.0, 1.0), (0, 0, +1e-3), False)]:
+                             ((0.0, 0.0, 1.0), (0, 0, +1e-3), False),
+                             ((1.0, 0.0, 1.0), (0, 0, -1e-3), detect.Indeterminate)]:
         p = _problem(quadratic_field(b=b), comps=[cone], eta=eta)
-        sp = SpecialPoint(np.zeros(3), PointKind.CONICAL, ("cone",))
-        ok, _ = contribution_verdict(sp, p)
-        assert ok is expected, (b, eta)
+        sp = classify_point(p, np.zeros(3))
+        assert sp.kind is PointKind.CONICAL
+        if expected is detect.Indeterminate:
+            with pytest.raises(detect.Indeterminate):
+                contribution_verdict(sp, p)
+        else:
+            assert contribution_verdict(sp, p)[0] is expected, (b, eta)
 
 
 def test_verdict_kelvin_transient_iff_causal():

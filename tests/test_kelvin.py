@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from oscint3 import detect, kelvin
 from oscint3.asym import sum_asymptotics
 from oscint3.kelvin import (
     MASK_INVALID,
