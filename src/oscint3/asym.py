@@ -1,10 +1,10 @@
-"""Leading-order contribution terms from local frames.
+"""Leading-order contribution terms of special points.
 
-`detect.judge` gives every special point a frame (`detect.LocalFrame`):
-local coordinates w in which the phase is G* + (linear in the singular w's)
-+ (quadratic in the free w's), with normalizers alpha, quadratic
-coefficients beta, and Jacobian J = det d(xi)/d(w).  This module turns a
-frame and the amplitude into a closed-form term A * Lambda^p *
+`detect.judge` gives every special point its normalizers alpha and a frame
+(`detect.LocalFrame`): local coordinates w in which the phase is G* +
+(linear in the singular w's) + (quadratic in the free w's), with quadratic
+coefficients beta and Jacobian J = det d(xi)/d(w).  This module turns a
+point and the amplitude into a closed-form term A * Lambda^p *
 exp(i*Lambda*G*).
 
 At every special point except a conical one the integral factorizes over the
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import detect
 from .core import AmplitudeSpec, ProblemSpec
-from .detect import LocalFrame, PointKind, SpecialPoint
+from .detect import PointKind, SpecialPoint
 
 __all__ = [
     "UnsupportedExponent",
@@ -101,13 +101,12 @@ def local_coefficient(amplitude: AmplitudeSpec, involved: tuple[str, ...],
     return C
 
 
-def term_from_frame(frame: LocalFrame, amplitude: AmplitudeSpec,
+def term_from_frame(sp: SpecialPoint, amplitude: AmplitudeSpec,
                     mus) -> AsymptoticTerm:
     """The product-formula term of a non-conical point with m = len(mus)
-    singular directions and the 3 - m free directions of `frame.betas`."""
-    m = len(mus)
-    A = local_coefficient(amplitude, frame.components, frame.alphas,
-                          frame.location)
+    singular directions and the 3 - m free directions of `sp.frame.betas`."""
+    m, frame = len(mus), sp.frame
+    A = local_coefficient(amplitude, sp.components, sp.alphas, sp.location)
     for mu in mus:
         A = A * gamma_factor(mu)
     # prod over the free directions of sqrt(2*pi/|beta|) * exp(i*pi/4*sign(beta)),
@@ -119,31 +118,32 @@ def term_from_frame(frame: LocalFrame, amplitude: AmplitudeSpec,
     return AsymptoticTerm(A, -sum(mus) - m - (3 - m) / 2, frame.phase0)
 
 
-def term_cone(frame: LocalFrame, amplitude: AmplitudeSpec) -> AsymptoticTerm:
+def term_cone(sp: SpecialPoint, amplitude: AmplitudeSpec) -> AsymptoticTerm:
     """Contribution of a conical point of a simple-pole quadric whose
     grad(G) lies inside the dual cone (`detect.contribution_verdict` checks
     that)."""
-    a1, a2, a3 = frame.alphas
+    frame = sp.frame
+    a1, a2, a3 = frame.grad_w
     disc = a3 * a3 - a1 * a1 - a2 * a2
     # C from F = N/g = cone_sign * N / (w1^2+w2^2-w3^2), other factors at x
-    C = frame.cone_sign * complex(amplitude.smooth_factor(frame.location))
+    C = frame.cone_sign * complex(amplitude.smooth_factor(sp.location))
     for c in amplitude.components:
-        if c.label not in frame.components:
-            C *= complex(c.g(frame.location)) ** c.mu
+        if c.label not in sp.components:
+            C *= complex(c.g(sp.location)) ** c.mu
     A = 4 * C * np.pi ** 2 * frame.jacobian / np.sqrt(disc)
     return AsymptoticTerm(A, -1.0, frame.phase0)
 
 
 def term_for_point(problem: ProblemSpec, sp: SpecialPoint) -> AsymptoticTerm:
     """The term of one contributing point, from the frame `detect.judge`
-    built; a NEAR_DEGENERATE point has none."""
-    if sp.flagged("NEAR_DEGENERATE"):
+    built; a `near_degenerate` point has none."""
+    if sp.near_degenerate:
         raise DegenerateConfiguration(f"restricted Hessian singular at {sp.location}")
     if sp.kind is PointKind.CONICAL:
-        t = term_cone(sp.frame, problem.amplitude)
+        t = term_cone(sp, problem.amplitude)
     else:
         mu = {c.label: c.mu for c in problem.amplitude.components}
-        t = term_from_frame(sp.frame, problem.amplitude,
+        t = term_from_frame(sp, problem.amplitude,
                             tuple(mu[lab] for lab in sp.components))
     return replace(t, source=sp)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -159,9 +159,7 @@ def _quad_spec(cfg: RunConfig, entry: problems.ProblemEntry) -> oracle.Quadratur
 def run(cfg: RunConfig) -> list[str]:
     """Execute one configured run; returns the list of files written."""
     entry = problems.REGISTRY[cfg.problem]
-    problem = entry.build()
-    if problem.phase.family is not None:
-        problem = replace(problem, phase=problem.phase.with_z(cfg.z))
+    problem = entry.build(cfg.z)
     spec = _quad_spec(cfg, entry)
 
     def reference(lam: float):

@@ -15,12 +15,16 @@ nonzero.  Otherwise the residual r = grad(G) - N^T alpha is a witness:
 r.grad(g_k) = 0 for every surface and r.grad(G) = |r|^2 != 0, so moving
 along r deforms the contour away from the point.
 
-The frame (`LocalFrame`) is the point's local normal form: coordinates w in
-which G is G* + (linear in the singular w's) + (quadratic in the free w's).
-At a stationary point the singular axes are w_k = alpha_k * g_k and the free
-axes diagonalize the restricted Hessian of G (its eigenvalues are the betas);
-at a conical point the axes are the quadric's canonical coordinates.  `asym`
-turns a frame into a term, and `contribution_verdict` reads a cone's frame.
+A `SpecialPoint` is the whole record of one point: kind, location, surfaces,
+multipliers, verdict and frame.  It is frozen; `detect_all` attaches the
+verdict by building a new point.  Its frame (`LocalFrame`) holds only the
+geometry of the local normal form: coordinates w in which G is G* + (linear
+in the singular w's) + (quadratic in the free w's).  At a stationary point
+the singular axes are w_k = alpha_k * g_k and the free axes diagonalize the
+restricted Hessian of G (its eigenvalues are the betas); at a conical point
+the axes are the quadric's canonical coordinates and `grad_w` is grad(G) in
+w.  `asym` turns a point into a term, and `contribution_verdict` reads a
+cone's frame.
 
 Each finder solves a small system F(y) = 0 (grad G = 0, the Lagrange system
 on g = 0, ...) for its kind: its residual, Jacobian and start vectors (a seed
@@ -33,7 +37,8 @@ finder's kind.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field as dfield
+import itertools
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -98,18 +103,15 @@ class Indeterminate(Exception):
 
 @dataclass(frozen=True)
 class LocalFrame:
-    kind: PointKind
-    location: np.ndarray
-    components: tuple[str, ...]
-    alphas: tuple[float, ...]
+    axes: np.ndarray            # rows = grad(w_n) at the point
     betas: tuple[float, ...]
     jacobian: float
-    axes: np.ndarray            # rows = grad(w_n) at the point
     phase0: float
     cone_sign: float = 1.0      # s with s*g ~ w1^2+w2^2-w3^2 (conical only)
+    grad_w: tuple[float, ...] = ()   # grad(G) in w (conical only)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpecialPoint:
     location: np.ndarray
     kind: PointKind
@@ -118,11 +120,8 @@ class SpecialPoint:
     contributes: bool = False
     reason: str = ""
     alphas: tuple[float, ...] = ()
-    flags: frozenset = dfield(default_factory=frozenset)
+    near_degenerate: bool = False
     frame: Optional[LocalFrame] = None
-
-    def flagged(self, name: str) -> bool:
-        return name in self.flags
 
 
 def _steps(J: np.ndarray, f: np.ndarray):
@@ -142,9 +141,14 @@ def _newton(fun, jac, y0: np.ndarray):
 
     `fun` maps (m, k) rows to (m, k) residuals, `jac` to (m, k, k) Jacobians.
     Each row stops at |F| < 1e-14 or once its step is below ROOT_TOL*(1 + |y|);
-    it fails on a non-finite |F|, an exactly singular Jacobian, 20 step
-    halvings without a decrease of |F|, or after NEWTON_MAXITER steps.
+    it fails on a non-finite |F|, an exactly singular Jacobian, no decrease
+    of |F| along the full step or any of its 19 halvings, or after
+    NEWTON_MAXITER steps.
     """
+    def improves(f, nf):   # |f| finite and below nf, or below 1e-14
+        fn = np.linalg.norm(f, axis=-1)
+        return np.isfinite(fn) & ((fn < nf) | (fn < 1e-14))
+
     y = np.array(y0, dtype=float)
     converged = np.zeros(len(y), dtype=bool)
     live = np.arange(len(y))
@@ -158,15 +162,19 @@ def _newton(fun, jac, y0: np.ndarray):
             go = np.isfinite(nf) & (nf >= 1e-14)
             step, ok = _steps(jac(y[live[go]]), f[go])
             live, nf, step = live[go][ok], nf[go][ok], step[ok]
-            # backtracking line search on |F|, row by row
-            x, lam, todo = y[live], np.ones(len(live)), np.arange(len(live))
-            for _ in range(20):
-                y[live[todo]] = x[todo] - lam[todo, None] * step[todo]
-                fn = np.linalg.norm(fun(y[live[todo]]), axis=-1)
-                todo = todo[~(np.isfinite(fn) & ((fn < nf[todo]) | (fn < 1e-14)))]
-                if todo.size == 0:
-                    break
-                lam[todo] *= 0.5
+            # backtracking line search on |F|: the full step for every row,
+            # then the 19 halvings of the rows it does not improve, all in one
+            # call; each row takes its first improving step
+            x, lam = y[live], np.ones(len(live))
+            todo = np.flatnonzero(~improves(fun(x - step), nf))
+            if todo.size:
+                h = 0.5 ** np.arange(1, 20)
+                trial = x[todo, None] - h[:, None] * step[todo, None]
+                good = improves(fun(trial.reshape(-1, x.shape[1])).reshape(trial.shape),
+                                 nf[todo, None])
+                lam[todo] = h[np.argmax(good, axis=1)]
+                todo = todo[~np.any(good, axis=1)]
+            y[live] = x - lam[:, None] * step
             small = (np.linalg.norm(lam[:, None] * step, axis=-1)
                      < ROOT_TOL * (1 + np.linalg.norm(y[live], axis=-1)))
             small[todo] = False
@@ -289,8 +297,8 @@ def cone_axes(comp: SingularityComponent, x: np.ndarray):
 # finders
 
 def find_sp_interior(problem: ProblemSpec, seeds=None):
-    """Interior stationary points: grad(G) = 0; a near-singular Hessian is
-    flagged NEAR_DEGENERATE."""
+    """Interior stationary points: grad(G) = 0; a near-singular Hessian makes
+    the point `near_degenerate`."""
     G = problem.phase.G
     return _roots(problem, PointKind.SP_INTERIOR, (), lambda x: _rgrad(G, x),
                   lambda x: _rhess(G, x), _seeds(problem, seeds))
@@ -367,10 +375,10 @@ def judge(problem: ProblemSpec, x: np.ndarray, comps) -> SpecialPoint:
 
     With m = 1 and |grad g| <= NEAR_ZERO, x is conical (the signature test
     of `cone_axes`); its frame has the quadric's canonical axes W and
-    alphas = grad(G) in w.  Otherwise grad(G) = N^T alpha + r with alpha
+    grad_w = grad(G) in w.  Otherwise grad(G) = N^T alpha + r with alpha
     from least squares on the stacked normals N: x is NON_SPECIAL with
     witness r when |r| > NEAR_ZERO * max(1, |grad G|), else the stationary
-    kind for m with multipliers alpha, flagged NEAR_DEGENERATE by
+    kind for m with multipliers alpha, `near_degenerate` by
     `degenerate`.  Its frame has the rows alpha_k * grad(g_k), then the
     tangent directions that diagonalize the restricted Hessian, in
     descending order of its eigenvalues (the betas); the last row is
@@ -389,10 +397,9 @@ def judge(problem: ProblemSpec, x: np.ndarray, comps) -> SpecialPoint:
     N = _normals(comps, x)
     if m == 1 and np.linalg.norm(N[0]) <= NEAR_ZERO:
         W, J, s = cone_axes(comps[0], x)
-        al = np.linalg.solve(W.T, gG)
-        return SpecialPoint(x, PointKind.CONICAL, labels, frame=LocalFrame(
-            PointKind.CONICAL, x, labels, tuple(float(a) for a in al), (), J, W,
-            G0, cone_sign=s))
+        gw = tuple(float(a) for a in np.linalg.solve(W.T, gG))
+        return SpecialPoint(x, PointKind.CONICAL, labels,
+                            frame=LocalFrame(W, (), J, G0, s, gw))
     # sqrt(det(N N^T)) as the product of the singular values of N: the Gram
     # determinant itself loses half its digits near tangency
     if np.prod(np.linalg.svd(N, compute_uv=False)) <= 1e-10:
@@ -413,10 +420,9 @@ def judge(problem: ProblemSpec, x: np.ndarray, comps) -> SpecialPoint:
     if d < 0:
         W[2] *= -1.0
         d = -d
-    frame = LocalFrame(STATIONARY[m], x, labels, alphas, tuple(betas[order]),
-                       1.0 / d, W, G0)
-    return SpecialPoint(x, STATIONARY[m], labels, alphas=alphas, frame=frame,
-                        flags=frozenset({"NEAR_DEGENERATE"} if degenerate(M) else ()))
+    return SpecialPoint(x, STATIONARY[m], labels, alphas=alphas,
+                        near_degenerate=degenerate(M),
+                        frame=LocalFrame(W, tuple(betas[order]), 1.0 / d, G0))
 
 
 def classify_point(problem: ProblemSpec, p) -> SpecialPoint:
@@ -444,8 +450,6 @@ def contribution_verdict(sp: SpecialPoint, problem: ProblemSpec) -> tuple[bool, 
     x = sp.location
     if sp.kind in (PointKind.SP_ON_SURFACE, PointKind.SP_ON_CROSSING,
                    PointKind.TRIPLE_CROSSING):
-        if len(sp.alphas) != len(sp.components):
-            raise ValueError("missing frame data (alphas) on special point")
         for a, lab in zip(sp.alphas, sp.components):
             side = bypass_side(problem.shift, _component(problem, lab), x)
             # contribution iff Gamma runs on the growth side of w^mu e^{i w},
@@ -457,7 +461,7 @@ def contribution_verdict(sp: SpecialPoint, problem: ProblemSpec) -> tuple[bool, 
     if sp.kind is PointKind.CONICAL:
         # the shift and grad(G) in the cone's canonical coordinates w
         eps = sp.frame.axes @ problem.shift.eta
-        al = sp.frame.alphas
+        al = sp.frame.grad_w
         re = np.hypot(eps[0], eps[1])
         ra = np.hypot(al[0], al[1])
         if abs(eps[2]) <= re + 1e-12:
@@ -481,15 +485,12 @@ def detect_all(problem: ProblemSpec, seeds=None) -> list[SpecialPoint]:
     for c in comps:
         found += find_sp_on_surface(problem, c, seeds)
         found += find_conical_points(problem, c, seeds)
-    for i in range(len(comps)):
-        for j in range(i + 1, len(comps)):
-            found += find_sp_on_crossing(problem, comps[i], comps[j], seeds)
-    for i in range(len(comps)):
-        for j in range(i + 1, len(comps)):
-            for k in range(j + 1, len(comps)):
-                found += find_triple_crossings(problem, comps[i], comps[j],
-                                               comps[k], seeds)
+    for pair in itertools.combinations(comps, 2):
+        found += find_sp_on_crossing(problem, *pair, seeds)
+    for triple in itertools.combinations(comps, 3):
+        found += find_triple_crossings(problem, *triple, seeds)
+    judged = []
     for sp in found:
-        sp.contributes, sp.reason = contribution_verdict(sp, problem)
-    found.sort(key=lambda s: tuple(np.round(s.location, 12)))
-    return found
+        contributes, reason = contribution_verdict(sp, problem)
+        judged.append(replace(sp, contributes=contributes, reason=reason))
+    return sorted(judged, key=lambda s: tuple(np.round(s.location, 12)))

@@ -58,7 +58,7 @@ __all__ = [
 KELVIN_PREFACTOR = 1j / (8 * np.pi ** 3)
 WEDGE_SLOPE = 1 / (2 * np.sqrt(2))
 EPS_SHIFT = 1e-3
-SEARCH_RADIUS = 6.0   # half-width of the detection box in every xi
+SEARCH_RADIUS = 6.0   # least half-width of the detection box in every xi
 
 # mask bits for FieldGrid samples
 MASK_WAVE = 1        # wave-family terms active
@@ -127,19 +127,25 @@ def kelvin_problem(z1: float = 0.0, z2: float = 0.0, tau: float = 0.0) -> Proble
                lambda xi: np.stack([xi[..., 2], 0.0 * xi[..., 2], xi[..., 0]], axis=-1),
                const(np.array([[0.0, 0, 1], [0, 0, 0], [1, 0, 0]])))
 
-    def phase_family(z):
-        zz1, zz2, tt = z
-        return _field(lambda xi: xi[..., 0] * zz1 + xi[..., 1] * zz2 - xi[..., 2] * tt,
-                      const(np.array([zz1, zz2, -tt])), const(np.zeros((3, 3))))
-
-    z = (float(z1), float(z2), float(tau))
-    phase = PhaseSpec(G=phase_family(z), z=z, family=phase_family)
+    z1, z2, tau = float(z1), float(z2), float(tau)
+    G = _field(lambda xi: xi[..., 0] * z1 + xi[..., 1] * z2 - xi[..., 2] * tau,
+               const(np.array([z1, z2, -tau])), const(np.zeros((3, 3))))
     amp = AmplitudeSpec(N, (SingularityComponent(g1, -1.0, "pole-line"),
                             SingularityComponent(g2, -1.0, "dispersion-cone")))
-    R = SEARCH_RADIUS
+    # the box holds every special point, by bounds from the dispersion relation:
+    # on the crossing curve (varpi = xi1 = w, |xi2| = w*sqrt(w^2 - 1))
+    # stationarity gives (2w^2 - 1)/sqrt(w^2 - 1) = (tau - z1)/|z2|, at least
+    # 2*sqrt(w^2 - 1), so no coordinate exceeds 1 + ((tau - z1)/(2|z2|))^2; the
+    # transient lies at |xi| = (tau/(2r))^2.  Infinite bounds (z2 = 0, the
+    # origin) keep the least half-width.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        R = 1.25 * np.max([1 + ((tau - z1) / (2 * np.abs(z2))) ** 2,
+                           (tau / (2 * np.hypot(z1, z2))) ** 2])
+    R = max(SEARCH_RADIUS, R) if np.isfinite(R) else SEARCH_RADIUS
     box = Box3(np.array([-R, -R, -R]), np.array([R, R, R]),
                excluded_center=np.zeros(3), excluded_radius=0.05)
-    return ProblemSpec(amp, phase, DomainShift(np.array([0.0, 0.0, EPS_SHIFT])),
+    return ProblemSpec(amp, PhaseSpec(G, (z1, z2, tau)),
+                       DomainShift(np.array([0.0, 0.0, EPS_SHIFT])),
                        box, prefactor=KELVIN_PREFACTOR, name="kelvin")
 
 

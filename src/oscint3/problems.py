@@ -80,16 +80,18 @@ def quadratic_field(A=None, b=(0.0, 0.0, 0.0), c: float = 0.0) -> ScalarField3:
 class ProblemEntry:
     """One shipped problem and the hooks every run mode goes through.
 
-    `terms(problem)` returns the leading-order terms, which do not depend on
-    Lambda.  With `real_field` they are one of each conjugate pair and the
-    field is 2*Re(prefactor * sum).  `reference(problem, lam, spec=None)` is
+    `build(z)` assembles the problem at the run's observation point and time
+    z = (z1, z2, tau); the canonical problems do not depend on z and ignore
+    it.  `terms(problem)` returns the leading-order terms, which do not
+    depend on Lambda.  With `real_field` they are one of each conjugate pair
+    and the field is 2*Re(prefactor * sum).  `reference(problem, lam, spec=None)` is
     the independent value; the quadrature references (cone, kelvin) take
     their nodes from `spec`, default `default_quad`, and the others ignore
     it.
     """
 
     name: str
-    build: Callable[[], ProblemSpec]
+    build: Callable[[tuple[float, float, float]], ProblemSpec]
     reference: Callable[..., complex]
     default_quad: oracle.QuadratureSpec
     terms: Callable[[ProblemSpec], list[asym.AsymptoticTerm]] = asym.expand
@@ -110,7 +112,7 @@ def _pole_factor(lam: float, quadratic: bool = False) -> complex:
     return oracle.quad_contour_1d(f, oracle.gamma_tilde(r=0.3, T=8.0), lam)
 
 
-def _build_gaussian_sp() -> ProblemSpec:
+def _build_gaussian_sp(z=None) -> ProblemSpec:
     return ProblemSpec(
         AmplitudeSpec(gaussian_field()),
         PhaseSpec(quadratic_field(np.eye(3))),
@@ -123,7 +125,7 @@ def _ref_gaussian_sp(problem, lam, spec=None) -> complex:
     return _gauss_factor(lam) ** 3
 
 
-def _build_pole_sp() -> ProblemSpec:
+def _build_pole_sp(z=None) -> ProblemSpec:
     plane = SingularityComponent(quadratic_field(b=(1, 0, 0), c=-1.0), -1.0, "plane")
     return ProblemSpec(
         AmplitudeSpec(gaussian_field((1.0, 0.0, 0.0)), (plane,)),
@@ -137,7 +139,7 @@ def _ref_pole_sp(problem, lam, spec=None) -> complex:
     return np.exp(1j * lam) * _pole_factor(lam) * _gauss_factor(lam) ** 2
 
 
-def _build_double_cross() -> ProblemSpec:
+def _build_double_cross(z=None) -> ProblemSpec:
     pA = SingularityComponent(quadratic_field(b=(1, 0, 0)), -1.0, "pA")
     pB = SingularityComponent(quadratic_field(b=(0, 1, 0)), -1.0, "pB")
     return ProblemSpec(
@@ -152,12 +154,15 @@ def _ref_double_cross(problem, lam, spec=None) -> complex:
     return _pole_factor(lam) ** 2 * _gauss_factor(lam)
 
 
-def _build_triple_cross() -> ProblemSpec:
+def _build_triple_cross(z=None) -> ProblemSpec:
     comps = tuple(
         SingularityComponent(quadratic_field(b=np.eye(3)[k]), -1.0, f"p{k+1}")
         for k in range(3))
     # the quadratic part keeps the triple point strictly non-stationary on the
-    # crossing lines while giving the leading term a nonzero 1/Lambda error
+    # crossing lines; G is stationary at -1 along each axis, so the box leaves
+    # out seven contributing points (one interior, three on a surface, three
+    # on a crossing line) and the one-term sum has an error of order about
+    # Lambda^(-1/2), the crossing points' order
     return ProblemSpec(
         AmplitudeSpec(gaussian_field(), comps),
         PhaseSpec(quadratic_field(np.eye(3), (1, 1, 1))),
@@ -170,7 +175,7 @@ def _ref_triple_cross(problem, lam, spec=None) -> complex:
     return _pole_factor(lam, quadratic=True) ** 3
 
 
-def _build_cone() -> ProblemSpec:
+def _build_cone(z=None) -> ProblemSpec:
     cone = SingularityComponent(quadratic_field(np.diag([2.0, 2.0, -2.0])),
                                 -1.0, "cone")
     return ProblemSpec(
@@ -187,10 +192,6 @@ _CONE_QUAD = oracle.QuadratureSpec(R=3.0, n=384, taper=0.15)
 def _ref_cone(problem, lam, spec=None) -> complex:
     val, _ = oracle.quad_deformed_3d(problem, lam, spec or _CONE_QUAD)
     return val
-
-
-def _build_kelvin() -> ProblemSpec:
-    return kelvin_mod.kelvin_problem(2.0, 2.0, 10.0)
 
 
 def _ref_kelvin(problem, lam, spec=None) -> complex:
@@ -215,14 +216,16 @@ REGISTRY: dict[str, ProblemEntry] = {
                                  _ref_triple_cross,
                                  oracle.QuadratureSpec(R=6.0, n=256)),
     "cone": ProblemEntry("cone", _build_cone, _ref_cone, _CONE_QUAD),
-    "kelvin": ProblemEntry("kelvin", _build_kelvin, _ref_kelvin,
+    "kelvin": ProblemEntry("kelvin", lambda z: kelvin_mod.kelvin_problem(*z),
+                           _ref_kelvin,
                            oracle.QuadratureSpec(R=12.0, n=128),
                            terms=_terms_kelvin, real_field=True),
 }
 
 
 def get_problem(name: str) -> tuple[ProblemSpec, ProblemEntry]:
+    """The problem `name`, built at the CLI's default z, and its entry."""
     if name not in REGISTRY:
         raise KeyError(f"unknown problem {name!r}; known: {sorted(REGISTRY)}")
     entry = REGISTRY[name]
-    return entry.build(), entry
+    return entry.build((2.0, 2.0, 10.0)), entry

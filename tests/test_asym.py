@@ -12,17 +12,17 @@ from oscint3.core import (
     ProblemSpec,
     SingularityComponent,
 )
-from oscint3.detect import LocalFrame, PointKind
+from oscint3.detect import LocalFrame, PointKind, SpecialPoint
 from oscint3.problems import gaussian_field, quadratic_field
 from wake_curve import curve_L
 
 
-def _frame_at_origin(G, comps=()):
-    """The frame `judge` builds at the origin for phase G and surfaces comps."""
+def _point_at_origin(G, comps=()):
+    """The point `judge` builds at the origin for phase G and surfaces comps."""
     prob = ProblemSpec(AmplitudeSpec(gaussian_field(), tuple(comps)),
                        PhaseSpec(G), DomainShift(np.array([0.0, 0.0, 1e-3])),
                        Box3(np.full(3, -1.0), np.full(3, 1.0)))
-    return detect.classify_point(prob, np.zeros(3)).frame
+    return detect.classify_point(prob, np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -52,8 +52,9 @@ def test_gamma_factor_rejects_other_integers():
 def test_frame_single_canonical_plane():
     prob, _ = problems.get_problem("pole-sp")
     comp = prob.amplitude.components[0]
-    f = detect.find_sp_on_surface(prob, comp)[0].frame
-    assert f.alphas[0] == pytest.approx(1.0)
+    sp = detect.find_sp_on_surface(prob, comp)[0]
+    f = sp.frame
+    assert sp.alphas[0] == pytest.approx(1.0)
     assert f.betas == pytest.approx((1.0, 1.0))
     assert f.jacobian == pytest.approx(1.0)
     assert f.phase0 == pytest.approx(1.0)
@@ -63,16 +64,17 @@ def test_frame_single_curved_surface():
     # g = xi3 - xi1^2 - xi2^2, G = xi3: restricted Hessian is +diag(2,2)
     g = SingularityComponent(
         quadratic_field(np.diag([-2.0, -2.0, 0.0]), (0, 0, 1)), -1.0, "par")
-    f = _frame_at_origin(quadratic_field(b=(0, 0, 1)), (g,))
-    assert f.alphas == pytest.approx((1.0,))
-    assert f.betas == pytest.approx((2.0, 2.0))
+    sp = _point_at_origin(quadratic_field(b=(0, 0, 1)), (g,))
+    assert sp.alphas == pytest.approx((1.0,))
+    assert sp.frame.betas == pytest.approx((2.0, 2.0))
 
 
 def test_frame_double_canonical():
     prob, _ = problems.get_problem("double-cross")
     cA, cB = prob.amplitude.components
-    f = detect.find_sp_on_crossing(prob, cA, cB)[0].frame
-    assert f.alphas == pytest.approx((1.0, 1.0))
+    sp = detect.find_sp_on_crossing(prob, cA, cB)[0]
+    f = sp.frame
+    assert sp.alphas == pytest.approx((1.0, 1.0))
     assert f.betas[0] == pytest.approx(1.0)
     assert f.jacobian == pytest.approx(1.0)
 
@@ -84,29 +86,29 @@ def test_frame_jacobian_matches_axes():
     assert f.jacobian == pytest.approx(1.0 / np.linalg.det(f.axes), rel=1e-10)
 
 
-def _wmaps(frame, comps=()):
+def _wmaps(sp, comps=()):
     """The frame's coordinate maps xi -> w_n: w_k = alpha_k * g_k for the
     singular factors `comps`, the affine axes(xi - x) for the rest."""
     sing = [lambda xi, a=a, c=c: float(a * np.real(c.g(xi)))
-            for a, c in zip(frame.alphas, comps)]
-    free = [lambda xi, r=r: float(r @ (np.asarray(xi) - frame.location))
-            for r in frame.axes[len(sing):]]
+            for a, c in zip(sp.alphas, comps)]
+    free = [lambda xi, r=r: float(r @ (np.asarray(xi) - sp.location))
+            for r in sp.frame.axes[len(sing):]]
     return sing + free
 
 
-def _invert_wmap(frame, w, comps=()):
+def _invert_wmap(sp, w, comps=()):
     """Solve wmaps(xi) = w by Newton with the frame linearization."""
-    maps = _wmaps(frame, comps)
-    x = frame.location.astype(float).copy()
+    maps = _wmaps(sp, comps)
+    x = sp.location.astype(float).copy()
     for _ in range(60):
         F = np.array([m(x) for m in maps]) - w
         if np.linalg.norm(F) < 1e-15:
             break
-        x = x - np.linalg.solve(frame.axes, F)
+        x = x - np.linalg.solve(sp.frame.axes, F)
     return x
 
 
-def _check_frame_expansion(frame, G, linear, quadratic, comps=(), h=1e-3,
+def _check_frame_expansion(sp, G, linear, quadratic, comps=(), h=1e-3,
                            tol=2e-5):
     """FD re-expansion of G in the constructed w coordinates.
 
@@ -114,11 +116,11 @@ def _check_frame_expansion(frame, G, linear, quadratic, comps=(), h=1e-3,
     `quadratic` maps axis index -> expected second derivative (checked only
     for the free directions, where the frame stores a beta)."""
     e = np.eye(3)
-    g0 = float(np.real(G(frame.location)))
-    assert g0 == pytest.approx(frame.phase0, abs=1e-12)
+    g0 = float(np.real(G(sp.location)))
+    assert g0 == pytest.approx(sp.frame.phase0, abs=1e-12)
     for n in range(3):
-        gp = float(np.real(G(_invert_wmap(frame, h * e[n], comps))))
-        gm = float(np.real(G(_invert_wmap(frame, -h * e[n], comps))))
+        gp = float(np.real(G(_invert_wmap(sp, h * e[n], comps))))
+        gm = float(np.real(G(_invert_wmap(sp, -h * e[n], comps))))
         lin = (gp - gm) / (2 * h)
         assert lin == pytest.approx(linear[n], abs=tol * max(1, abs(linear[n])))
         if n in quadratic:
@@ -135,7 +137,7 @@ def test_frame_consistency_surface_curved():
         prob, cone, seeds=[np.array([0.4, 0.5, 1.05])])
         if s.location[2] > 0][0]
     f = sp.frame
-    _check_frame_expansion(f, prob.phase.G, (1.0, 0.0, 0.0),
+    _check_frame_expansion(sp, prob.phase.G, (1.0, 0.0, 0.0),
                            {1: f.betas[0], 2: f.betas[1]}, (cone,))
 
 
@@ -143,28 +145,28 @@ def test_frame_consistency_crossing_kelvin():
     prob = kelvin.kelvin_problem(3.0, 1.5, 10.0)
     cA, cB = prob.amplitude.components
     w1, _ = kelvin.stationary_frequencies(1.5 / 7.0)
-    f = detect.find_sp_on_crossing(prob, cA, cB,
-                                   seeds=[curve_L(w1) + 0.02])[0].frame
-    _check_frame_expansion(f, prob.phase.G, (1.0, 1.0, 0.0),
-                           {2: f.betas[0]}, (cA, cB))
+    sp = detect.find_sp_on_crossing(prob, cA, cB, seeds=[curve_L(w1) + 0.02])[0]
+    _check_frame_expansion(sp, prob.phase.G, (1.0, 1.0, 0.0),
+                           {2: sp.frame.betas[0]}, (cA, cB))
 
 
 def test_frame_consistency_interior():
     prob, _ = problems.get_problem("gaussian-sp")
-    f = detect.find_sp_interior(prob)[0].frame
-    _check_frame_expansion(f, prob.phase.G, (0, 0, 0),
-                           dict(enumerate(f.betas)))
+    sp = detect.find_sp_interior(prob)[0]
+    _check_frame_expansion(sp, prob.phase.G, (0, 0, 0),
+                           dict(enumerate(sp.frame.betas)))
 
 
 def test_frame_consistency_cone_linear_part():
     prob, _ = problems.get_problem("cone")
-    f = detect.find_conical_points(prob, prob.amplitude.components[0])[0].frame
-    _check_frame_expansion(f, prob.phase.G, f.alphas, {})
+    sp = detect.find_conical_points(prob, prob.amplitude.components[0])[0]
+    f = sp.frame
+    _check_frame_expansion(sp, prob.phase.G, f.grad_w, {})
     # and the quadric itself: cone_sign * g = w1^2 + w2^2 - w3^2
     g = prob.amplitude.components[0].g
     for w, want in [((1e-3, 0, 0), 1e-6), ((0, 1e-3, 0), 1e-6),
                     ((0, 0, 1e-3), -1e-6)]:
-        x = _invert_wmap(f, np.array(w))
+        x = _invert_wmap(sp, np.array(w))
         assert f.cone_sign * float(np.real(g(x))) == pytest.approx(want, rel=1e-6)
 
 
@@ -173,7 +175,7 @@ def test_frame_consistency_cone_linear_part():
 
 def test_term_interior_gaussian():
     prob, _ = problems.get_problem("gaussian-sp")
-    t = term_from_frame(detect.find_sp_interior(prob)[0].frame, prob.amplitude, ())
+    t = term_from_frame(detect.find_sp_interior(prob)[0], prob.amplitude, ())
     assert t.power == -1.5
     assert t.phase0 == 0.0
     assert t.coeff == pytest.approx(
@@ -181,16 +183,15 @@ def test_term_interior_gaussian():
 
 
 def test_term_interior_sign_bookkeeping():
-    f = _frame_at_origin(quadratic_field(np.diag([1.0, 1.0, -1.0])))
-    t = term_from_frame(f, AmplitudeSpec(gaussian_field()), ())
+    sp = _point_at_origin(quadratic_field(np.diag([1.0, 1.0, -1.0])))
+    t = term_from_frame(sp, AmplitudeSpec(gaussian_field()), ())
     assert np.angle(t.coeff) == pytest.approx(np.pi / 4)
 
 
 def test_term_interior_linear_in_J():
-    f1 = LocalFrame(PointKind.SP_INTERIOR, np.zeros(3), (), (), (1, 1, 1),
-                    1.0, np.eye(3), 0.0)
-    f2 = LocalFrame(PointKind.SP_INTERIOR, np.zeros(3), (), (), (1, 1, 1),
-                    2.0, np.eye(3), 0.0)
+    f1, f2 = (SpecialPoint(np.zeros(3), PointKind.SP_INTERIOR,
+                           frame=LocalFrame(np.eye(3), (1, 1, 1), J, 0.0))
+              for J in (1.0, 2.0))
     amp = AmplitudeSpec(gaussian_field())
     assert term_from_frame(f2, amp, ()).coeff == pytest.approx(
         2 * term_from_frame(f1, amp, ()).coeff)
@@ -199,7 +200,7 @@ def test_term_interior_linear_in_J():
 def test_term_surface_canonical():
     prob, _ = problems.get_problem("pole-sp")
     comp = prob.amplitude.components[0]
-    t = term_from_frame(detect.find_sp_on_surface(prob, comp)[0].frame,
+    t = term_from_frame(detect.find_sp_on_surface(prob, comp)[0],
                         prob.amplitude, (comp.mu,))
     assert t.power == -1.0
     assert t.phase0 == pytest.approx(1.0)
@@ -209,7 +210,7 @@ def test_term_surface_canonical():
 def test_term_crossing_canonical():
     prob, _ = problems.get_problem("double-cross")
     cA, cB = prob.amplitude.components
-    t = term_from_frame(detect.find_sp_on_crossing(prob, cA, cB)[0].frame,
+    t = term_from_frame(detect.find_sp_on_crossing(prob, cA, cB)[0],
                         prob.amplitude, (-1.0, -1.0))
     assert t.power == -0.5
     assert t.coeff == pytest.approx(
@@ -220,28 +221,28 @@ def test_term_crossing_canonical():
 def test_term_triple_canonical_linear_phase():
     comps = tuple(SingularityComponent(quadratic_field(b=np.eye(3)[k]), -1.0,
                                        f"p{k}") for k in range(3))
-    frame = LocalFrame(PointKind.TRIPLE_CROSSING, np.zeros(3),
-                       tuple(c.label for c in comps), (1.0, 1.0, 1.0), (), 1.0,
-                       np.eye(3), 0.0)
+    sp = SpecialPoint(np.zeros(3), PointKind.TRIPLE_CROSSING,
+                      tuple(c.label for c in comps), alphas=(1.0, 1.0, 1.0),
+                      frame=LocalFrame(np.eye(3), (), 1.0, 0.0))
     amp = AmplitudeSpec(gaussian_field(), comps)
-    t = term_from_frame(frame, amp, (-1.0, -1.0, -1.0))
+    t = term_from_frame(sp, amp, (-1.0, -1.0, -1.0))
     assert t.power == 0.0
     assert t.coeff == pytest.approx((2j * np.pi) ** 3, rel=1e-12)
 
 
 def test_term_triple_mixed_exponents():
-    frame = LocalFrame(PointKind.TRIPLE_CROSSING, np.zeros(3),
-                       (), (), (), 1.0, np.eye(3), 0.0)
+    sp = SpecialPoint(np.zeros(3), PointKind.TRIPLE_CROSSING,
+                      frame=LocalFrame(np.eye(3), (), 1.0, 0.0))
     amp = AmplitudeSpec(quadratic_field(c=1.0))   # N = 1, no components
-    t = term_from_frame(frame, amp, (-1.0, -0.5, -0.5))
+    t = term_from_frame(sp, amp, (-1.0, -0.5, -0.5))
     want = 2j * np.pi * (2 * np.sqrt(np.pi) * np.exp(0.25j * np.pi)) ** 2
     assert t.power == -1.0
     assert t.coeff == pytest.approx(want, rel=1e-12)
 
 
-def _cone_frame(alphas):
-    return LocalFrame(PointKind.CONICAL, np.zeros(3), ("cone",), alphas, (),
-                      1.0, np.eye(3), 0.0)
+def _cone_point(grad_w):
+    return SpecialPoint(np.zeros(3), PointKind.CONICAL, ("cone",),
+                        frame=LocalFrame(np.eye(3), (), 1.0, 0.0, grad_w=grad_w))
 
 
 def test_term_cone_substitutions():
@@ -249,10 +250,10 @@ def test_term_cone_substitutions():
                         (SingularityComponent(
                             quadratic_field(np.diag([2.0, 2.0, -2.0])),
                             -1.0, "cone"),))
-    t = term_cone(_cone_frame((0.0, 0.0, 1.0)), amp)
+    t = term_cone(_cone_point((0.0, 0.0, 1.0)), amp)
     assert t.coeff == pytest.approx(4 * np.pi ** 2)
     assert t.power == -1.0
-    t = term_cone(_cone_frame((0.6, 0.0, 1.0)), amp)
+    t = term_cone(_cone_point((0.6, 0.0, 1.0)), amp)
     assert t.coeff == pytest.approx(4 * np.pi ** 2 / 0.8)
 
 
@@ -308,7 +309,7 @@ def test_scaling_invariance_of_terms(c):
             DomainShift(np.array([-0.15, 0.0, 0.0])),
             Box3(np.array([0.0, -1.5, -1.5]), np.array([2.0, 1.5, 1.5])))
         sp = detect.find_sp_on_surface(prob, g, seeds=[np.array([1.1, 0.1, -0.1])])[0]
-        return term_from_frame(sp.frame, amp, (-1.0,))
+        return term_from_frame(sp, amp, (-1.0,))
 
     t1, tc = build(1.0), build(c)
     assert tc.coeff == pytest.approx(t1.coeff, rel=1e-10)

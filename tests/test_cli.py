@@ -109,6 +109,18 @@ def test_run_classify_csv(tmp_path):
     assert any("sp-on-crossing" in l for l in body)
 
 
+def test_run_classify_kelvin_builds_at_run_z(tmp_path):
+    """At slope 0.178 the diverging crossing pair lies at |xi2| = 7.41, outside
+    the box of the default z = (2, 2, 10); the box built at the run's z holds
+    it."""
+    cfg = parse_config("mode = classify\nproblem = kelvin\n"
+                       "z = 4.239236727820595,1.0206955600968026,10\n"
+                       f"out = {tmp_path}/k\n")
+    (path,) = run(cfg)
+    rows = [l.split(",") for l in open(path, newline="").read().split("\r\n")[1:] if l]
+    assert sum(r[5] == "True" for r in rows) == 4
+
+
 def test_run_asym_csv(tmp_path):
     cfg = parse_config(f"mode = asym\nproblem = pole-sp\nlambda = 40\n"
                        f"out = {tmp_path}/ps\n")

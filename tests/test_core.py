@@ -7,8 +7,8 @@ from oscint3.core import (
     SingularityComponent,
     TangentialShift,
     bypass_side,
-    check_field_derivatives,
 )
+from field_check import check_field_derivatives
 
 
 def _kelvin_comps():

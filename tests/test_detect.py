@@ -55,7 +55,7 @@ def test_interior_degenerate_flagged():
     seeds = [np.array([0.05, 0.02, -0.04])]
     pts = detect.find_sp_interior(p, seeds=seeds)
     assert len(pts) == 1
-    assert pts[0].flagged("NEAR_DEGENERATE")
+    assert pts[0].near_degenerate
     # no stationary-phase term exists there: expand refuses the point
     with pytest.raises(asym.DegenerateConfiguration):
         asym.expand(p, detect.detect_all(p, seeds=seeds))
@@ -185,6 +185,26 @@ def test_surface_singular_jacobian_fails_alone():
                                                  np.array([0.1, 0.1, 0.8])])
     assert len(pts) == 1
     assert np.allclose(pts[0].location, [0, 0, 1], atol=1e-12)
+
+
+def test_newton_line_search_batched():
+    """Newton on arctan overshoots from |y| > 1.4 and needs step halvings; the
+    line search makes at most two calls of F per step (the full step, then
+    every halving at once), and each row still converges to the root 0."""
+    log = []
+
+    def fun(y):
+        log.append("f")
+        return np.arctan(y)
+
+    def jac(y):
+        log.append("J")
+        return 1 / (1 + y[..., None] ** 2)
+
+    y, converged = detect._newton(fun, jac, np.array([[10.0], [-20.0], [3.0], [0.5]]))
+    assert np.all(converged) and np.max(np.abs(y)) <= 1e-12
+    # after each Jacobian: the line-search calls, then the next step's residual
+    assert max(len(calls) for calls in "".join(log).split("J")[1:]) <= 3
 
 
 # detect_all output of the per-seed Newton finders the batched solver replaced:
@@ -357,7 +377,8 @@ def test_classify_point_matches_detect_all(key):
     prob = problems.get_problem(name)[0] if z is None else kelvin.kelvin_problem(*z)
     for sp in detect.detect_all(prob):
         cp = classify_point(prob, sp.location)
-        assert (cp.kind, cp.components, cp.flags) == (sp.kind, sp.components, sp.flags)
+        assert (cp.kind, cp.components, cp.near_degenerate) == (
+            sp.kind, sp.components, sp.near_degenerate)
         assert contribution_verdict(cp, prob) == (sp.contributes, sp.reason)
         assert cp.alphas == pytest.approx(sp.alphas, rel=1e-12, abs=1e-12)
 
