@@ -26,12 +26,12 @@ the axes are the quadric's canonical coordinates and `grad_w` is grad(G) in
 w.  `asym` turns a point into a term, and `contribution_verdict` reads a
 cone's frame.
 
-Each finder solves a small system F(y) = 0 (grad G = 0, the Lagrange system
-on g = 0, ...) for its kind: its residual, Jacobian and start vectors (a seed
-grid over the search box) go to one damped Newton solver that runs all seeds
-at once on (n_seeds, k) stacks.  The roots inside the box and on the
-finder's surfaces are deduplicated, judged, and kept when they are of the
-finder's kind.
+Two finders solve F(y) = 0 from a seed grid over the search box, both with
+one damped Newton solver that runs all seeds at once on (n_seeds, k) stacks:
+`find_stationary` the Lagrange system g_k = 0, grad(G) = N^T a in y = (x, a)
+for any m = 0..3 surfaces, and `find_conical_points` grad(g) = 0 on one.  The
+roots inside the box and on the finder's surfaces are deduplicated, judged,
+and kept when they are of the finder's kind.
 """
 
 from __future__ import annotations
@@ -58,10 +58,7 @@ __all__ = [
     "SpecialPoint",
     "NonTransversal",
     "Indeterminate",
-    "find_sp_interior",
-    "find_sp_on_surface",
-    "find_sp_on_crossing",
-    "find_triple_crossings",
+    "find_stationary",
     "find_conical_points",
     "judge",
     "classify_point",
@@ -142,7 +139,7 @@ def _newton(fun, jac, y0: np.ndarray):
     `fun` maps (m, k) rows to (m, k) residuals, `jac` to (m, k, k) Jacobians.
     Each row stops at |F| < 1e-14 or once its step is below ROOT_TOL*(1 + |y|);
     it fails on a non-finite |F|, an exactly singular Jacobian, no decrease
-    of |F| along the full step or any of its 19 halvings, or after
+    of |F| along the full step or any of its 8 halvings, or after
     NEWTON_MAXITER steps.
     """
     def improves(f, nf):   # |f| finite and below nf, or below 1e-14
@@ -163,12 +160,12 @@ def _newton(fun, jac, y0: np.ndarray):
             step, ok = _steps(jac(y[live[go]]), f[go])
             live, nf, step = live[go][ok], nf[go][ok], step[ok]
             # backtracking line search on |F|: the full step for every row,
-            # then the 19 halvings of the rows it does not improve, all in one
+            # then the 8 halvings of the rows it does not improve, all in one
             # call; each row takes its first improving step
             x, lam = y[live], np.ones(len(live))
             todo = np.flatnonzero(~improves(fun(x - step), nf))
             if todo.size:
-                h = 0.5 ** np.arange(1, 20)
+                h = 0.5 ** np.arange(1, 9)
                 trial = x[todo, None] - h[:, None] * step[todo, None]
                 good = improves(fun(trial.reshape(-1, x.shape[1])).reshape(trial.shape),
                                  nf[todo, None])
@@ -235,8 +232,9 @@ def _rhess(f: ScalarField3, x) -> np.ndarray:
 
 
 def _normals(comps, x) -> np.ndarray:
-    """The m x 3 matrix N whose rows are the surfaces' normals grad(g_k) at x."""
-    return np.array([_rgrad(c.g, x) for c in comps]).reshape(len(comps), 3)
+    """The stacked normals N: rows grad(g_k), shape (..., m, 3) for x (..., 3)."""
+    return np.moveaxis(np.reshape([_rgrad(c.g, x) for c in comps],
+                                  (len(comps),) + x.shape), 0, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -296,67 +294,37 @@ def cone_axes(comp: SingularityComponent, x: np.ndarray):
 # ---------------------------------------------------------------------------
 # finders
 
-def find_sp_interior(problem: ProblemSpec, seeds=None):
-    """Interior stationary points: grad(G) = 0; a near-singular Hessian makes
-    the point `near_degenerate`."""
-    G = problem.phase.G
-    return _roots(problem, PointKind.SP_INTERIOR, (), lambda x: _rgrad(G, x),
-                  lambda x: _rhess(G, x), _seeds(problem, seeds))
-
-
-def find_sp_on_surface(problem: ProblemSpec, comp: SingularityComponent, seeds=None):
-    """Stationary points of G restricted to {g = 0}: solve g=0, grad(G)=a*grad(g)."""
-    G, g = problem.phase.G, comp.g
+def find_stationary(problem: ProblemSpec, comps, seeds=None):
+    """Stationary points of G on the m = len(comps) <= 3 surfaces: the
+    Lagrange system g_k = 0, grad(G) = N^T a in y = (x, a), with Jacobian
+    [[N, 0], [H_G - sum_k a_k H_gk, -N^T]].  The multipliers are seeded by
+    least squares (a = 0 at a zero normal); seeds with a non-finite normal
+    are dropped."""
+    m, G = len(comps), problem.phase.G
 
     def fun(y):
         x, a = y[:, :3], y[:, 3:]
-        return np.column_stack([np.real(g(x)), _rgrad(G, x) - a * _rgrad(g, x)])
+        g = np.real(np.reshape([c.g(x) for c in comps], (m, len(y)))).T
+        return np.column_stack(
+            [g, _rgrad(G, x) - np.einsum("nk,nki->ni", a, _normals(comps, x))])
 
     def jac(y):
-        x, a = y[:, :3], y[:, 3, None, None]
-        J = np.zeros((len(y), 4, 4))
-        J[:, 0, :3] = _rgrad(g, x)
-        J[:, 1:, :3] = _rhess(G, x) - a * _rhess(g, x)
-        J[:, 1:, 3] = -J[:, 0, :3]
+        x, a = y[:, :3], y[:, 3:]
+        N = _normals(comps, x)
+        J = np.zeros((len(y), 3 + m, 3 + m))
+        J[:, :m, :3] = N
+        J[:, m:, :3] = _rhess(G, x) - sum(a[:, k, None, None] * _rhess(c.g, x)
+                                          for k, c in enumerate(comps))
+        J[:, m:, 3:] = -np.swapaxes(N, 1, 2)
         return J
 
-    s = _seeds(problem, seeds)
+    x0 = _seeds(problem, seeds)
     with np.errstate(all="ignore"):
-        n, gG = _rgrad(g, s), _rgrad(G, s)
-        a0 = np.sum(gG * n, axis=-1) / np.maximum(np.sum(n * n, axis=-1), 1e-30)
-    y0 = np.column_stack([s, a0])[np.all(np.isfinite(n), axis=-1)]
-    return _roots(problem, PointKind.SP_ON_SURFACE, (comp,), fun, jac, y0)
-
-
-def find_sp_on_crossing(problem: ProblemSpec, compA, compB, seeds=None):
-    """Stationary points of G along the transversal crossing curve of two surfaces."""
-    G, gA, gB = problem.phase.G, compA.g, compB.g
-
-    def fun(x):
-        t = np.cross(_rgrad(gA, x), _rgrad(gB, x))
-        return np.column_stack([np.real(gA(x)), np.real(gB(x)),
-                                np.sum(t * _rgrad(G, x), axis=-1)])
-
-    def jac(x):
-        nA, nB, gG = _rgrad(gA, x), _rgrad(gB, x), _rgrad(G, x)
-        # d/dx of (nA x nB).grad(G), product rule over all three factors,
-        # each written as a triple product with the differentiated factor first
-        d = (np.einsum("ni,nil->nl", np.cross(nB, gG), _rhess(gA, x))
-             + np.einsum("ni,nil->nl", np.cross(gG, nA), _rhess(gB, x))
-             + np.einsum("ni,nil->nl", np.cross(nA, nB), _rhess(G, x)))
-        return np.stack([nA, nB, d], axis=1)
-
-    return _roots(problem, PointKind.SP_ON_CROSSING, (compA, compB), fun, jac,
-                  _seeds(problem, seeds))
-
-
-def find_triple_crossings(problem: ProblemSpec, compA, compB, compC, seeds=None):
-    """Isolated points where three surfaces meet transversally."""
-    comps = (compA, compB, compC)
-    return _roots(problem, PointKind.TRIPLE_CROSSING, comps,
-                  lambda x: np.column_stack([np.real(c.g(x)) for c in comps]),
-                  lambda x: np.stack([_rgrad(c.g, x) for c in comps], axis=1),
-                  _seeds(problem, seeds))
+        N = _normals(comps, x0)
+        ok = np.all(np.isfinite(N), axis=(1, 2))
+        x0, NT = x0[ok], np.swapaxes(N[ok], 1, 2)
+        a0 = (np.linalg.pinv(NT) @ _rgrad(G, x0)[..., None])[..., 0]
+    return _roots(problem, STATIONARY[m], comps, fun, jac, np.column_stack([x0, a0]))
 
 
 def find_conical_points(problem: ProblemSpec, comp: SingularityComponent, seeds=None):
@@ -480,15 +448,10 @@ def contribution_verdict(sp: SpecialPoint, problem: ProblemSpec) -> tuple[bool, 
 def detect_all(problem: ProblemSpec, seeds=None) -> list[SpecialPoint]:
     """Run every finder, attach verdicts, and return points sorted by location."""
     comps = problem.amplitude.components
-    found: list[SpecialPoint] = []
-    found += find_sp_interior(problem, seeds)
+    found = [sp for m in range(4) for sub in itertools.combinations(comps, m)
+             for sp in find_stationary(problem, sub, seeds)]
     for c in comps:
-        found += find_sp_on_surface(problem, c, seeds)
         found += find_conical_points(problem, c, seeds)
-    for pair in itertools.combinations(comps, 2):
-        found += find_sp_on_crossing(problem, *pair, seeds)
-    for triple in itertools.combinations(comps, 3):
-        found += find_triple_crossings(problem, *triple, seeds)
     judged = []
     for sp in found:
         contributes, reason = contribution_verdict(sp, problem)

@@ -52,7 +52,7 @@ def test_gamma_factor_rejects_other_integers():
 def test_frame_single_canonical_plane():
     prob, _ = problems.get_problem("pole-sp")
     comp = prob.amplitude.components[0]
-    sp = detect.find_sp_on_surface(prob, comp)[0]
+    sp = detect.find_stationary(prob, (comp,))[0]
     f = sp.frame
     assert sp.alphas[0] == pytest.approx(1.0)
     assert f.betas == pytest.approx((1.0, 1.0))
@@ -72,7 +72,7 @@ def test_frame_single_curved_surface():
 def test_frame_double_canonical():
     prob, _ = problems.get_problem("double-cross")
     cA, cB = prob.amplitude.components
-    sp = detect.find_sp_on_crossing(prob, cA, cB)[0]
+    sp = detect.find_stationary(prob, (cA, cB))[0]
     f = sp.frame
     assert sp.alphas == pytest.approx((1.0, 1.0))
     assert f.betas[0] == pytest.approx(1.0)
@@ -82,7 +82,7 @@ def test_frame_double_canonical():
 def test_frame_jacobian_matches_axes():
     prob, _ = problems.get_problem("double-cross")
     cA, cB = prob.amplitude.components
-    f = detect.find_sp_on_crossing(prob, cA, cB)[0].frame
+    f = detect.find_stationary(prob, (cA, cB))[0].frame
     assert f.jacobian == pytest.approx(1.0 / np.linalg.det(f.axes), rel=1e-10)
 
 
@@ -133,8 +133,8 @@ def test_frame_consistency_surface_curved():
     # transient point of the ship wake: curved surface, nontrivial alpha
     prob = kelvin.kelvin_problem(3.0, 4.0, 10.0)
     cone = prob.amplitude.components[1]
-    sp = [s for s in detect.find_sp_on_surface(
-        prob, cone, seeds=[np.array([0.4, 0.5, 1.05])])
+    sp = [s for s in detect.find_stationary(
+        prob, (cone,), seeds=[np.array([0.4, 0.5, 1.05])])
         if s.location[2] > 0][0]
     f = sp.frame
     _check_frame_expansion(sp, prob.phase.G, (1.0, 0.0, 0.0),
@@ -145,14 +145,14 @@ def test_frame_consistency_crossing_kelvin():
     prob = kelvin.kelvin_problem(3.0, 1.5, 10.0)
     cA, cB = prob.amplitude.components
     w1, _ = kelvin.stationary_frequencies(1.5 / 7.0)
-    sp = detect.find_sp_on_crossing(prob, cA, cB, seeds=[curve_L(w1) + 0.02])[0]
+    sp = detect.find_stationary(prob, (cA, cB), seeds=[curve_L(w1) + 0.02])[0]
     _check_frame_expansion(sp, prob.phase.G, (1.0, 1.0, 0.0),
                            {2: sp.frame.betas[0]}, (cA, cB))
 
 
 def test_frame_consistency_interior():
     prob, _ = problems.get_problem("gaussian-sp")
-    sp = detect.find_sp_interior(prob)[0]
+    sp = detect.find_stationary(prob, ())[0]
     _check_frame_expansion(sp, prob.phase.G, (0, 0, 0),
                            dict(enumerate(sp.frame.betas)))
 
@@ -175,7 +175,7 @@ def test_frame_consistency_cone_linear_part():
 
 def test_term_interior_gaussian():
     prob, _ = problems.get_problem("gaussian-sp")
-    t = term_from_frame(detect.find_sp_interior(prob)[0], prob.amplitude, ())
+    t = term_from_frame(detect.find_stationary(prob, ())[0], prob.amplitude, ())
     assert t.power == -1.5
     assert t.phase0 == 0.0
     assert t.coeff == pytest.approx(
@@ -200,7 +200,7 @@ def test_term_interior_linear_in_J():
 def test_term_surface_canonical():
     prob, _ = problems.get_problem("pole-sp")
     comp = prob.amplitude.components[0]
-    t = term_from_frame(detect.find_sp_on_surface(prob, comp)[0],
+    t = term_from_frame(detect.find_stationary(prob, (comp,))[0],
                         prob.amplitude, (comp.mu,))
     assert t.power == -1.0
     assert t.phase0 == pytest.approx(1.0)
@@ -210,7 +210,7 @@ def test_term_surface_canonical():
 def test_term_crossing_canonical():
     prob, _ = problems.get_problem("double-cross")
     cA, cB = prob.amplitude.components
-    t = term_from_frame(detect.find_sp_on_crossing(prob, cA, cB)[0],
+    t = term_from_frame(detect.find_stationary(prob, (cA, cB))[0],
                         prob.amplitude, (-1.0, -1.0))
     assert t.power == -0.5
     assert t.coeff == pytest.approx(
@@ -308,7 +308,7 @@ def test_scaling_invariance_of_terms(c):
             quadratic_field(np.diag([0.0, 1.0, 1.0]), (1, 0, 0))),
             DomainShift(np.array([-0.15, 0.0, 0.0])),
             Box3(np.array([0.0, -1.5, -1.5]), np.array([2.0, 1.5, 1.5])))
-        sp = detect.find_sp_on_surface(prob, g, seeds=[np.array([1.1, 0.1, -0.1])])[0]
+        sp = detect.find_stationary(prob, (g,), seeds=[np.array([1.1, 0.1, -0.1])])[0]
         return term_from_frame(sp, amp, (-1.0,))
 
     t1, tc = build(1.0), build(c)

@@ -1,3 +1,6 @@
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,14 +30,14 @@ def _problem(G, comps=(), eta=(0.0, 0.0, 1e-3), box=2.0):
 
 def test_interior_quadratic_saddle():
     p = _problem(quadratic_field(np.diag([1.0, 1.0, -1.0])))
-    pts = detect.find_sp_interior(p, seeds=[np.array([0.3, -0.2, 0.1])])
+    pts = detect.find_stationary(p, (), seeds=[np.array([0.3, -0.2, 0.1])])
     assert len(pts) == 1
     assert np.allclose(pts[0].location, 0, atol=1e-9)
 
 
 def test_interior_linear_phase_empty():
     p = kelvin.kelvin_problem(2.0, 1.0, 10.0)
-    assert detect.find_sp_interior(p) == []
+    assert detect.find_stationary(p, ()) == []
 
 
 def test_interior_degenerate_flagged():
@@ -53,7 +56,7 @@ def test_interior_degenerate_flagged():
     G = ScalarField3(value, grad, hess, real_on_real=True)
     p = _problem(G)
     seeds = [np.array([0.05, 0.02, -0.04])]
-    pts = detect.find_sp_interior(p, seeds=seeds)
+    pts = detect.find_stationary(p, (), seeds=seeds)
     assert len(pts) == 1
     assert pts[0].near_degenerate
     # no stationary-phase term exists there: expand refuses the point
@@ -64,7 +67,7 @@ def test_interior_degenerate_flagged():
 def test_surface_sp_plane():
     prob, _ = problems.get_problem("pole-sp")
     comp = prob.amplitude.components[0]
-    pts = detect.find_sp_on_surface(prob, comp)
+    pts = detect.find_stationary(prob, (comp,))
     assert len(pts) == 1
     assert np.allclose(pts[0].location, [1, 0, 0], atol=1e-9)
     assert pts[0].alphas[0] == pytest.approx(1.0)
@@ -75,7 +78,7 @@ def test_surface_sp_paraboloid():
         quadratic_field(np.diag([-2.0, -2.0, 0.0]), (0, 0, 1)), -1.0, "par")
     c = 0.7
     p = _problem(quadratic_field(b=(0, 0, c)), comps=[g], eta=(0, 0, 1e-3))
-    pts = detect.find_sp_on_surface(p, g, seeds=[np.array([0.2, -0.1, 0.1])])
+    pts = detect.find_stationary(p, (g,), seeds=[np.array([0.2, -0.1, 0.1])])
     assert len(pts) == 1
     assert np.allclose(pts[0].location, 0, atol=1e-9)
     assert pts[0].alphas[0] == pytest.approx(c)
@@ -88,7 +91,7 @@ def test_surface_sp_kelvin_transient_location():
     r = np.hypot(z1, z2)
     ws = tau / (2 * r)
     seed = np.array([ws ** 2 * z1 / r, ws ** 2 * z2 / r, ws]) + 0.05
-    pts = detect.find_sp_on_surface(prob, cone, seeds=[seed])
+    pts = detect.find_stationary(prob, (cone,), seeds=[seed])
     locs = [p for p in pts if p.location[2] > 0]
     assert len(locs) == 1
     assert locs[0].location[2] == pytest.approx(ws, abs=1e-9)
@@ -98,7 +101,7 @@ def test_surface_sp_kelvin_transient_location():
 def test_crossing_sp_canonical():
     prob, _ = problems.get_problem("double-cross")
     cA, cB = prob.amplitude.components
-    pts = detect.find_sp_on_crossing(prob, cA, cB)
+    pts = detect.find_stationary(prob, (cA, cB))
     assert len(pts) == 1
     assert np.allclose(pts[0].location, 0, atol=1e-9)
     assert pts[0].alphas == pytest.approx((1.0, 1.0))
@@ -115,7 +118,7 @@ def test_crossing_sp_kelvin_frequencies():
     w1 = np.sqrt(1.25 + np.sqrt(0.5)) / (np.sqrt(2) * 0.5)
     w2 = np.sqrt(1.25 - np.sqrt(0.5)) / (np.sqrt(2) * 0.5)
     seeds = [curve_L(w) + 0.02 for w in (w1, w2)]
-    pts = detect.find_sp_on_crossing(prob, cA, cB, seeds=seeds)
+    pts = detect.find_stationary(prob, (cA, cB), seeds=seeds)
     freqs = sorted(p.location[2] for p in pts)
     assert freqs == pytest.approx(sorted([w1, w2]), abs=1e-9)
 
@@ -123,8 +126,8 @@ def test_crossing_sp_kelvin_frequencies():
 def test_crossing_swap_symmetry():
     prob, _ = problems.get_problem("double-cross")
     cA, cB = prob.amplitude.components
-    a = detect.find_sp_on_crossing(prob, cA, cB)[0]
-    b = detect.find_sp_on_crossing(prob, cB, cA)[0]
+    a = detect.find_stationary(prob, (cA, cB))[0]
+    b = detect.find_stationary(prob, (cB, cA))[0]
     assert np.allclose(a.location, b.location, atol=1e-10)
     assert a.alphas == pytest.approx(b.alphas[::-1])
     assert contribution_verdict(a, prob)[0] == contribution_verdict(b, prob)[0]
@@ -135,10 +138,29 @@ def test_triple_crossing_canonical_and_alphas():
                                        f"p{k}") for k in range(3))
     p = _problem(quadratic_field(b=(2.0, 3.0, 5.0)), comps=comps,
                  eta=(-1e-3, -1e-3, -1e-3))
-    pts = detect.find_triple_crossings(p, *comps)
+    pts = detect.find_stationary(p, comps)
     assert len(pts) == 1
     assert np.allclose(pts[0].location, 0, atol=1e-10)
     assert pts[0].alphas == pytest.approx((2.0, 3.0, 5.0))
+
+
+def test_triple_cross_wide_box_every_kind():
+    """G of triple-cross is stationary at -1 along each axis.  In a +-1.6 box
+    detect_all finds eight contributing points, of every stationary kind (the
+    shipped box holds only the triple point), and the eight-term sum
+    converges faster than the crossing points' Lambda^(-1/2)."""
+    prob, entry = problems.get_problem("triple-cross")
+    wide = dataclasses.replace(prob, search_region=Box3(np.full(3, -1.6),
+                                                        np.full(3, 1.6)))
+    pts = detect.detect_all(wide)
+    assert all(sp.contributes for sp in pts)
+    assert Counter(sp.kind for sp in pts) == {
+        PointKind.SP_INTERIOR: 1, PointKind.SP_ON_SURFACE: 3,
+        PointKind.SP_ON_CROSSING: 3, PointKind.TRIPLE_CROSSING: 1}
+    terms = asym.expand(wide, pts)
+    err = [abs(asym.evaluate(terms, lam, wide.prefactor)
+               / entry.reference(wide, lam) - 1) for lam in (20.0, 80.0)]
+    assert np.log(err[0] / err[1]) / np.log(4.0) >= 1.3
 
 
 def test_triple_crossing_kelvin_empty():
@@ -181,10 +203,30 @@ def test_surface_singular_jacobian_fails_alone():
     must fail without taking the other seed of the stack with it."""
     g = SingularityComponent(quadratic_field(2 * np.eye(3), c=-1.0), -1.0, "sph")
     p = _problem(quadratic_field(b=(0, 0, 1)), comps=[g])
-    pts = detect.find_sp_on_surface(p, g, seeds=[np.zeros(3),
+    pts = detect.find_stationary(p, (g,), seeds=[np.zeros(3),
                                                  np.array([0.1, 0.1, 0.8])])
     assert len(pts) == 1
     assert np.allclose(pts[0].location, [0, 0, 1], atol=1e-12)
+
+
+def test_stalled_seeds_stay_cut(monkeypatch):
+    """G is linear on `cone` and stationary on the surface only at the apex,
+    where the Lagrange system is singular: most seeds drift for all
+    NEWTON_MAXITER steps.  The line search's short ladder of halvings bounds
+    the residual rows those steps cost."""
+    prob, _ = problems.get_problem("cone")
+    rows = []
+    newton = detect._newton
+
+    def counting(fun, jac, y0):
+        def counted(y):
+            rows.append(len(y))
+            return fun(y)
+        return newton(counted, jac, y0)
+
+    monkeypatch.setattr(detect, "_newton", counting)
+    detect.find_stationary(prob, prob.amplitude.components)
+    assert sum(rows) <= 350_000
 
 
 def test_newton_line_search_batched():
@@ -395,7 +437,7 @@ def test_classify_zero_multiplier_indeterminate():
     p = _problem(quadratic_field(b=(2.0, 3.0, 0.0)), comps=comps)
     with pytest.raises(detect.Indeterminate):
         classify_point(p, np.zeros(3))
-    assert detect.find_triple_crossings(p, *comps) == []
+    assert detect.find_stationary(p, comps) == []
 
 
 def test_classify_recovers_kinds():
@@ -440,7 +482,7 @@ def test_verdict_kelvin_transient_iff_causal():
         ws = abs(tau) / (2 * r)
         x = np.array([ws ** 2 * 0.6, ws ** 2 * 0.8, np.sign(tau) * ws])
         # alpha at the transient point is -r; on the tau<0 mirror it is +r
-        sp = detect.find_sp_on_surface(prob, cone, seeds=[x + 0.03])
+        sp = detect.find_stationary(prob, (cone,), seeds=[x + 0.03])
         sp = [s for s in sp if np.linalg.norm(s.location - x) < 0.3]
         assert len(sp) == 1
         ok, _ = contribution_verdict(sp[0], prob)
