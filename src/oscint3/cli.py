@@ -8,7 +8,8 @@ command line as `--key value`, which applies after every key of the file.
 Outputs are CSV tables (RFC-4180-ish, 17 significant digits) and ASCII PGM
 images.
 
-Exit codes: 0 success, 2 config error, 3 numeric failure.
+Exit codes: 0 success, 2 config error or an output path that cannot be
+written, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -38,13 +39,13 @@ class RunConfig:
     mode: str = "classify"
     problem: str = "gaussian-sp"
     lambdas: tuple[float, ...] = (40.0,)
-    z: tuple[float, float, float] = (2.0, 2.0, 10.0)
+    z: tuple[float, float, float] = problems.DEFAULT_Z
     grid: tuple[int, int] = (200, 200)
     z1_range: tuple[float, float] = (0.0, 14.0)
     z2_range: tuple[float, float] = (-5.0, 5.0)
     quad_r: float = 0.0          # 0 = problem default
     quad_n: int = 0
-    taper: float = 0.15
+    taper: float = oracle.QuadratureSpec.taper
     out: str = "oscint3-out"
 
 
@@ -153,7 +154,7 @@ def write_pgm(path: str, img: np.ndarray) -> None:
 def _quad_spec(cfg: RunConfig, entry: problems.ProblemEntry) -> oracle.QuadratureSpec:
     d = entry.default_quad
     return oracle.QuadratureSpec(R=cfg.quad_r or d.R, n=cfg.quad_n or d.n,
-                                 taper=cfg.taper, shift=d.shift)
+                                 taper=cfg.taper)
 
 
 def run(cfg: RunConfig) -> list[str]:
@@ -234,8 +235,7 @@ def run(cfg: RunConfig) -> list[str]:
         tau = cfg.z[2]
         ax1 = np.linspace(*cfg.z1_range, cfg.grid[0])
         ax2 = np.linspace(*cfg.z2_range, cfg.grid[1])
-        for fam in (1, 2):
-            img = render_wavefronts(ax1, ax2, tau, lam, fam)
+        for fam, img in enumerate(render_wavefronts(ax1, ax2, tau, lam), start=1):
             path = f"{cfg.out}-fronts-family{fam}.pgm"
             write_pgm(path, img.T[::-1])
             files.append(path)
@@ -271,6 +271,9 @@ def main(argv=None) -> int:
     except NUMERIC_ERRORS as e:
         print(f"numeric failure: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
+    except OSError as e:
+        print(f"output error: {e}", file=sys.stderr)
+        return 2
     for f in files:
         print(f)
     return 0

@@ -6,9 +6,10 @@ The integrals treated here have the form
 
 where xi ranges over a slightly complexified copy of R^3 (Gamma = R^3 + i*eta),
 the amplitude F factors as N(xi) * prod_j g_j(xi)^mu_j with analytic g_j, and
-G is the phase.  Everything downstream (detection of contributing points, the
-closed-form leading terms, the quadrature oracles) consumes the types defined
-in this module.
+G is the phase.  `ProblemSpec` holds F, G and eta side by side with the
+search box and prefactor.  Everything downstream (detection of contributing
+points, the closed-form leading terms, the quadrature oracles) consumes the
+types defined in this module.
 
 Points are numpy arrays of shape (..., 3): a single point is (3,), a stack of
 points carries its leading axes through every field evaluation.  Fields are
@@ -28,8 +29,6 @@ __all__ = [
     "ScalarField3",
     "SingularityComponent",
     "AmplitudeSpec",
-    "PhaseSpec",
-    "DomainShift",
     "Box3",
     "ProblemSpec",
     "bypass_side",
@@ -125,25 +124,6 @@ class AmplitudeSpec:
 
 
 @dataclass(frozen=True)
-class PhaseSpec:
-    """Phase G(xi; z) with its z-parameters already bound; detection and the
-    asymptotic formulas only ever see G as a field of xi."""
-
-    G: ScalarField3
-    z: tuple[float, ...] = ()
-
-
-@dataclass(frozen=True)
-class DomainShift:
-    """Constant imaginary displacement: Gamma = R^3 + i*eta."""
-
-    eta: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "eta", as_point(self.eta).astype(float))
-
-
-@dataclass(frozen=True)
 class Box3:
     """Axis-aligned search box, optionally with a small excluded ball."""
 
@@ -184,17 +164,23 @@ class Box3:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A fully assembled integral: amplitude, phase, shift, region, prefactor."""
+    """One integral pref * int_Gamma F exp(i*Lambda*G) dxi, Gamma = R^3 + i*eta.
+
+    G has its parameters z already bound; z stays for the closed forms that
+    need them.  eta must be a finite 3-vector (`replace` checks it too)."""
 
     amplitude: AmplitudeSpec
-    phase: PhaseSpec
-    shift: DomainShift
+    G: ScalarField3
+    eta: np.ndarray
     search_region: Box3
     prefactor: complex = 1.0
-    name: str = ""
+    z: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "eta", as_point(self.eta).astype(float))
 
 
-def bypass_side(shift: DomainShift, comp: SingularityComponent, p) -> int:
+def bypass_side(eta: np.ndarray, comp: SingularityComponent, p) -> int:
     """Side of the surface {g = 0} on which Gamma passes at p.
 
     Returns sign(eta . grad g): +1 means Gamma runs through the half-space
@@ -206,7 +192,6 @@ def bypass_side(shift: DomainShift, comp: SingularityComponent, p) -> int:
     if abs(gv) > SURFACE_TOL:
         raise ValueError(f"point not on surface {comp.label!r}: |g| = {abs(gv):.3e}")
     n = np.real(comp.g.grad(p))
-    eta = shift.eta
     s = float(eta @ n)
     if abs(s) <= TANGENCY_RTOL * np.linalg.norm(eta) * np.linalg.norm(n):
         raise TangentialShift(f"eta tangent to {comp.label!r} at {p}")

@@ -300,7 +300,7 @@ def find_stationary(problem: ProblemSpec, comps, seeds=None):
     [[N, 0], [H_G - sum_k a_k H_gk, -N^T]].  The multipliers are seeded by
     least squares (a = 0 at a zero normal); seeds with a non-finite normal
     are dropped."""
-    m, G = len(comps), problem.phase.G
+    m, G = len(comps), problem.G
 
     def fun(y):
         x, a = y[:, :3], y[:, 3:]
@@ -360,7 +360,7 @@ def judge(problem: ProblemSpec, x: np.ndarray, comps) -> SpecialPoint:
     m, labels = len(comps), tuple(c.label for c in comps)
     if m > 3:
         raise Indeterminate(f"{m} coincident surfaces at {x}")
-    G = problem.phase.G
+    G = problem.G
     G0, gG = float(np.real(G(x))), _rgrad(G, x)
     N = _normals(comps, x)
     if m == 1 and np.linalg.norm(N[0]) <= NEAR_ZERO:
@@ -419,7 +419,7 @@ def contribution_verdict(sp: SpecialPoint, problem: ProblemSpec) -> tuple[bool, 
     if sp.kind in (PointKind.SP_ON_SURFACE, PointKind.SP_ON_CROSSING,
                    PointKind.TRIPLE_CROSSING):
         for a, lab in zip(sp.alphas, sp.components):
-            side = bypass_side(problem.shift, _component(problem, lab), x)
+            side = bypass_side(problem.eta, _component(problem, lab), x)
             # contribution iff Gamma runs on the growth side of w^mu e^{i w},
             # i.e. bypasses below w = alpha*g for every involved surface
             if a * side >= 0:
@@ -428,7 +428,7 @@ def contribution_verdict(sp: SpecialPoint, problem: ProblemSpec) -> tuple[bool, 
 
     if sp.kind is PointKind.CONICAL:
         # the shift and grad(G) in the cone's canonical coordinates w
-        eps = sp.frame.axes @ problem.shift.eta
+        eps = sp.frame.axes @ problem.eta
         al = sp.frame.grad_w
         re = np.hypot(eps[0], eps[1])
         ra = np.hypot(al[0], al[1])

@@ -30,8 +30,6 @@ from .asym import AsymptoticTerm, evaluate
 from .core import (
     AmplitudeSpec,
     Box3,
-    DomainShift,
-    PhaseSpec,
     ProblemSpec,
     ScalarField3,
     SingularityComponent,
@@ -144,9 +142,8 @@ def kelvin_problem(z1: float = 0.0, z2: float = 0.0, tau: float = 0.0) -> Proble
     R = max(SEARCH_RADIUS, R) if np.isfinite(R) else SEARCH_RADIUS
     box = Box3(np.array([-R, -R, -R]), np.array([R, R, R]),
                excluded_center=np.zeros(3), excluded_radius=0.05)
-    return ProblemSpec(amp, PhaseSpec(G, (z1, z2, tau)),
-                       DomainShift(np.array([0.0, 0.0, EPS_SHIFT])),
-                       box, prefactor=KELVIN_PREFACTOR, name="kelvin")
+    return ProblemSpec(amp, G, np.array([0.0, 0.0, EPS_SHIFT]), box,
+                       prefactor=KELVIN_PREFACTOR, z=(z1, z2, tau))
 
 
 def _closed_forms(z1, z2, tau: float) -> SimpleNamespace:
@@ -291,13 +288,11 @@ def field_map(z1_axis, z2_axis, tau: float, lam: float) -> FieldGrid:
     return FieldGrid(z1_axis, z2_axis, values, mask)
 
 
-def render_wavefronts(z1_axis, z2_axis, tau: float, lam: float,
-                      family: int) -> np.ndarray:
-    """cos(Lambda * G*) of one wave family over the grid; NaN outside the
-    wedge (rendered neutral gray downstream).  family: 1 diverging, 2 transverse."""
-    if family not in (1, 2):
-        raise ValueError("family must be 1 or 2")
+def render_wavefronts(z1_axis, z2_axis, tau: float, lam: float) -> np.ndarray:
+    """cos(Lambda * G*) of both wave families over the grid, shape (2, n1, n2)
+    with the diverging family first; NaN outside the wedge (rendered neutral
+    gray downstream)."""
     z1, z2 = np.meshgrid(np.asarray(z1_axis, dtype=float),
                          np.abs(np.asarray(z2_axis, dtype=float)), indexing="ij")
     f = _closed_forms(z1, z2, tau)
-    return np.cos(lam * np.where(f.inside & (z2 >= 1e-12), f.phase[family - 1], np.nan))
+    return np.cos(lam * np.where(f.inside & (z2 >= 1e-12), f.phase, np.nan))

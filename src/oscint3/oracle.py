@@ -22,7 +22,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
-from .core import DomainShift, ProblemSpec
+from .core import ProblemSpec
 
 __all__ = [
     "SingularityTooClose",
@@ -59,18 +59,21 @@ class PoleCollision(Exception):
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Tensor quadrature parameters: truncation radius, nodes per axis,
-    cosine-window taper fraction (0 for none), optional shift override."""
+    cosine-window taper fraction (0 for none).  The contour's shift is the
+    problem's own eta."""
 
     R: float = 8.0
     n: int = 128
     taper: float = 0.15
-    shift: Optional[DomainShift] = None
 
     def __post_init__(self):
         if self.R <= 0 or self.n < 16 or self.n % 2:
             raise ValueError("need R > 0 and even n >= 16")
         if not 0 <= self.taper <= 0.5:
             raise ValueError("taper fraction in [0, 0.5]")
+
+
+KELVIN_QUAD = QuadratureSpec(R=12.0, n=128)   # kelvin_oracle's default nodes
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +172,9 @@ def quad_deformed_3d(problem: ProblemSpec, lam: float,
     evaluators broadcast over (..., 3) input, which this routine relies on
     for speed.
     """
-    shift = spec.shift if spec.shift is not None else problem.shift
-    eta = shift.eta
-    _check_singularity_margin(problem, eta, spec.R)
-    coarse = _quad_grid(problem, lam, spec, max(16, spec.n - 32), eta)
-    fine = _quad_grid(problem, lam, spec, spec.n, eta)
+    _check_singularity_margin(problem, spec.R)
+    coarse = _quad_grid(problem, lam, spec, max(16, spec.n - 32))
+    fine = _quad_grid(problem, lam, spec, spec.n)
     err = abs(fine - coarse)
     if err > 1e-3 * max(abs(fine), 1e-300):
         raise NonConvergent(f"n vs n-32 node difference {err:.3e} "
@@ -181,12 +182,12 @@ def quad_deformed_3d(problem: ProblemSpec, lam: float,
     return fine, err
 
 
-def _check_singularity_margin(problem: ProblemSpec, eta, R: float) -> None:
+def _check_singularity_margin(problem: ProblemSpec, R: float) -> None:
     if not problem.amplitude.components:
         return
     ax = np.linspace(-R, R, MARGIN_PROBES)
     X = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).astype(complex)
-    X += 1j * eta
+    X += 1j * problem.eta
     for c in problem.amplitude.components:
         if np.min(np.abs(c.g(X))) < SINGULARITY_MARGIN:
             raise SingularityTooClose(
@@ -194,11 +195,11 @@ def _check_singularity_margin(problem: ProblemSpec, eta, R: float) -> None:
 
 
 def _quad_grid(problem: ProblemSpec, lam: float, spec: QuadratureSpec,
-               n: int, eta) -> complex:
+               n: int) -> complex:
     xg, wg = leggauss(n)
     x = spec.R * xg
     w = spec.R * wg * _taper(x, spec.R, spec.taper)
-    F, G = problem.amplitude, problem.phase.G
+    F, G = problem.amplitude, problem.G
     total = 0j
     # slab over the first axis; the volume form of a constant shift is 1
     x23 = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1)
@@ -208,7 +209,7 @@ def _quad_grid(problem: ProblemSpec, lam: float, spec: QuadratureSpec,
         pts[..., 0] = x[i]
         pts[..., 1] = x23[..., 0]
         pts[..., 2] = x23[..., 1]
-        pts += 1j * np.asarray(eta)
+        pts += 1j * problem.eta
         vals = F.value_vec(pts) * np.exp(1j * lam * G.value(pts))
         total += w[i] * np.sum(w23 * vals)
     return complex(problem.prefactor) * total
@@ -257,8 +258,7 @@ def kelvin_oracle(z1: float, z2: float, tau: float, lam: float,
     Gauss-Legendre panels.  For tau < 0 the contour closes upward around no
     poles and the integral is exactly zero (causality).
     """
-    if spec is None:
-        spec = QuadratureSpec(R=12.0, n=128)
+    spec = spec or KELVIN_QUAD
     if tau < 0:
         return 0j
     fmax = max(abs(z1), abs(z2)) + 1.0 + tau * 0.55

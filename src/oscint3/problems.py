@@ -26,8 +26,6 @@ from . import kelvin as kelvin_mod
 from .core import (
     AmplitudeSpec,
     Box3,
-    DomainShift,
-    PhaseSpec,
     ProblemSpec,
     ScalarField3,
     SingularityComponent,
@@ -37,6 +35,7 @@ __all__ = [
     "gaussian_field",
     "quadratic_field",
     "ProblemEntry",
+    "DEFAULT_Z",
     "REGISTRY",
     "get_problem",
 ]
@@ -78,7 +77,8 @@ def quadratic_field(A=None, b=(0.0, 0.0, 0.0), c: float = 0.0) -> ScalarField3:
 
 @dataclass(frozen=True)
 class ProblemEntry:
-    """One shipped problem and the hooks every run mode goes through.
+    """One shipped problem and the hooks every run mode goes through; its
+    name is its key in `REGISTRY`.
 
     `build(z)` assembles the problem at the run's observation point and time
     z = (z1, z2, tau); the canonical problems do not depend on z and ignore
@@ -90,7 +90,6 @@ class ProblemEntry:
     it.
     """
 
-    name: str
     build: Callable[[tuple[float, float, float]], ProblemSpec]
     reference: Callable[..., complex]
     default_quad: oracle.QuadratureSpec
@@ -115,10 +114,9 @@ def _pole_factor(lam: float, quadratic: bool = False) -> complex:
 def _build_gaussian_sp(z=None) -> ProblemSpec:
     return ProblemSpec(
         AmplitudeSpec(gaussian_field()),
-        PhaseSpec(quadratic_field(np.eye(3))),
-        DomainShift(np.zeros(3)),
-        Box3(np.full(3, -2.0), np.full(3, 2.0)),
-        name="gaussian-sp")
+        quadratic_field(np.eye(3)),
+        np.zeros(3),
+        Box3(np.full(3, -2.0), np.full(3, 2.0)))
 
 
 def _ref_gaussian_sp(problem, lam, spec=None) -> complex:
@@ -129,10 +127,9 @@ def _build_pole_sp(z=None) -> ProblemSpec:
     plane = SingularityComponent(quadratic_field(b=(1, 0, 0), c=-1.0), -1.0, "plane")
     return ProblemSpec(
         AmplitudeSpec(gaussian_field((1.0, 0.0, 0.0)), (plane,)),
-        PhaseSpec(quadratic_field(np.diag([0.0, 1.0, 1.0]), (1, 0, 0))),
-        DomainShift(np.array([-0.15, 0.0, 0.0])),
-        Box3(np.array([0.0, -1.5, -1.5]), np.array([2.0, 1.5, 1.5])),
-        name="pole-sp")
+        quadratic_field(np.diag([0.0, 1.0, 1.0]), (1, 0, 0)),
+        np.array([-0.15, 0.0, 0.0]),
+        Box3(np.array([0.0, -1.5, -1.5]), np.array([2.0, 1.5, 1.5])))
 
 
 def _ref_pole_sp(problem, lam, spec=None) -> complex:
@@ -144,10 +141,9 @@ def _build_double_cross(z=None) -> ProblemSpec:
     pB = SingularityComponent(quadratic_field(b=(0, 1, 0)), -1.0, "pB")
     return ProblemSpec(
         AmplitudeSpec(gaussian_field(), (pA, pB)),
-        PhaseSpec(quadratic_field(np.diag([0.0, 0.0, 1.0]), (1, 1, 0))),
-        DomainShift(np.array([-0.15, -0.15, 0.0])),
-        Box3(np.full(3, -1.5), np.full(3, 1.5)),
-        name="double-cross")
+        quadratic_field(np.diag([0.0, 0.0, 1.0]), (1, 1, 0)),
+        np.array([-0.15, -0.15, 0.0]),
+        Box3(np.full(3, -1.5), np.full(3, 1.5)))
 
 
 def _ref_double_cross(problem, lam, spec=None) -> complex:
@@ -165,10 +161,9 @@ def _build_triple_cross(z=None) -> ProblemSpec:
     # Lambda^(-1/2), the crossing points' order
     return ProblemSpec(
         AmplitudeSpec(gaussian_field(), comps),
-        PhaseSpec(quadratic_field(np.eye(3), (1, 1, 1))),
-        DomainShift(np.array([-0.15, -0.15, -0.15])),
-        Box3(np.full(3, -0.6), np.full(3, 0.8)),
-        name="triple-cross")
+        quadratic_field(np.eye(3), (1, 1, 1)),
+        np.array([-0.15, -0.15, -0.15]),
+        Box3(np.full(3, -0.6), np.full(3, 0.8)))
 
 
 def _ref_triple_cross(problem, lam, spec=None) -> complex:
@@ -180,13 +175,12 @@ def _build_cone(z=None) -> ProblemSpec:
                                 -1.0, "cone")
     return ProblemSpec(
         AmplitudeSpec(gaussian_field(), (cone,)),
-        PhaseSpec(quadratic_field(b=(0.3, 0.0, 1.0))),
-        DomainShift(np.array([0.0, 0.0, -0.25])),
-        Box3(np.full(3, -1.0), np.full(3, 1.0)),
-        name="cone")
+        quadratic_field(b=(0.3, 0.0, 1.0)),
+        np.array([0.0, 0.0, -0.25]),
+        Box3(np.full(3, -1.0), np.full(3, 1.0)))
 
 
-_CONE_QUAD = oracle.QuadratureSpec(R=3.0, n=384, taper=0.15)
+_CONE_QUAD = oracle.QuadratureSpec(R=3.0, n=384)
 
 
 def _ref_cone(problem, lam, spec=None) -> complex:
@@ -195,31 +189,29 @@ def _ref_cone(problem, lam, spec=None) -> complex:
 
 
 def _ref_kelvin(problem, lam, spec=None) -> complex:
-    z1, z2, tau = problem.phase.z
+    z1, z2, tau = problem.z
     return oracle.kelvin_oracle(z1, z2, tau, lam, spec)
 
 
 def _terms_kelvin(problem) -> list[asym.AsymptoticTerm]:
-    return kelvin_mod.wake_terms(kelvin_mod.KelvinParams(*problem.phase.z))
+    return kelvin_mod.wake_terms(kelvin_mod.KelvinParams(*problem.z))
 
+
+DEFAULT_Z = (2.0, 2.0, 10.0)   # the CLI's z = (z1, z2, tau) when none is given
 
 REGISTRY: dict[str, ProblemEntry] = {
-    "gaussian-sp": ProblemEntry("gaussian-sp", _build_gaussian_sp,
-                                _ref_gaussian_sp,
+    "gaussian-sp": ProblemEntry(_build_gaussian_sp, _ref_gaussian_sp,
                                 oracle.QuadratureSpec(R=6.0, n=224)),
-    "pole-sp": ProblemEntry("pole-sp", _build_pole_sp, _ref_pole_sp,
+    "pole-sp": ProblemEntry(_build_pole_sp, _ref_pole_sp,
                             oracle.QuadratureSpec(R=6.0, n=256)),
-    "double-cross": ProblemEntry("double-cross", _build_double_cross,
-                                 _ref_double_cross,
+    "double-cross": ProblemEntry(_build_double_cross, _ref_double_cross,
                                  oracle.QuadratureSpec(R=6.0, n=256)),
-    "triple-cross": ProblemEntry("triple-cross", _build_triple_cross,
-                                 _ref_triple_cross,
+    "triple-cross": ProblemEntry(_build_triple_cross, _ref_triple_cross,
                                  oracle.QuadratureSpec(R=6.0, n=256)),
-    "cone": ProblemEntry("cone", _build_cone, _ref_cone, _CONE_QUAD),
-    "kelvin": ProblemEntry("kelvin", lambda z: kelvin_mod.kelvin_problem(*z),
-                           _ref_kelvin,
-                           oracle.QuadratureSpec(R=12.0, n=128),
-                           terms=_terms_kelvin, real_field=True),
+    "cone": ProblemEntry(_build_cone, _ref_cone, _CONE_QUAD),
+    "kelvin": ProblemEntry(lambda z: kelvin_mod.kelvin_problem(*z), _ref_kelvin,
+                           oracle.KELVIN_QUAD, terms=_terms_kelvin,
+                           real_field=True),
 }
 
 
@@ -228,4 +220,4 @@ def get_problem(name: str) -> tuple[ProblemSpec, ProblemEntry]:
     if name not in REGISTRY:
         raise KeyError(f"unknown problem {name!r}; known: {sorted(REGISTRY)}")
     entry = REGISTRY[name]
-    return entry.build((2.0, 2.0, 10.0)), entry
+    return entry.build(DEFAULT_Z), entry

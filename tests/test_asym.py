@@ -7,8 +7,6 @@ from oscint3.asym import gamma_factor, sum_asymptotics, term_cone, term_from_fra
 from oscint3.core import (
     AmplitudeSpec,
     Box3,
-    DomainShift,
-    PhaseSpec,
     ProblemSpec,
     SingularityComponent,
 )
@@ -20,7 +18,7 @@ from wake_curve import curve_L
 def _point_at_origin(G, comps=()):
     """The point `judge` builds at the origin for phase G and surfaces comps."""
     prob = ProblemSpec(AmplitudeSpec(gaussian_field(), tuple(comps)),
-                       PhaseSpec(G), DomainShift(np.array([0.0, 0.0, 1e-3])),
+                       G, np.array([0.0, 0.0, 1e-3]),
                        Box3(np.full(3, -1.0), np.full(3, 1.0)))
     return detect.classify_point(prob, np.zeros(3))
 
@@ -137,7 +135,7 @@ def test_frame_consistency_surface_curved():
         prob, (cone,), seeds=[np.array([0.4, 0.5, 1.05])])
         if s.location[2] > 0][0]
     f = sp.frame
-    _check_frame_expansion(sp, prob.phase.G, (1.0, 0.0, 0.0),
+    _check_frame_expansion(sp, prob.G, (1.0, 0.0, 0.0),
                            {1: f.betas[0], 2: f.betas[1]}, (cone,))
 
 
@@ -146,14 +144,14 @@ def test_frame_consistency_crossing_kelvin():
     cA, cB = prob.amplitude.components
     w1, _ = kelvin.stationary_frequencies(1.5 / 7.0)
     sp = detect.find_stationary(prob, (cA, cB), seeds=[curve_L(w1) + 0.02])[0]
-    _check_frame_expansion(sp, prob.phase.G, (1.0, 1.0, 0.0),
+    _check_frame_expansion(sp, prob.G, (1.0, 1.0, 0.0),
                            {2: sp.frame.betas[0]}, (cA, cB))
 
 
 def test_frame_consistency_interior():
     prob, _ = problems.get_problem("gaussian-sp")
     sp = detect.find_stationary(prob, ())[0]
-    _check_frame_expansion(sp, prob.phase.G, (0, 0, 0),
+    _check_frame_expansion(sp, prob.G, (0, 0, 0),
                            dict(enumerate(sp.frame.betas)))
 
 
@@ -161,7 +159,7 @@ def test_frame_consistency_cone_linear_part():
     prob, _ = problems.get_problem("cone")
     sp = detect.find_conical_points(prob, prob.amplitude.components[0])[0]
     f = sp.frame
-    _check_frame_expansion(sp, prob.phase.G, f.grad_w, {})
+    _check_frame_expansion(sp, prob.G, f.grad_w, {})
     # and the quadric itself: cone_sign * g = w1^2 + w2^2 - w3^2
     g = prob.amplitude.components[0].g
     for w, want in [((1e-3, 0, 0), 1e-6), ((0, 1e-3, 0), 1e-6),
@@ -262,10 +260,10 @@ def test_term_cone_substitutions():
 
 def test_sum_no_contributions_is_zero():
     # gaussian phase with the stationary point outside the search region
-    from oscint3.core import Box3, DomainShift, PhaseSpec, ProblemSpec
+    from oscint3.core import Box3, ProblemSpec
     p = ProblemSpec(AmplitudeSpec(gaussian_field()),
-                    PhaseSpec(quadratic_field(np.eye(3), b=(10, 10, 10))),
-                    DomainShift(np.zeros(3)),
+                    quadratic_field(np.eye(3), b=(10, 10, 10)),
+                    np.zeros(3),
                     Box3(np.full(3, -1.0), np.full(3, 1.0)))
     v, terms = sum_asymptotics(p, 40.0)
     assert v == 0 and terms == []
@@ -303,10 +301,10 @@ def test_scaling_invariance_of_terms(c):
                          lambda xi: scale * base.grad(xi),
                          lambda xi: scale * base.hess(xi), real_on_real=True)
         amp = AmplitudeSpec(N, (g,))
-        from oscint3.core import Box3, DomainShift, PhaseSpec, ProblemSpec
-        prob = ProblemSpec(amp, PhaseSpec(
-            quadratic_field(np.diag([0.0, 1.0, 1.0]), (1, 0, 0))),
-            DomainShift(np.array([-0.15, 0.0, 0.0])),
+        from oscint3.core import Box3, ProblemSpec
+        prob = ProblemSpec(
+            amp, quadratic_field(np.diag([0.0, 1.0, 1.0]), (1, 0, 0)),
+            np.array([-0.15, 0.0, 0.0]),
             Box3(np.array([0.0, -1.5, -1.5]), np.array([2.0, 1.5, 1.5])))
         sp = detect.find_stationary(prob, (g,), seeds=[np.array([1.1, 0.1, -0.1])])[0]
         return term_from_frame(sp, amp, (-1.0,))

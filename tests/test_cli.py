@@ -265,6 +265,13 @@ def test_main_bad_config_exit_2(capsys):
     assert main(["--config", "/nonexistent/path.cfg"]) == 2
 
 
+def test_main_unwritable_out_exit_2(tmp_path, capsys):
+    rc = main(["--mode", "asym", "--out", str(tmp_path / "missing" / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_main_numeric_failure_exit_3(tmp_path, capsys):
     # kelvin asym exactly on the transient merge curve raises and maps to 3
     z1, tau = 2.0, 10.0

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from oscint3 import core, kelvin, problems
 from oscint3.core import (
-    DomainShift,
+    ProblemSpec,
     SingularityComponent,
     TangentialShift,
     bypass_side,
@@ -19,20 +21,20 @@ def _kelvin_comps():
 def test_bypass_side_kelvin_plane_above():
     p, (g1, _) = _kelvin_comps()
     # on the plane varpi = xi1
-    assert bypass_side(p.shift, g1, np.array([0.5, 0.3, 0.5])) == +1
+    assert bypass_side(p.eta, g1, np.array([0.5, 0.3, 0.5])) == +1
 
 
 def test_bypass_side_kelvin_cone_sign_of_frequency():
     p, (_, g2) = _kelvin_comps()
     up = np.array([1.0, 0.0, 1.0])            # varpi > 0 sheet
     dn = np.array([1.0, 0.0, -1.0])           # varpi < 0 sheet
-    assert bypass_side(p.shift, g2, up) == +1
-    assert bypass_side(p.shift, g2, dn) == -1
+    assert bypass_side(p.eta, g2, up) == +1
+    assert bypass_side(p.eta, g2, dn) == -1
 
 
 def test_bypass_side_tangential_raises():
     p, (g1, _) = _kelvin_comps()
-    tangent_shift = DomainShift(np.array([1e-3, 0.0, 1e-3]))  # along the plane
+    tangent_shift = np.array([1e-3, 0.0, 1e-3])  # along the plane
     with pytest.raises(TangentialShift):
         bypass_side(tangent_shift, g1, np.array([0.5, 0.3, 0.5]))
 
@@ -40,14 +42,24 @@ def test_bypass_side_tangential_raises():
 def test_bypass_side_requires_surface_point():
     p, (g1, _) = _kelvin_comps()
     with pytest.raises(ValueError):
-        bypass_side(p.shift, g1, np.array([0.5, 0.3, 0.9]))
+        bypass_side(p.eta, g1, np.array([0.5, 0.3, 0.9]))
 
 
 def test_bypass_constant_on_plane_sheet():
     p, (g1, _) = _kelvin_comps()
     for a in np.linspace(-2, 2, 20):
         for b in np.linspace(-2, 2, 20):
-            assert bypass_side(p.shift, g1, np.array([a, b, a])) == +1
+            assert bypass_side(p.eta, g1, np.array([a, b, a])) == +1
+
+
+@pytest.mark.parametrize("eta", [[0.0, float("nan"), 1e-3], [0.0, 1e-3]],
+                         ids=["nan", "shape-2"])
+def test_problem_rejects_bad_eta(eta):
+    p, _ = _kelvin_comps()
+    with pytest.raises(ValueError):
+        ProblemSpec(p.amplitude, p.G, np.array(eta), p.search_region)
+    with pytest.raises(ValueError):
+        dataclasses.replace(p, eta=np.array(eta))
 
 
 def test_singularity_component_rejects_bad_mu():
@@ -65,7 +77,7 @@ def test_shipped_fields_pass_derivative_crosscheck(name):
     rng = np.random.default_rng(7)
     box = prob.search_region
     pts = rng.uniform(box.lo, box.hi, size=(100, 3))
-    check_field_derivatives(prob.phase.G, pts)
+    check_field_derivatives(prob.G, pts)
     for c in prob.amplitude.components:
         check_field_derivatives(c.g, pts)
 
@@ -74,7 +86,7 @@ def test_kelvin_fields_pass_derivative_crosscheck():
     prob = kelvin.kelvin_problem(2.0, 2.0, 10.0)
     rng = np.random.default_rng(8)
     pts = rng.uniform(0.5, 2.5, size=(100, 3))  # away from the rho = 0 axis
-    check_field_derivatives(prob.phase.G, pts)
+    check_field_derivatives(prob.G, pts)
     check_field_derivatives(prob.amplitude.smooth_factor, pts)
     for c in prob.amplitude.components:
         check_field_derivatives(c.g, pts)

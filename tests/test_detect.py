@@ -9,8 +9,6 @@ from oscint3 import asym, detect, kelvin, problems
 from oscint3.core import (
     AmplitudeSpec,
     Box3,
-    DomainShift,
-    PhaseSpec,
     ProblemSpec,
     SingularityComponent,
 )
@@ -21,7 +19,7 @@ from wake_curve import curve_L
 
 def _problem(G, comps=(), eta=(0.0, 0.0, 1e-3), box=2.0):
     return ProblemSpec(AmplitudeSpec(gaussian_field(), tuple(comps)),
-                       PhaseSpec(G), DomainShift(np.array(eta)),
+                       G, np.array(eta),
                        Box3(np.full(3, -box), np.full(3, box)))
 
 
@@ -195,7 +193,7 @@ def test_convergence_certificate():
                 comp = next(c for c in prob.amplitude.components if c.label == lab)
                 assert abs(np.real(comp.g(x))) <= 1e-11
             if sp.kind is PointKind.SP_INTERIOR:
-                assert np.linalg.norm(np.real(prob.phase.G.grad(x))) <= 1e-10
+                assert np.linalg.norm(np.real(prob.G.grad(x))) <= 1e-10
 
 
 def test_surface_singular_jacobian_fails_alone():
@@ -386,7 +384,7 @@ def test_classify_off_singularity():
     prob, _ = problems.get_problem("pole-sp")
     sp = classify_point(prob, np.array([0.4, 0.2, 0.1]))
     assert sp.kind is PointKind.NON_SPECIAL
-    gG = np.real(prob.phase.G.grad(sp.location))
+    gG = np.real(prob.G.grad(sp.location))
     assert abs(sp.witness @ gG) > 1e-9
 
 
@@ -397,7 +395,7 @@ def test_classify_on_surface_nonstationary():
     sp = classify_point(prob, p)
     assert sp.kind is PointKind.NON_SPECIAL
     n = np.real(comp.g.grad(p))
-    gG = np.real(prob.phase.G.grad(p))
+    gG = np.real(prob.G.grad(p))
     assert abs(sp.witness @ n) <= 1e-9 * np.linalg.norm(sp.witness) * np.linalg.norm(n)
     assert abs(sp.witness @ gG) > 1e-9
 
@@ -410,7 +408,7 @@ def test_classify_on_crossing_nonstationary():
     for comp in prob.amplitude.components:
         n = np.real(comp.g.grad(p))
         assert abs(sp.witness @ n) <= 1e-9 * np.linalg.norm(sp.witness) * np.linalg.norm(n)
-    assert abs(sp.witness @ np.real(prob.phase.G.grad(p))) > 1e-9
+    assert abs(sp.witness @ np.real(prob.G.grad(p))) > 1e-9
 
 
 @pytest.mark.parametrize("key", list(PINNED_POINTS), ids=str)

@@ -253,7 +253,7 @@ def test_grid_matches_per_sample_reference(tau):
                 if wedge_test(a, abs(b), tau) and abs(b) >= 1e-12:
                     w = stationary_frequencies(abs(b) / (tau - a))[fam - 1]
                     want[i, j] = np.cos(lam * w ** 3 * (a - tau) / (2 * w ** 2 - 1))
-        np.testing.assert_allclose(render_wavefronts(z1, z2, tau, lam, fam),
+        np.testing.assert_allclose(render_wavefronts(z1, z2, tau, lam)[fam - 1],
                                    want, rtol=0, atol=1e-9)
 
 
@@ -264,16 +264,14 @@ def test_grid_through_body_track_and_origin():
     g = field_map(z1, z2, 10.0, 40.0)
     assert np.all(np.isfinite(g.values))
     assert np.all(g.mask[:, 1] == MASK_INVALID)
-    for fam in (1, 2):
-        img = render_wavefronts(z1, z2, 10.0, 40.0, fam)
+    for img in render_wavefronts(z1, z2, 10.0, 40.0):
         assert np.all(np.isnan(img[:, 1])) and np.all(np.isnan(img[3:]))
 
 
 def test_render_wavefronts_range_and_wedge():
     z1 = np.linspace(-2, 8, 30)
     z2 = np.linspace(-3, 3, 21)
-    for fam in (1, 2):
-        img = render_wavefronts(z1, z2, 10.0, 40.0, fam)
+    for img in render_wavefronts(z1, z2, 10.0, 40.0):
         inside = np.isfinite(img)
         assert np.any(inside)
         assert np.all(np.abs(img[inside]) <= 1.0)
@@ -283,8 +281,6 @@ def test_render_wavefronts_range_and_wedge():
                     assert np.isnan(img[i, j])
         # mirror symmetry in z2
         assert np.array_equal(np.isnan(img), np.isnan(img[:, ::-1]))
-    with pytest.raises(ValueError):
-        render_wavefronts(z1, z2, 10.0, 40.0, 3)
 
 
 def test_transverse_front_spacing_near_axis():
@@ -292,7 +288,7 @@ def test_transverse_front_spacing_near_axis():
     2*pi/Lambda in z1 (w2 -> 1 so G* -> z1 - tau)."""
     lam, tau = 40.0, 30.0
     z1 = np.linspace(2.0, 8.0, 4001)
-    img = render_wavefronts(z1, [0.2], tau, lam, family=2)[:, 0]
+    img = render_wavefronts(z1, [0.2], tau, lam)[1, :, 0]
     s = np.sign(img)
     crossings = np.nonzero(s[1:] * s[:-1] < 0)[0]
     spacing = np.mean(np.diff(z1[crossings]))

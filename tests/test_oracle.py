@@ -1,9 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from oscint3 import oracle, problems
 from oscint3.asym import gamma_factor, sum_asymptotics
-from oscint3.core import DomainShift
 from oscint3.oracle import (
     Contour1D,
     QuadratureSpec,
@@ -87,9 +88,9 @@ def test_quad_deformed_rejects_undeformed_singular_domain():
     # on where the nodes land this trips either the margin probe or the
     # convergence gate, and both are hard failures
     prob, _ = problems.get_problem("pole-sp")
-    spec = QuadratureSpec(R=6.0, n=64, shift=DomainShift(np.zeros(3)))
+    prob = dataclasses.replace(prob, eta=np.zeros(3))
     with pytest.raises((SingularityTooClose, oracle.NonConvergent)):
-        quad_deformed_3d(prob, 20.0, spec)
+        quad_deformed_3d(prob, 20.0, QuadratureSpec(R=6.0, n=64))
 
 
 def test_quad_deformed_agrees_with_asymptotics_gaussian():
