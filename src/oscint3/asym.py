@@ -126,10 +126,8 @@ def term_cone(sp: SpecialPoint, amplitude: AmplitudeSpec) -> AsymptoticTerm:
     a1, a2, a3 = frame.grad_w
     disc = a3 * a3 - a1 * a1 - a2 * a2
     # C from F = N/g = cone_sign * N / (w1^2+w2^2-w3^2), other factors at x
-    C = frame.cone_sign * complex(amplitude.smooth_factor(sp.location))
-    for c in amplitude.components:
-        if c.label not in sp.components:
-            C *= complex(c.g(sp.location)) ** c.mu
+    C = frame.cone_sign * local_coefficient(amplitude, sp.components, (1.0,),
+                                            sp.location)
     A = 4 * C * np.pi ** 2 * frame.jacobian / np.sqrt(disc)
     return AsymptoticTerm(A, -1.0, frame.phase0)
 

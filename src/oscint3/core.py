@@ -14,7 +14,8 @@ types defined in this module.
 Points are numpy arrays of shape (..., 3): a single point is (3,), a stack of
 points carries its leading axes through every field evaluation.  Fields are
 triples of callables (value, gradient, hessian) bundled in
-:class:`ScalarField3`.
+:class:`ScalarField3`; `quadratic_field` and `gaussian_field` build every
+polynomial and Gaussian field of the shipped problems, Kelvin's included.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ import numpy as np
 __all__ = [
     "TangentialShift",
     "ScalarField3",
+    "gaussian_field",
+    "quadratic_field",
     "SingularityComponent",
     "AmplitudeSpec",
     "Box3",
@@ -63,15 +66,12 @@ class ScalarField3:
     value, gradient, hessian : callables
         Closed-form evaluators of real or complex (..., 3) input: `value`
         returns shape (...), `gradient` (..., 3) and `hessian` the symmetric
-        (..., 3, 3) stack.
-    real_on_real : bool
-        Declares that the field takes real values at real points.
+        (..., 3, 3) stack; a point in a stack should get the bits it gets alone.
     """
 
     value: Callable[[np.ndarray], complex]
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
-    real_on_real: bool = False
 
     def __call__(self, xi) -> complex:
         return self.value(np.asarray(xi))
@@ -83,12 +83,49 @@ class ScalarField3:
         return np.asarray(self.hessian(np.asarray(xi)))
 
 
+def gaussian_field(center=(0.0, 0.0, 0.0)) -> ScalarField3:
+    """exp(-|xi - c|^2), broadcasting over (..., 3) input."""
+    c = np.asarray(center, dtype=float)
+
+    def value(xi):
+        d = xi - c
+        return np.exp(-np.sum(d * d, axis=-1))
+
+    def grad(xi):
+        d = xi - c
+        return -2.0 * d * np.exp(-np.sum(d * d, axis=-1))[..., None]
+
+    def hess(xi):
+        d = xi - c
+        return ((4.0 * d[..., :, None] * d[..., None, :] - 2.0 * np.eye(3))
+                * np.exp(-np.sum(d * d, axis=-1))[..., None, None])
+
+    return ScalarField3(value, grad, hess)
+
+
+def quadratic_field(A=None, b=(0.0, 0.0, 0.0), c: float = 0.0) -> ScalarField3:
+    """(1/2) xi.A.xi + b.xi + c with constant A; covers every shipped g and
+    G except Kelvin's dispersion cone, and Kelvin's N."""
+    A = np.zeros((3, 3)) if A is None else np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+
+    def value(xi):
+        q = 0.5 * np.einsum("...i,ij,...j->...", xi, A, xi)
+        # b.xi written out: `xi @ b` rounds a stack and one point differently;
+        # xi @ A.T does not where each row of A has one nonzero entry at most
+        return q + (xi[..., 0] * b[0] + xi[..., 1] * b[1] + xi[..., 2] * b[2]) + c
+
+    return ScalarField3(value, lambda xi: xi @ A.T + b,
+                        lambda xi: np.broadcast_to(A, xi.shape + (3,)))
+
+
 @dataclass(frozen=True)
 class SingularityComponent:
     """One factor g^mu of the amplitude; sigma = {g = 0} is where F blows up.
 
-    mu must be -1 (simple pole) or non-integer (branch power); other integer
-    powers are either regular or reducible and are not admitted.
+    g is real at real points, where only its real part is read.  mu must be
+    -1 (simple pole) or non-integer (branch power); other integer powers are
+    either regular or reducible and are not admitted.
     """
 
     g: ScalarField3
@@ -99,8 +136,6 @@ class SingularityComponent:
         mu = self.mu
         if mu != -1 and float(mu) == int(mu):
             raise ValueError(f"component {self.label!r}: mu must be -1 or non-integer, got {mu}")
-        if not self.g.real_on_real:
-            raise ValueError(f"component {self.label!r}: g must be real-on-real")
 
 
 @dataclass(frozen=True)

@@ -6,16 +6,18 @@ G = xi1*z1 + xi2*z2 - varpi*tau and amplitude
 
     F = xi1*varpi / ((varpi - xi1) * (varpi^2 - sqrt(xi1^2 + xi2^2))),
 
-both simple poles.  The domain is shifted up in varpi by i*eps.  Behind the
-body, stationary points of G on the curve where both pole surfaces cross
-generate the two wave families confined to the wedge of half-angle
-arctan(1/(2*sqrt(2))); a stationary point on the dispersion cone generates the
-circular transient from the onset of motion.
+both simple poles.  The pole plane, N and G are `core.quadratic_field`s; only
+the dispersion cone is written by hand.  The domain is shifted up in varpi by
+i*eps.  Behind the body, stationary points of G on the curve where both pole
+surfaces cross generate the two wave families confined to the wedge of
+half-angle arctan(1/(2*sqrt(2))); a stationary point on the dispersion cone
+generates the circular transient from the onset of motion.
 
 The closed forms here are an independent derivation of the same frames the
 generic detect/asym path produces; the test suite checks they agree.  Each
-is written once, in `_closed_forms`, which broadcasts over samples: a single
-point and a grid sample take the same array arithmetic and agree exactly.
+closed form and each degeneracy threshold is written once, in `_closed_forms`,
+which broadcasts over samples: a single point and a grid sample take the same
+array arithmetic and agree exactly.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .core import (
     ProblemSpec,
     ScalarField3,
     SingularityComponent,
+    quadratic_field,
 )
 
 __all__ = [
@@ -65,7 +68,8 @@ MASK_INVALID = 4     # excluded: z2 strip, origin, wedge margin, degenerate, mer
 
 
 class DegenerateFamily(Exception):
-    """Wave family too close to the wedge boundary (beta ~ 0, merge regime)."""
+    """No wave-family term: a family near the wedge boundary (beta ~ 0, merge
+    regime), or the track z2 = 0, where the diverging frequency is infinite."""
 
 
 class MergeProximity(Exception):
@@ -88,19 +92,12 @@ class FieldGrid:
     mask: np.ndarray         # int bitmask per sample
 
 
-def _field(value, gradient, hessian) -> ScalarField3:
-    return ScalarField3(value, gradient, hessian, real_on_real=True)
-
-
-def kelvin_problem(z1: float = 0.0, z2: float = 0.0, tau: float = 0.0) -> ProblemSpec:
+def kelvin_problem(z1: float, z2: float, tau: float) -> ProblemSpec:
     """Assemble the ship-wake integral for given observation point and time."""
-
-    def const(v):
-        """Constant gradient or Hessian v over the leading axes of xi."""
-        return lambda xi: np.broadcast_to(v, xi.shape[:-1] + np.shape(v))
-
-    g1 = _field(lambda xi: xi[..., 2] - xi[..., 0],
-                const(np.array([-1.0, 0.0, 1.0])), const(np.zeros((3, 3))))
+    z1, z2, tau = float(z1), float(z2), float(tau)
+    g1 = quadratic_field(b=(-1, 0, 1))
+    N = quadratic_field([[0, 0, 1], [0, 0, 0], [1, 0, 0]])
+    G = quadratic_field(b=(z1, z2, -tau))
 
     def rho(xi):
         return np.sqrt(xi[..., 0] ** 2 + xi[..., 1] ** 2)
@@ -119,15 +116,7 @@ def kelvin_problem(z1: float = 0.0, z2: float = 0.0, tau: float = 0.0) -> Proble
         H[..., 2, 2] = 2.0
         return H
 
-    g2 = _field(lambda xi: xi[..., 2] ** 2 - rho(xi), g2_grad, g2_hess)
-
-    N = _field(lambda xi: xi[..., 0] * xi[..., 2],
-               lambda xi: np.stack([xi[..., 2], 0.0 * xi[..., 2], xi[..., 0]], axis=-1),
-               const(np.array([[0.0, 0, 1], [0, 0, 0], [1, 0, 0]])))
-
-    z1, z2, tau = float(z1), float(z2), float(tau)
-    G = _field(lambda xi: xi[..., 0] * z1 + xi[..., 1] * z2 - xi[..., 2] * tau,
-               const(np.array([z1, z2, -tau])), const(np.zeros((3, 3))))
+    g2 = ScalarField3(lambda xi: xi[..., 2] ** 2 - rho(xi), g2_grad, g2_hess)
     amp = AmplitudeSpec(N, (SingularityComponent(g1, -1.0, "pole-line"),
                             SingularityComponent(g2, -1.0, "dispersion-cone")))
     # the box holds every special point, by bounds from the dispersion relation:
@@ -151,11 +140,13 @@ def _closed_forms(z1, z2, tau: float) -> SimpleNamespace:
 
     z1, z2: float arrays of one shape S (>= 1-d); a single sample is a
     one-element array, so it takes the grid's array arithmetic.  Over S: the
-    wedge test `inside`, the ray slope `lam`, the transient's merge gap `gap`
-    and term `tr_coeff`, `tr_phase`.  Over (2, *S), diverging family first:
-    frequencies `w` (NaN outside the wedge), `beta`, the verdict `formed` and
-    the term `coeff`, `phase`.  Off a formula's domain (z1 = tau, the origin,
-    tau <= 0) the value is NaN or inf, without a warning; callers mask it.
+    wedge test `inside`, the ray slope `lam`, the masks `degenerate` (inside
+    the wedge with a family at |beta| <= 1e-6, or on the track lam = 0) and
+    `merge` (transient merge gap <= 1e-3), and the transient term `tr_coeff`,
+    `tr_phase`.  Over (2, *S), diverging family first: frequencies `w` (NaN
+    outside the wedge), `beta`, the verdict `formed` and the term `coeff`,
+    `phase`.  Off a formula's domain (z1 = tau, the origin, tau <= 0) the
+    value is NaN or inf, without a warning; callers mask it.
     """
     z1, z2 = np.atleast_1d(z1, np.abs(z2))
     tau = np.float64(tau)            # 1/tau at tau = 0 is inf, not an exception
@@ -193,8 +184,9 @@ def _closed_forms(z1, z2, tau: float) -> SimpleNamespace:
                     * 2 * np.pi * Jt / np.sqrt(np.abs(b2 * b3)))
         return SimpleNamespace(
             inside=inside, lam=lam, w=w, beta=beta, formed=(a1 < 0) & (a2 * w < 0),
-            coeff=coeff, phase=phase, gap=np.abs(2 * r - tau * z1 / r),
-            tr_coeff=tr_coeff, tr_phase=-tau ** 2 / (4 * r))
+            degenerate=inside & (np.any(np.abs(beta) <= 1e-6, axis=0) | (lam == 0)),
+            merge=np.abs(2 * r - tau * z1 / r) <= 1e-3,
+            coeff=coeff, phase=phase, tr_coeff=tr_coeff, tr_phase=-tau ** 2 / (4 * r))
 
 
 def stationary_frequencies(lam: float) -> Optional[tuple[float, float]]:
@@ -217,16 +209,13 @@ def kelvin_wave_terms(params: KelvinParams) -> list[AsymptoticTerm]:
 
     Family verdicts: the trail must be behind the body and formed, which is
     alpha1 < 0 together with the upward bypass in varpi (alpha2*w < 0, always
-    true for w > 1).  Raises DegenerateFamily in the merge regime |beta| <= 1e-6.
+    true for w > 1).  Raises DegenerateFamily inside the wedge in the merge
+    regime |beta| <= 1e-6 and on the track z2 = 0 (the origin included).
     """
     f = _closed_forms(params.z1, params.z2, params.tau)
-    if not f.inside[0]:
-        return []
-    if f.lam[0] == 0:
-        raise ValueError("lam must be nonzero")
-    for w, beta in zip(f.w[:, 0], f.beta[:, 0]):
-        if abs(beta) <= 1e-6:
-            raise DegenerateFamily(f"family at w={w:.6f} near the wedge boundary")
+    if f.degenerate[0]:
+        raise DegenerateFamily(f"wave family degenerate at (z1, z2, tau) = "
+                               f"{params.z1, params.z2, params.tau}")
     return [AsymptoticTerm(f.coeff[k, 0], -0.5, f.phase[k, 0])
             for k in (0, 1) if f.formed[k, 0]]
 
@@ -239,7 +228,7 @@ def transient_term(params: KelvinParams) -> Optional[AsymptoticTerm]:
     if params.z1 == 0 and params.z2 == 0:
         raise ValueError("transient undefined at the origin")
     f = _closed_forms(params.z1, params.z2, params.tau)
-    if f.gap[0] <= 1e-3:
+    if f.merge[0]:
         raise MergeProximity("transient point merging with a crossing point")
     return AsymptoticTerm(f.tr_coeff[0], -1.0, f.tr_phase[0])
 
@@ -269,11 +258,10 @@ def field_map(z1_axis, z2_axis, tau: float, lam: float) -> FieldGrid:
     f = _closed_forms(z1, z2, tau)
     invalid = (z2 < 0.05) | (np.hypot(z1, z2) < 0.05)
     wedge = f.inside & ~invalid
-    invalid |= wedge & ((WEDGE_SLOPE - f.lam < 0.02)
-                        | np.any(np.abs(f.beta) <= 1e-6, axis=0))
+    invalid |= wedge & ((WEDGE_SLOPE - f.lam < 0.02) | f.degenerate)
     waves = f.formed & wedge & ~invalid
     transient = (tau > 0) & ~invalid
-    merge = transient & (f.gap <= 1e-3)
+    merge = transient & f.merge
     invalid |= merge                  # the WAVE bit stays set
     transient &= ~merge
 

@@ -15,6 +15,7 @@ Three oracles, none of which shares code with the asymptotic machinery:
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -127,7 +128,6 @@ def quad_contour_1d(f: Callable[[complex], complex], contour: Contour1D,
                 th = t0 + (t1 - t0) * t
                 w = c + r * np.exp(1j * th)
                 return f(w) * np.exp(1j * lam * w) * 1j * r * np.exp(1j * th) * (t1 - t0)
-        import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             re, ere = quad(lambda t: np.real(h(t)), 0, 1, limit=QUAD_LIMIT)

@@ -27,52 +27,17 @@ from .core import (
     AmplitudeSpec,
     Box3,
     ProblemSpec,
-    ScalarField3,
     SingularityComponent,
+    gaussian_field,
+    quadratic_field,
 )
 
 __all__ = [
-    "gaussian_field",
-    "quadratic_field",
     "ProblemEntry",
     "DEFAULT_Z",
     "REGISTRY",
     "get_problem",
 ]
-
-
-def gaussian_field(center=(0.0, 0.0, 0.0)) -> ScalarField3:
-    """exp(-|xi - c|^2), broadcasting over (..., 3) input."""
-    c = np.asarray(center, dtype=float)
-
-    def value(xi):
-        d = xi - c
-        return np.exp(-np.sum(d * d, axis=-1))
-
-    def grad(xi):
-        d = xi - c
-        return -2.0 * d * np.exp(-np.sum(d * d, axis=-1))[..., None]
-
-    def hess(xi):
-        d = xi - c
-        return ((4.0 * d[..., :, None] * d[..., None, :] - 2.0 * np.eye(3))
-                * np.exp(-np.sum(d * d, axis=-1))[..., None, None])
-
-    return ScalarField3(value, grad, hess, real_on_real=True)
-
-
-def quadratic_field(A=None, b=(0.0, 0.0, 0.0), c: float = 0.0) -> ScalarField3:
-    """(1/2) xi.A.xi + b.xi + c with constant A; covers every shipped g and G."""
-    A = np.zeros((3, 3)) if A is None else np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-
-    def value(xi):
-        q = 0.5 * np.einsum("...i,ij,...j->...", xi, A, xi)
-        return q + xi @ b + c
-
-    return ScalarField3(value, lambda xi: xi @ A.T + b,
-                        lambda xi: np.broadcast_to(A, xi.shape + (3,)),
-                        real_on_real=True)
 
 
 @dataclass(frozen=True)
@@ -111,7 +76,7 @@ def _pole_factor(lam: float, quadratic: bool = False) -> complex:
     return oracle.quad_contour_1d(f, oracle.gamma_tilde(r=0.3, T=8.0), lam)
 
 
-def _build_gaussian_sp(z=None) -> ProblemSpec:
+def _build_gaussian_sp(z) -> ProblemSpec:
     return ProblemSpec(
         AmplitudeSpec(gaussian_field()),
         quadratic_field(np.eye(3)),
@@ -123,7 +88,7 @@ def _ref_gaussian_sp(problem, lam, spec=None) -> complex:
     return _gauss_factor(lam) ** 3
 
 
-def _build_pole_sp(z=None) -> ProblemSpec:
+def _build_pole_sp(z) -> ProblemSpec:
     plane = SingularityComponent(quadratic_field(b=(1, 0, 0), c=-1.0), -1.0, "plane")
     return ProblemSpec(
         AmplitudeSpec(gaussian_field((1.0, 0.0, 0.0)), (plane,)),
@@ -136,7 +101,7 @@ def _ref_pole_sp(problem, lam, spec=None) -> complex:
     return np.exp(1j * lam) * _pole_factor(lam) * _gauss_factor(lam) ** 2
 
 
-def _build_double_cross(z=None) -> ProblemSpec:
+def _build_double_cross(z) -> ProblemSpec:
     pA = SingularityComponent(quadratic_field(b=(1, 0, 0)), -1.0, "pA")
     pB = SingularityComponent(quadratic_field(b=(0, 1, 0)), -1.0, "pB")
     return ProblemSpec(
@@ -150,7 +115,7 @@ def _ref_double_cross(problem, lam, spec=None) -> complex:
     return _pole_factor(lam) ** 2 * _gauss_factor(lam)
 
 
-def _build_triple_cross(z=None) -> ProblemSpec:
+def _build_triple_cross(z) -> ProblemSpec:
     comps = tuple(
         SingularityComponent(quadratic_field(b=np.eye(3)[k]), -1.0, f"p{k+1}")
         for k in range(3))
@@ -170,7 +135,7 @@ def _ref_triple_cross(problem, lam, spec=None) -> complex:
     return _pole_factor(lam, quadratic=True) ** 3
 
 
-def _build_cone(z=None) -> ProblemSpec:
+def _build_cone(z) -> ProblemSpec:
     cone = SingularityComponent(quadratic_field(np.diag([2.0, 2.0, -2.0])),
                                 -1.0, "cone")
     return ProblemSpec(

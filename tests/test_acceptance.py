@@ -18,9 +18,9 @@ from oscint3.core import (
     Box3,
     ProblemSpec,
     SingularityComponent,
+    quadratic_field,
 )
 from oscint3.detect import PointKind
-from oscint3.problems import quadratic_field
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:

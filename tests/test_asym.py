@@ -9,9 +9,10 @@ from oscint3.core import (
     Box3,
     ProblemSpec,
     SingularityComponent,
+    gaussian_field,
+    quadratic_field,
 )
 from oscint3.detect import LocalFrame, PointKind, SpecialPoint
-from oscint3.problems import gaussian_field, quadratic_field
 from wake_curve import curve_L
 
 
@@ -299,7 +300,7 @@ def test_scaling_invariance_of_terms(c):
         from oscint3.core import ScalarField3
         N = ScalarField3(lambda xi: scale * base.value(xi),
                          lambda xi: scale * base.grad(xi),
-                         lambda xi: scale * base.hess(xi), real_on_real=True)
+                         lambda xi: scale * base.hess(xi))
         amp = AmplitudeSpec(N, (g,))
         from oscint3.core import Box3, ProblemSpec
         prob = ProblemSpec(

@@ -272,11 +272,14 @@ def test_main_unwritable_out_exit_2(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def test_main_numeric_failure_exit_3(tmp_path, capsys):
-    # kelvin asym exactly on the transient merge curve raises and maps to 3
-    z1, tau = 2.0, 10.0
-    z2 = float(np.sqrt(tau - z1 ** 2))
+@pytest.mark.parametrize("z", [(2.0, float(np.sqrt(10.0 - 2.0 ** 2)), 10.0),
+                               (3.0, 0.0, 10.0), (0.0, 0.0, 10.0)],
+                         ids=["merge-curve", "track", "origin"])
+def test_main_numeric_failure_exit_3(tmp_path, capsys, z):
+    # kelvin asym exactly on the transient merge curve (MergeProximity), and
+    # on the track z2 = 0 behind the body or at the origin (DegenerateFamily),
+    # raises and maps to 3
     rc = main(["--mode", "asym", "--problem", "kelvin",
-               "--z", f"{z1},{z2},{tau}", "--out", str(tmp_path / "n")])
+               "--z", ",".join(map(str, z)), "--out", str(tmp_path / "n")])
     assert rc == 3
     assert "numeric failure" in capsys.readouterr().err

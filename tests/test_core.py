@@ -63,7 +63,7 @@ def test_problem_rejects_bad_eta(eta):
 
 
 def test_singularity_component_rejects_bad_mu():
-    g = problems.quadratic_field(b=(1, 0, 0))
+    g = core.quadratic_field(b=(1, 0, 0))
     with pytest.raises(ValueError):
         SingularityComponent(g, 2.0, "bad")
     SingularityComponent(g, -1.0, "pole")
@@ -95,12 +95,12 @@ def test_kelvin_fields_pass_derivative_crosscheck():
 def test_derivative_crosscheck_rejects_single_point_hessian():
     """A Hessian written with np.outer is right at one point but does not
     broadcast over a stack of points."""
-    base = problems.gaussian_field()
+    base = core.gaussian_field()
 
     def hess(xi):
         return (4.0 * np.outer(xi, xi) - 2.0 * np.eye(3)) * base.value(xi)
 
-    f = core.ScalarField3(base.value, base.gradient, hess, real_on_real=True)
+    f = core.ScalarField3(base.value, base.gradient, hess)
     pts = np.random.default_rng(10).uniform(-1, 1, size=(5, 3))
     with pytest.raises(AssertionError):
         check_field_derivatives(f, pts)

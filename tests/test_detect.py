@@ -11,9 +11,10 @@ from oscint3.core import (
     Box3,
     ProblemSpec,
     SingularityComponent,
+    gaussian_field,
+    quadratic_field,
 )
 from oscint3.detect import PointKind, SpecialPoint, classify_point, contribution_verdict
-from oscint3.problems import gaussian_field, quadratic_field
 from wake_curve import curve_L
 
 
@@ -51,7 +52,7 @@ def test_interior_degenerate_flagged():
                 + 2 * xi[..., :, None] * xi[..., None, :])
 
     from oscint3.core import ScalarField3
-    G = ScalarField3(value, grad, hess, real_on_real=True)
+    G = ScalarField3(value, grad, hess)
     p = _problem(G)
     seeds = [np.array([0.05, 0.02, -0.04])]
     pts = detect.find_stationary(p, (), seeds=seeds)
