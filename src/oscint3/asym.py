@@ -134,13 +134,17 @@ def term_cone(sp: SpecialPoint, amplitude: AmplitudeSpec) -> AsymptoticTerm:
 
 def term_for_point(problem: ProblemSpec, sp: SpecialPoint) -> AsymptoticTerm:
     """The term of one contributing point, from the frame `detect.judge`
-    built; a `near_degenerate` point has none."""
+    built; a `near_degenerate` point has none, nor has a conical point of a
+    branch power (mu != -1)."""
     if sp.near_degenerate:
         raise DegenerateConfiguration(f"restricted Hessian singular at {sp.location}")
+    mu = {c.label: c.mu for c in problem.amplitude.components}
     if sp.kind is PointKind.CONICAL:
+        if mu[sp.components[0]] != -1:    # term_cone is a simple pole's
+            raise UnsupportedExponent(
+                f"conical point with mu = {mu[sp.components[0]]} != -1")
         t = term_cone(sp, problem.amplitude)
     else:
-        mu = {c.label: c.mu for c in problem.amplitude.components}
         t = term_from_frame(sp, problem.amplitude,
                             tuple(mu[lab] for lab in sp.components))
     return replace(t, source=sp)

@@ -4,18 +4,21 @@ Three oracles, none of which shares code with the asymptotic machinery:
 
 * quad_deformed_3d: tensor-product Gauss-Legendre over the shifted copy of
   R^3, with optional cosine taper; its error estimate is the difference
-  between the n-node and the (n-32)-node rules.
+  between the n-node and the (n-32)-node rules.  Slabs of the grid run on two
+  threads and are added in slab order.
 * quad_contour_1d: adaptive quadrature of f(w) e^{i*Lambda*w} along a
   piecewise contour in one complex variable; used to verify the universal
   factor I(mu) and to build exact factorized references for the canonical
   test problems.
 * kelvin_oracle: residue reduction in the frequency variable followed by a
-  graded-panel 2D quadrature; independent reference for the ship-wake field.
+  graded-panel 2D quadrature, folded onto xi2 > 0; independent reference for
+  the ship-wake field.
 """
 
 from __future__ import annotations
 
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -43,6 +46,7 @@ SINGULARITY_MARGIN = 1e-3      # least |g| allowed on the shifted grid
 RAD_PER_PANEL = 24.0           # phase advance per Gauss-Legendre panel
 PANEL_NODES = 16               # Gauss-Legendre nodes per panel
 WAKE_PREFACTOR = 1j / (8 * np.pi ** 3)   # restated here: the oracle imports no kelvin code
+WORKERS = 2                    # threads of `_ordered_sum`; fixed, never one per part
 
 
 class SingularityTooClose(Exception):
@@ -170,7 +174,8 @@ def quad_deformed_3d(problem: ProblemSpec, lam: float,
     spectrally once the oscillation is resolved, so a small node offset is a
     sensitive detector of an under-resolved integrand.  Shipped field
     evaluators broadcast over (..., 3) input, which this routine relies on
-    for speed.
+    for speed; each slab of n^2 nodes is one call, and two slabs run at once
+    (`_ordered_sum`), with the same bits as one thread.
     """
     _check_singularity_margin(problem, spec.R)
     coarse = _quad_grid(problem, lam, spec, max(16, spec.n - 32))
@@ -194,25 +199,39 @@ def _check_singularity_margin(problem: ProblemSpec, R: float) -> None:
                 f"|{c.label}| < {SINGULARITY_MARGIN} on the shifted grid")
 
 
+def _ordered_sum(part: Callable[[int], complex], keys) -> complex:
+    """The sum of part(k) over keys, added in key order as a serial loop
+    would, so the bits do not depend on the threads.  The parts run on
+    WORKERS threads; numpy's ufuncs release the GIL, so they overlap."""
+    total = 0j
+    with ThreadPoolExecutor(WORKERS) as pool:
+        for p in pool.map(part, keys):
+            total += p
+    return total
+
+
 def _quad_grid(problem: ProblemSpec, lam: float, spec: QuadratureSpec,
                n: int) -> complex:
+    """The n-node tensor rule, one slab of the first axis per part of
+    `_ordered_sum`."""
     xg, wg = leggauss(n)
     x = spec.R * xg
     w = spec.R * wg * _taper(x, spec.R, spec.taper)
     F, G = problem.amplitude, problem.G
-    total = 0j
     # slab over the first axis; the volume form of a constant shift is 1
     x23 = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1)
     w23 = np.outer(w, w)
-    for i in range(n):
+
+    def slab(i):
         pts = np.empty(x23.shape[:-1] + (3,), dtype=complex)
         pts[..., 0] = x[i]
         pts[..., 1] = x23[..., 0]
         pts[..., 2] = x23[..., 1]
         pts += 1j * problem.eta
         vals = F.value_vec(pts) * np.exp(1j * lam * G.value(pts))
-        total += w[i] * np.sum(w23 * vals)
-    return complex(problem.prefactor) * total
+        return w[i] * np.sum(w23 * vals)
+
+    return complex(problem.prefactor) * _ordered_sum(slab, range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +274,10 @@ def kelvin_oracle(z1: float, z2: float, tau: float, lam: float,
     For tau > 0 the frequency contour (shifted up by i*eps) closes downward
     and picks up the real poles at varpi = xi1 and varpi = +-(xi1^2+xi2^2)^{1/4};
     the residue sum is then integrated over (xi1, xi2) with graded windowed
-    Gauss-Legendre panels.  For tau < 0 the contour closes upward around no
-    poles and the integral is exactly zero (causality).
+    Gauss-Legendre panels (`_residue_sum`: the even xi2 axis folded onto its
+    positive half, one complex exponential per node pair, blocks of rows on
+    two threads).  For tau < 0 the contour closes upward around no poles and
+    the integral is exactly zero (causality).
     """
     spec = spec or KELVIN_QUAD
     if tau < 0:
@@ -268,40 +289,66 @@ def kelvin_oracle(z1: float, z2: float, tau: float, lam: float,
     X1 = _jitter_collisions(X1, X2)
     W1 = W1 * _taper(X1, spec.R, spec.taper)
     W2 = W2 * _taper(X2, spec.R, spec.taper)
+    return WAKE_PREFACTOR * (-2j * np.pi) * _residue_sum(X1, W1, X2, W2,
+                                                         z1, z2, tau, lam)
+
+
+def _residue_sum(X1, W1, X2, W2, z1, z2, tau, lam) -> complex:
+    """sum over node pairs of W1*W2*e^{i*lam*(x1*z1 + x2*z2)} times the
+    residue sum of xi1*varpi*e^{-i*lam*varpi*tau} / ((varpi-xi1)(varpi^2-s2))
+    at varpi = xi1, +s, -s, with s2 = sqrt(xi1^2 + xi2^2) and s = sqrt(s2).
+
+    The x2 nodes and weights are mirror-symmetric and the residue sum
+    depends on xi2 only through xi2^2, so the sum runs over xi2 > 0 with the
+    weights 2*W2*cos(lam*x2*z2).  Per node pair one complex exponential is
+    taken: the +s pole's, whose conjugate is the -s pole's; the xi1 pole's
+    depends on the row alone.  Blocks of rows are the parts of
+    `_ordered_sum`.
+    """
+    half = len(X2) // 2
+    if not (np.array_equal(X2[half:], -X2[half - 1::-1])
+            and np.array_equal(W2[half:], W2[half - 1::-1])):
+        raise ValueError("the x2 nodes and weights are not mirror-symmetric")
+    X2 = X2[half:]
     u = W1 * np.exp(1j * lam * X1 * z1)
-    v = W2 * np.exp(1j * lam * X2 * z2)
-    total = 0j
+    v = 2 * W2[half:] * np.cos(lam * X2 * z2)
     B = 256
-    for i0 in range(0, len(X1), B):
+
+    def rows(i0):
         x1 = X1[i0:i0 + B, None]
-        x2 = X2[None, :]
-        s2 = np.sqrt(x1 ** 2 + x2 ** 2)
+        s2 = np.sqrt(x1 ** 2 + X2 ** 2)
         s = np.sqrt(s2)
-        # residue sum of xi1*varpi*e^{-i lam varpi tau} / ((varpi-xi1)(varpi^2-s2))
-        # at varpi = xi1, +s, -s; analytic across the collision curves x1 = +-s
+        E = np.exp(-1j * lam * s * tau)
+        # analytic across the collision curves x1 = +-s
         t1 = x1 ** 2 * np.exp(-1j * lam * x1 * tau) / (x1 ** 2 - s2)
-        pp = x1 * np.exp(-1j * lam * s * tau) / (2 * (s - x1))
-        pm = -x1 * np.exp(1j * lam * s * tau) / (2 * (s + x1))
-        total += u[i0:i0 + B] @ (t1 + pp + pm) @ v
-    return WAKE_PREFACTOR * (-2j * np.pi) * total
+        pp = x1 * E / (2 * (s - x1))
+        pm = -x1 * E.conj() / (2 * (s + x1))
+        return u[i0:i0 + B] @ (t1 + pp + pm) @ v
+
+    return _ordered_sum(rows, range(0, len(X1), B))
+
+
+def _merge_collisions(X1: np.ndarray, X2: np.ndarray, tol: float) -> bool:
+    """Whether some node pair lies within tol of the pole-merge curve,
+    | |xi1| - (xi1^2 + xi2^2)^{1/4} | < tol.  That difference does not grow
+    as |xi2| grows, so for each xi1 only the sorted-|xi2| neighbours of the
+    curve's |xi2| = |xi1|*sqrt(xi1^2 - 1) (0 for |xi1| < 1) can come
+    closest; two on each side are checked."""
+    Y = np.unique(np.abs(X2))
+    a = np.abs(X1)
+    t = a * np.sqrt(np.maximum((a - 1) * (a + 1), 0.0))
+    j = np.clip(np.searchsorted(Y, t)[:, None] + np.arange(-2, 2), 0, len(Y) - 1)
+    s = (X1[:, None] ** 2 + Y[j] ** 2) ** 0.25
+    return bool(np.any(np.abs(a[:, None] - s) < tol))
 
 
 def _jitter_collisions(X1: np.ndarray, X2: np.ndarray,
                        tol: float = 1e-8) -> np.ndarray:
-    """Shift the xi1 axis once if any node pair collides with the pole-merge
-    curve |xi1| = (xi1^2 + xi2^2)^{1/4}; raise if the jitter does not clear it."""
-
-    def collides(X1):
-        for i0 in range(0, len(X1), 256):
-            a = np.abs(X1[i0:i0 + 256, None])
-            s = (X1[i0:i0 + 256, None] ** 2 + X2[None, :] ** 2) ** 0.25
-            if np.any(np.abs(a - s) < tol):
-                return True
-        return False
-
-    if not collides(X1):
+    """Shift the xi1 axis once by 1e-6 if any node pair collides with the
+    pole-merge curve; raise if the jitter does not clear it."""
+    if not _merge_collisions(X1, X2, tol):
         return X1
     X1j = X1 + 1e-6
-    if collides(X1j):
+    if _merge_collisions(X1j, X2, tol):
         raise PoleCollision("quadrature node on the pole-merge curve after jitter")
     return X1j

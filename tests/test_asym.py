@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -314,3 +316,21 @@ def test_scaling_invariance_of_terms(c):
     assert tc.coeff == pytest.approx(t1.coeff, rel=1e-10)
     assert tc.power == t1.power
     assert tc.phase0 == pytest.approx(t1.phase0, abs=1e-10)
+
+
+def test_cone_branch_exponent_raises():
+    # term_cone is the simple pole's term; at mu = -1/2 it would return the
+    # same coefficient and power -1, where the scaling w -> w/Lambda gives
+    # a power of -3 - 2*mu = -2
+    prob, _ = problems.get_problem("cone")
+    (comp,) = prob.amplitude.components
+    half = dataclasses.replace(prob, amplitude=AmplitudeSpec(
+        prob.amplitude.smooth_factor,
+        (SingularityComponent(comp.g, -0.5, comp.label),)))
+    cones = [sp for sp in detect.detect_all(half)
+             if sp.kind is PointKind.CONICAL and sp.contributes]
+    assert cones
+    with pytest.raises(asym.UnsupportedExponent):
+        asym.term_for_point(half, cones[0])
+    with pytest.raises(asym.UnsupportedExponent):
+        asym.expand(half)

@@ -131,3 +131,30 @@ def test_box_grid_and_exclusion():
 def test_empty_box_rejected():
     with pytest.raises(ValueError):
         core.Box3(np.zeros(3), np.zeros(3))
+
+
+def test_gaussian_value_written_out_equals_sum_form():
+    rng = np.random.default_rng(3)
+    f = core.gaussian_field((0.3, -1.0, 0.7))
+    c = np.array([0.3, -1.0, 0.7])
+    for pts in (rng.uniform(-2, 2, (200, 3)),
+                rng.uniform(-2, 2, (20, 30, 3)) + 1j * rng.uniform(-0.3, 0.3, (20, 30, 3))):
+        d = pts - c
+        assert np.array_equal(f.value(pts), np.exp(-np.sum(d * d, axis=-1)))
+
+
+def test_quadratic_value_matches_einsum_form():
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        A = rng.normal(size=(3, 3))
+        A = A + A.T
+        b, c = rng.normal(size=3), rng.normal()
+        f = core.quadratic_field(A, b, c)
+        pts = rng.uniform(-2, 2, (100, 3)) + 1j * rng.uniform(-0.3, 0.3, (100, 3))
+        want = 0.5 * np.einsum("...i,ij,...j->...", pts, A, pts) + pts @ b + c
+        P = np.abs(pts)
+        scale = (0.5 * np.einsum("...i,ij,...j->...", P, np.abs(A), P)
+                 + P @ np.abs(b) + abs(c))
+        got = f.value(pts)
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+        assert np.array_equal(got, np.array([f.value(p) for p in pts]))

@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,3 +157,115 @@ def test_kelvin_oracle_node_refinement():
     a = kelvin_oracle(3.0, 1.5, 10.0, 40.0)
     b = kelvin_oracle(3.0, 1.5, 10.0, 40.0, QuadratureSpec(R=12.0, n=256))
     assert abs(a - b) < 1e-6 * max(abs(a), 1e-12) + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# fast paths against the forms they replace
+
+def test_folded_residue_sum_matches_unfolded():
+    """The x2 fold and the conjugated exponential against the plain sum
+    over every node pair with three exponentials."""
+    z1, z2, tau, lam = 2.0, 0.5, 3.0, 15.0
+    X1, W1 = oracle._axis_nodes(3.0, lam, tau, 4.0)
+    X2, W2 = oracle._axis_nodes(2.0, lam, tau, 4.0)
+    assert len(X1) > 256            # more than one block of rows
+    got = oracle._residue_sum(X1, W1, X2, W2, z1, z2, tau, lam)
+    x1, x2 = X1[:, None], X2[None, :]
+    s2 = np.sqrt(x1 ** 2 + x2 ** 2)
+    s = np.sqrt(s2)
+    K = (x1 ** 2 * np.exp(-1j * lam * x1 * tau) / (x1 ** 2 - s2)
+         + x1 * np.exp(-1j * lam * s * tau) / (2 * (s - x1))
+         - x1 * np.exp(1j * lam * s * tau) / (2 * (s + x1)))
+    want = np.sum(W1[:, None] * W2[None, :]
+                  * np.exp(1j * lam * (x1 * z1 + x2 * z2)) * K)
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_residue_sum_rejects_asymmetric_x2_nodes():
+    X, W = oracle._axis_nodes(2.0, 4.0, 3.0, 4.0)
+    with pytest.raises(ValueError):
+        oracle._residue_sum(X, W, X + 1e-3, W, 2.0, 0.5, 3.0, 4.0)
+
+
+def _serial_quad_grid(problem, lam, spec, n):
+    # the slab loop of the tensor rule, written out on one thread
+    xg, wg = np.polynomial.legendre.leggauss(n)
+    x = spec.R * xg
+    w = spec.R * wg * oracle._taper(x, spec.R, spec.taper)
+    x23 = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1)
+    w23 = np.outer(w, w)
+    total = 0j
+    for i in range(n):
+        pts = np.empty(x23.shape[:-1] + (3,), dtype=complex)
+        pts[..., 0] = x[i]
+        pts[..., 1] = x23[..., 0]
+        pts[..., 2] = x23[..., 1]
+        pts += 1j * problem.eta
+        vals = problem.amplitude.value_vec(pts) * np.exp(1j * lam * problem.G.value(pts))
+        total += w[i] * np.sum(w23 * vals)
+    return complex(problem.prefactor) * total
+
+
+@pytest.mark.parametrize("name,lam,R", [("pole-sp", 20.0, 6.0), ("cone", 30.0, 3.0)])
+def test_quad_grid_two_workers_equal_serial_loop(name, lam, R):
+    prob, _ = problems.get_problem(name)
+    spec = QuadratureSpec(R=R, n=64)
+    assert oracle._quad_grid(prob, lam, spec, 64) == _serial_quad_grid(prob, lam, spec, 64)
+
+
+def _collides_brute(X1, X2, tol):
+    a = np.abs(X1[:, None])
+    s = (X1[:, None] ** 2 + X2[None, :] ** 2) ** 0.25
+    return bool(np.any(np.abs(a - s) < tol))
+
+
+def test_merge_collisions_match_brute_force_scan():
+    rng = np.random.default_rng(11)
+    hits = 0
+    for _ in range(200):
+        X2 = rng.uniform(-4, 4, rng.integers(1, 60))
+        X1 = rng.uniform(-3, 3, rng.integers(1, 60))
+        # put a few xi1 nodes within a few tol of the curve through some xi2
+        k = rng.integers(0, 3)
+        y = rng.choice(np.abs(X2), k)
+        a = np.sqrt((1 + np.sqrt(1 + 4 * y * y)) / 2)     # a^4 - a^2 = y^2
+        X1[:k] = rng.choice([-1, 1], k) * (a + rng.uniform(-3e-8, 3e-8, k))
+        want = _collides_brute(X1, X2, 1e-8)
+        hits += want
+        assert oracle._merge_collisions(X1, X2, 1e-8) == want
+    assert 0 < hits < 200
+
+
+def test_jitter_shifts_a_node_on_the_merge_curve():
+    X2 = np.array([-0.5, 0.5, 1.25])
+    a = np.sqrt((1 + np.sqrt(2.0)) / 2)                   # a^4 - a^2 = 0.5^2
+    X1 = np.array([-2.0, 0.3, a])
+    assert _collides_brute(X1, X2, 1e-8)
+    np.testing.assert_array_equal(oracle._jitter_collisions(X1, X2), X1 + 1e-6)
+    clear = np.array([-2.0, 0.3, 1.7])
+    assert oracle._jitter_collisions(clear, X2) is clear
+
+
+def test_jitter_that_cannot_clear_raises():
+    X2 = np.array([0.5])
+    a = np.sqrt((1 + np.sqrt(2.0)) / 2)
+    with pytest.raises(oracle.PoleCollision):
+        oracle._jitter_collisions(np.array([a - 1e-6, a]), X2)
+
+
+def test_oracle_imports_no_asymptotic_code():
+    """The oracles stay independent of what they check: oracle.py imports
+    nothing from detect, asym, kelvin or problems."""
+    banned = {"detect", "asym", "kelvin", "problems"}
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            mods = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            mods = [node.module or ""] + [f"{node.module or ''}.{a.name}"
+                                         for a in node.names]
+        else:
+            continue
+        found += [m for m in mods if banned & set(m.split("."))]
+    assert not found, f"oracle.py imports {found}"
