@@ -17,12 +17,12 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import asym, detect, oracle, problems
-from .kelvin import (MASK_INVALID, DegenerateFamily, MergeProximity,
+from .kelvin import (MASK_INVALID, DegenerateFamily, FieldGrid, MergeProximity,
                      field_map, render_wavefronts)
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "run", "main"]
@@ -127,17 +127,31 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
     return cfg
 
 
-def _fmt(v) -> str:
-    return f"{float(v):.16e}"
+def _csv_line(row: list) -> str:
+    """A table row as a CSV line: numbers (not bools) in `%.16e`, the rest by str."""
+    return ",".join("%.16e" % c if isinstance(c, (int, float, np.floating))
+                    and not isinstance(c, bool) else str(c) for c in row) + "\r\n"
 
 
-def write_csv(path: str, header: list[str], rows: Iterable[list]) -> None:
+def _field_lines(fg: FieldGrid) -> Iterator[str]:
+    """The `field` CSV body in `_csv_line` form, one block per z1 row: each axis
+    and mask value is formatted once (the mask's found by bincount, as np.unique
+    sorts a copy of the grid), a row's field values by one %-format."""
+    z2s = [",%.16e," % b for b in fg.z2_axis.tolist()]
+    present = np.flatnonzero(np.bincount(fg.mask.ravel()))
+    masks = {m: ",%.16e\r\n" % m for m in present.tolist()}
+    for a, vals, ms in zip(fg.z1_axis.tolist(), fg.values, fg.mask):
+        z1 = "%.16e" % a
+        fields = ("%.16e," * len(z2s) % tuple(vals.tolist())).split(",")
+        yield "".join([z1 + b + v + masks[m]
+                       for b, v, m in zip(z2s, fields, ms.tolist())])
+
+
+def write_csv(path: str, header: list[str], lines: Iterable[str]) -> None:
+    """Write the header line and then each CSV text block of `lines` as is."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for row in rows:
-            fh.write(",".join(_fmt(c) if isinstance(c, (int, float, np.floating))
-                              and not isinstance(c, bool) else str(c)
-                              for c in row) + "\r\n")
+        fh.writelines(lines)
 
 
 def write_pgm(path: str, img: np.ndarray) -> None:
@@ -145,10 +159,11 @@ def write_pgm(path: str, img: np.ndarray) -> None:
     g = np.where(np.isnan(img), 127,
                  np.clip(np.round((img + 1) / 2 * 255), 0, 255)).astype(int)
     h, w = g.shape
+    gray = [str(v) for v in range(256)]
     with open(path, "w") as fh:
         fh.write(f"P2\n{w} {h}\n255\n")
         for row in g:
-            fh.write(" ".join(str(int(v)) for v in row) + "\n")
+            fh.write(" ".join(map(gray.__getitem__, row.tolist())) + "\n")
 
 
 def _quad_spec(cfg: RunConfig, entry: problems.ProblemEntry) -> oracle.QuadratureSpec:
@@ -177,14 +192,16 @@ def run(cfg: RunConfig) -> list[str]:
                          sp.contributes, sp.reason, *w])
         path = f"{cfg.out}-classify.csv"
         write_csv(path, ["x1", "x2", "x3", "kind", "components", "contributes",
-                         "reason", "witness1", "witness2", "witness3"], rows)
+                         "reason", "witness1", "witness2", "witness3"],
+                  map(_csv_line, rows))
         files.append(path)
 
     elif cfg.mode == "asym":
         rows = [[np.real(t.coeff), np.imag(t.coeff), t.power, t.phase0]
                 for t in entry.terms(problem)]
         path = f"{cfg.out}-asym.csv"
-        write_csv(path, ["re_coeff", "im_coeff", "power", "phase0"], rows)
+        write_csv(path, ["re_coeff", "im_coeff", "power", "phase0"],
+                  map(_csv_line, rows))
         files.append(path)
 
     elif cfg.mode == "oracle":
@@ -193,7 +210,7 @@ def run(cfg: RunConfig) -> list[str]:
             v = reference(lam)
             rows.append([lam, np.real(v), np.imag(v)])
         path = f"{cfg.out}-oracle.csv"
-        write_csv(path, ["lambda", "re", "im"], rows)
+        write_csv(path, ["lambda", "re", "im"], map(_csv_line, rows))
         files.append(path)
 
     elif cfg.mode == "compare":
@@ -209,7 +226,7 @@ def run(cfg: RunConfig) -> list[str]:
                          rel, dt])
         path = f"{cfg.out}-compare.csv"
         write_csv(path, ["lambda", "asym_re", "asym_im", "oracle_re",
-                         "oracle_im", "rel_error", "runtime_s"], rows)
+                         "oracle_im", "rel_error", "runtime_s"], map(_csv_line, rows))
         files.append(path)
 
     elif cfg.mode == "field":
@@ -218,10 +235,8 @@ def run(cfg: RunConfig) -> list[str]:
         ax1 = np.linspace(*cfg.z1_range, cfg.grid[0])
         ax2 = np.linspace(*cfg.z2_range, cfg.grid[1])
         fg = field_map(ax1, ax2, tau, lam)
-        rows = ([a, b, fg.values[i, j], int(fg.mask[i, j])]
-                for i, a in enumerate(ax1) for j, b in enumerate(ax2))
         path = f"{cfg.out}-field.csv"
-        write_csv(path, ["z1", "z2", "field", "mask"], rows)
+        write_csv(path, ["z1", "z2", "field", "mask"], _field_lines(fg))
         files.append(path)
         valid = fg.mask & MASK_INVALID == 0
         vmax = np.max(np.abs(fg.values[valid])) if np.any(valid) else 1.0

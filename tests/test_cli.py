@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import oscint3
-from oscint3 import detect, kelvin, oracle, problems
+from oscint3 import cli, detect, kelvin, oracle, problems
 from oscint3.cli import ConfigError, _quad_spec, main, parse_config, run, write_pgm
 
 
@@ -224,6 +225,150 @@ def test_pgm_value_mapping(tmp_path):
     p = str(tmp_path / "t.pgm")
     write_pgm(p, np.array([[-1.0, 0.0, 1.0, np.nan]]))
     assert _read_pgm(p).ravel().tolist() == [0, 128, 255, 127]
+
+
+# ---------------------------------------------------------------------------
+# the writers against the per-cell loops they replaced
+
+def _percell_fmt(v) -> str:
+    return f"{float(v):.16e}"
+
+
+def _percell_write_csv(path: str, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for row in rows:
+            fh.write(",".join(_percell_fmt(c) if isinstance(c, (int, float, np.floating))
+                              and not isinstance(c, bool) else str(c)
+                              for c in row) + "\r\n")
+
+
+def _percell_write_pgm(path: str, img: np.ndarray) -> None:
+    g = np.where(np.isnan(img), 127,
+                 np.clip(np.round((img + 1) / 2 * 255), 0, 255)).astype(int)
+    h, w = g.shape
+    with open(path, "w") as fh:
+        fh.write(f"P2\n{w} {h}\n255\n")
+        for row in g:
+            fh.write(" ".join(str(int(v)) for v in row) + "\n")
+
+
+def _percell_field_csv(path, ax1, ax2, fg) -> bytes:
+    rows = ([a, b, fg.values[i, j], int(fg.mask[i, j])]
+            for i, a in enumerate(ax1) for j, b in enumerate(ax2))
+    _percell_write_csv(path, ["z1", "z2", "field", "mask"], rows)
+    return open(path, "rb").read()
+
+
+_S6 = float(np.sqrt(6.0))
+
+
+@pytest.mark.parametrize("grid,z1r,z2r,tau,masks", [
+    # z1 = 2 meets the tau = 10 merge curve at z2 = sqrt(6): mask 5 occurs
+    ("29x25", "-3:11", f"-{_S6!r}:{_S6!r}", 10.0, {2, 3, 4, 5}),
+    ("20x15", "0:14", "-5:5", 0.0, {0, 4}),
+    ("1x1", "3:3", "1:1", 10.0, {3}),
+    ("1x9", "3:3", "-4:4", 10.0, {2, 3, 4}),
+    ("9x1", "0:14", "1.5:1.5", 10.0, {2, 3}),
+    ("24x10", "0:14", "-5:5", 10.0, set(range(8))),   # every bit combination
+], ids=["merge", "tau0", "1x1", "1xn", "nx1", "all-bits"])
+def test_field_writers_match_percell_loops(tmp_path, monkeypatch, grid, z1r,
+                                           z2r, tau, masks):
+    """The field CSV and every PGM are byte-identical to the per-cell loops."""
+    grids = []
+
+    def field_map(ax1, ax2, t, lam):
+        fg = kelvin.field_map(ax1, ax2, t, lam)
+        if masks == set(range(8)):
+            fg.mask = np.arange(fg.mask.size).reshape(fg.mask.shape) % 8
+            fg.values[0, 4], fg.values[0, 5] = np.nan, -0.0   # both invalid
+        grids.append((ax1, ax2, fg))
+        return fg
+
+    monkeypatch.setattr(cli, "field_map", field_map)
+    text = (f"mode = field\nproblem = kelvin\nlambda = 40\nz = 0,0,{tau}\n"
+            f"grid = {grid}\nz1-range = {z1r}\nz2-range = {z2r}\n")
+    csv_path, pgm_path = run(parse_config(text + f"out = {tmp_path}/new\n"))
+    ((ax1, ax2, fg),) = grids
+    assert set(np.unique(fg.mask).tolist()) == masks
+    want = _percell_field_csv(str(tmp_path / "old.csv"), ax1, ax2, fg)
+    assert open(csv_path, "rb").read() == want
+    valid = fg.mask & kelvin.MASK_INVALID == 0
+    vmax = np.max(np.abs(fg.values[valid])) if np.any(valid) else 1.0
+    _percell_write_pgm(str(tmp_path / "old.pgm"),
+                       np.where(valid, fg.values / (vmax or 1.0), np.nan).T[::-1])
+    assert open(pgm_path, "rb").read() == (tmp_path / "old.pgm").read_bytes()
+    for fam, path in enumerate(run(parse_config(
+            text.replace("field", "fronts") + f"out = {tmp_path}/new\n"))):
+        _percell_write_pgm(str(tmp_path / "old.pgm"),
+                           kelvin.render_wavefronts(ax1, ax2, tau, 40.0)[fam].T[::-1])
+        assert open(path, "rb").read() == (tmp_path / "old.pgm").read_bytes()
+
+
+def test_pgm_matches_percell_loop_at_nan_clip_and_halves(tmp_path):
+    """NaN, values beyond +-1 (clipped) and exact halves, which np.round
+    takes to the even neighbour."""
+    halves = [v for v in ((2 * np.arange(255) + 1) / 255 - 1).tolist()
+              if (v + 1) / 2 * 255 % 1 == 0.5]
+    assert len(halves) > 20 and {round((v + 1) / 2 * 255 - 0.5) % 2
+                                 for v in halves} == {0, 1}
+    img = np.array([[np.nan, -1.0, 1.0, -1.5, 1.5, -np.inf, np.inf, 0.0, -0.0]
+                    + halves[:11], halves[11:31]])
+    p, q = str(tmp_path / "new.pgm"), str(tmp_path / "old.pgm")
+    write_pgm(p, img)
+    _percell_write_pgm(q, img)
+    assert open(p, "rb").read() == open(q, "rb").read()
+    assert _read_pgm(p)[0, :9].tolist() == [127, 0, 255, 0, 255, 0, 255, 128, 128]
+
+
+def test_table_csv_matches_percell_loop(tmp_path):
+    """The table modes' cells: floats, numpy floats, ints, bools, strings,
+    None and NaN."""
+    rows = [[1.5, np.float64(-0.0), 3, True, "sp-interior", None, float("nan")],
+            [np.float32(0.1), -7, False, "a+b", "", np.inf, 1e-300]]
+    header = ["a", "b", "c", "d", "e", "f", "g"]
+    p, q = str(tmp_path / "new.csv"), str(tmp_path / "old.csv")
+    cli.write_csv(p, header, map(cli._csv_line, rows))
+    _percell_write_csv(q, header, rows)
+    assert open(p, "rb").read() == open(q, "rb").read()
+
+
+def test_field_csv_round_trips_to_field_map(tmp_path):
+    """Each `%.16e` keeps 17 significant digits, so parsing the CSV gives
+    field_map's values and mask back bit for bit, z1 outer and z2 inner."""
+    cfg = parse_config(f"mode = field\nproblem = kelvin\nlambda = 40\n"
+                       f"z = 0,0,10\ngrid = 37x23\nz1-range = 0:12\n"
+                       f"z2-range = -4:4\nout = {tmp_path}/rt\n")
+    csv_path, _ = run(cfg)
+    with open(csv_path, newline="") as fh:
+        header, *body = list(csv.reader(fh))
+    assert header == ["z1", "z2", "field", "mask"]
+    z1, z2, field, mask = np.array([[float(c) for c in r] for r in body]).T
+    ax1, ax2 = np.linspace(0, 12, 37), np.linspace(-4, 4, 23)
+    fg = kelvin.field_map(ax1, ax2, 10.0, 40.0)
+    assert np.array_equal(z1, np.repeat(ax1, 23))
+    assert np.array_equal(z2, np.tile(ax2, 37))
+    assert np.array_equal(field, fg.values.ravel())
+    assert np.array_equal(mask, fg.mask.ravel())
+
+
+def test_field_csv_goes_through_write_csv_once(tmp_path, monkeypatch):
+    """The field rows are formatted inside one `write_csv` call, path first,
+    so a span around `write_csv` times and sizes the whole CSV."""
+    calls = []
+    real = cli.write_csv
+
+    def counting(*args, **kwargs):
+        real(*args, **kwargs)
+        calls.append((args, kwargs, os.path.getsize(args[0])))
+
+    monkeypatch.setattr(cli, "write_csv", counting)
+    cfg = parse_config(f"mode = field\nproblem = kelvin\nlambda = 40\n"
+                       f"z = 0,0,10\ngrid = 12x8\nout = {tmp_path}/sp\n")
+    csv_path, _ = run(cfg)
+    ((args, kwargs, size),) = calls
+    assert args[0] == csv_path and not kwargs
+    assert size == os.path.getsize(csv_path) and size > 12 * 8 * 4 * 23
 
 
 # ---------------------------------------------------------------------------
