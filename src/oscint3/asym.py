@@ -3,7 +3,7 @@
 `detect.judge` gives every special point its normalizers alpha and a frame
 (`detect.LocalFrame`): local coordinates w in which the phase is G* +
 (linear in the singular w's) + (quadratic in the free w's), with quadratic
-coefficients beta and Jacobian J = det d(xi)/d(w).  This module turns a
+coefficients beta and Jacobian J = |det d(xi)/d(w)|.  This module turns a
 point and the amplitude into a closed-form term A * Lambda^p *
 exp(i*Lambda*G*).
 
@@ -120,8 +120,8 @@ def term_from_frame(sp: SpecialPoint, amplitude: AmplitudeSpec,
 
 def term_cone(sp: SpecialPoint, amplitude: AmplitudeSpec) -> AsymptoticTerm:
     """Contribution of a conical point of a simple-pole quadric whose
-    grad(G) lies inside the dual cone (`detect.contribution_verdict` checks
-    that)."""
+    grad(G) lies inside the dual cone (the verdict `detect.detect_all`
+    attaches checks that)."""
     frame = sp.frame
     a1, a2, a3 = frame.grad_w
     disc = a3 * a3 - a1 * a1 - a2 * a2

@@ -229,31 +229,26 @@ def run(cfg: RunConfig) -> list[str]:
                          "oracle_im", "rel_error", "runtime_s"], map(_csv_line, rows))
         files.append(path)
 
-    elif cfg.mode == "field":
-        lam = cfg.lambdas[0]
-        tau = cfg.z[2]
+    elif cfg.mode in ("field", "fronts"):   # the wake at tau and the first Lambda
+        lam, tau = cfg.lambdas[0], cfg.z[2]
         ax1 = np.linspace(*cfg.z1_range, cfg.grid[0])
         ax2 = np.linspace(*cfg.z2_range, cfg.grid[1])
-        fg = field_map(ax1, ax2, tau, lam)
-        path = f"{cfg.out}-field.csv"
-        write_csv(path, ["z1", "z2", "field", "mask"], _field_lines(fg))
-        files.append(path)
-        valid = fg.mask & MASK_INVALID == 0
-        vmax = np.max(np.abs(fg.values[valid])) if np.any(valid) else 1.0
-        img = np.where(valid, fg.values / (vmax or 1.0), np.nan)
-        path = f"{cfg.out}-field.pgm"
-        write_pgm(path, img.T[::-1])
-        files.append(path)
-
-    elif cfg.mode == "fronts":
-        lam = cfg.lambdas[0]
-        tau = cfg.z[2]
-        ax1 = np.linspace(*cfg.z1_range, cfg.grid[0])
-        ax2 = np.linspace(*cfg.z2_range, cfg.grid[1])
-        for fam, img in enumerate(render_wavefronts(ax1, ax2, tau, lam), start=1):
-            path = f"{cfg.out}-fronts-family{fam}.pgm"
+        if cfg.mode == "field":
+            fg = field_map(ax1, ax2, tau, lam)
+            path = f"{cfg.out}-field.csv"
+            write_csv(path, ["z1", "z2", "field", "mask"], _field_lines(fg))
+            files.append(path)
+            valid = fg.mask & MASK_INVALID == 0
+            vmax = np.max(np.abs(fg.values[valid])) if np.any(valid) else 1.0
+            img = np.where(valid, fg.values / (vmax or 1.0), np.nan)
+            path = f"{cfg.out}-field.pgm"
             write_pgm(path, img.T[::-1])
             files.append(path)
+        else:
+            for fam, img in enumerate(render_wavefronts(ax1, ax2, tau, lam), start=1):
+                path = f"{cfg.out}-fronts-family{fam}.pgm"
+                write_pgm(path, img.T[::-1])
+                files.append(path)
 
     return files
 

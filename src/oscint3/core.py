@@ -34,11 +34,11 @@ __all__ = [
     "AmplitudeSpec",
     "Box3",
     "ProblemSpec",
-    "bypass_side",
 ]
 
 # Membership / tangency tolerances; all shipped problems are O(1)-scaled.
-# |g| <= SURFACE_TOL puts a point on {g = 0}, here and in detection.
+# Detection puts a point on {g = 0} when |g| <= SURFACE_TOL, and finds eta
+# tangent to it when |eta.grad(g)| <= TANGENCY_RTOL * |eta| * |grad(g)|.
 SURFACE_TOL = 1e-10
 TANGENCY_RTOL = 1e-12
 
@@ -220,20 +220,3 @@ class ProblemSpec:
     def __post_init__(self):
         object.__setattr__(self, "eta", as_point(self.eta).astype(float))
 
-
-def bypass_side(eta: np.ndarray, comp: SingularityComponent, p) -> int:
-    """Side of the surface {g = 0} on which Gamma passes at p.
-
-    Returns sign(eta . grad g): +1 means Gamma runs through the half-space
-    where g has positive imaginary part, i.e. bypasses "above" in the
-    direction of increasing g.
-    """
-    p = as_point(p)
-    gv = complex(comp.g(p))
-    if abs(gv) > SURFACE_TOL:
-        raise ValueError(f"point not on surface {comp.label!r}: |g| = {abs(gv):.3e}")
-    n = np.real(comp.g.grad(p))
-    s = float(eta @ n)
-    if abs(s) <= TANGENCY_RTOL * np.linalg.norm(eta) * np.linalg.norm(n):
-        raise TangentialShift(f"eta tangent to {comp.label!r} at {p}")
-    return 1 if s > 0 else -1

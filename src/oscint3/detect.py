@@ -16,15 +16,15 @@ r.grad(g_k) = 0 for every surface and r.grad(G) = |r|^2 != 0, so moving
 along r deforms the contour away from the point.
 
 A `SpecialPoint` is the whole record of one point: kind, location, surfaces,
-multipliers, verdict and frame.  It is frozen; `detect_all` attaches the
-verdict by building a new point.  Its frame (`LocalFrame`) holds only the
-geometry of the local normal form: coordinates w in which G is G* + (linear
-in the singular w's) + (quadratic in the free w's).  At a stationary point
-the singular axes are w_k = alpha_k * g_k and the free axes diagonalize the
-restricted Hessian of G (its eigenvalues are the betas); at a conical point
-the axes are the quadric's canonical coordinates and `grad_w` is grad(G) in
-w.  `asym` turns a point into a term, and `contribution_verdict` reads a
-cone's frame.
+multipliers, verdict and frame.  It is frozen; `classify_point` and
+`detect_all` attach the verdict by building a new point, the finders attach
+none.  Its frame (`LocalFrame`) holds only the geometry of the local normal
+form: coordinates w in which G is G* + (linear in the singular w's) +
+(quadratic in the free w's).  At a stationary point the singular axes are
+w_k = alpha_k * g_k and the free axes diagonalize the restricted Hessian of
+G (its eigenvalues are the betas); at a conical point the axes are the
+quadric's canonical coordinates and `grad_w` is grad(G) in w.  The verdict
+reads the shift eta in that frame; `asym` turns a point into a term.
 
 Two finders solve F(y) = 0 from a seed grid over the search box, both with
 one damped Newton solver that runs all seeds at once on (n_seeds, k) stacks:
@@ -45,11 +45,11 @@ import numpy as np
 
 from .core import (
     SURFACE_TOL,
+    TANGENCY_RTOL,
     ProblemSpec,
     ScalarField3,
     SingularityComponent,
     TangentialShift,
-    bypass_side,
 )
 
 __all__ = [
@@ -62,7 +62,6 @@ __all__ = [
     "find_conical_points",
     "judge",
     "classify_point",
-    "contribution_verdict",
     "detect_all",
 ]
 
@@ -102,7 +101,7 @@ class Indeterminate(Exception):
 class LocalFrame:
     axes: np.ndarray            # rows = grad(w_n) at the point
     betas: tuple[float, ...]
-    jacobian: float
+    jacobian: float             # |det d(xi)/d(w)| = 1/|det axes|
     phase0: float
     cone_sign: float = 1.0      # s with s*g ~ w1^2+w2^2-w3^2 (conical only)
     grad_w: tuple[float, ...] = ()   # grad(G) in w (conical only)
@@ -237,6 +236,13 @@ def _normals(comps, x) -> np.ndarray:
                                   (len(comps),) + x.shape), 0, -2)
 
 
+def _lagrangian_hessian(G: ScalarField3, comps, x, a) -> np.ndarray:
+    """H_G - sum_k a_k H_gk at the points x (..., 3), multipliers a (..., m)."""
+    a = np.asarray(a, dtype=float)
+    return _rhess(G, x) - sum(a[..., k, None, None] * _rhess(c.g, x)
+                              for k, c in enumerate(comps))
+
+
 # ---------------------------------------------------------------------------
 # local geometry of a special point (the data of its frame)
 
@@ -252,7 +258,7 @@ def restricted_hessian(comps, phase_G: ScalarField3, x: np.ndarray, N: np.ndarra
     (`judge` checks that).
     """
     T = np.linalg.eigh(N.T @ N)[1][:, :3 - len(comps)]
-    H = _rhess(phase_G, x) - sum(a * _rhess(c.g, x) for a, c in zip(alphas, comps))
+    H = _lagrangian_hessian(phase_G, comps, x, alphas)
     return T.T @ H @ T, T
 
 
@@ -267,7 +273,7 @@ def cone_axes(comp: SingularityComponent, x: np.ndarray):
     """Canonical coordinates at a conical point: s*g = w1^2 + w2^2 - w3^2 + ...
 
     Returns (W, J, s): W is the 3x3 matrix with rows grad(w_n) at x, J the
-    (positive) Jacobian det d(xi)/d(w), and s = +-1 the sign that brings the
+    Jacobian |det d(xi)/d(w)|, and s = +-1 the sign that brings the
     Hessian of s*g to signature (2, 1).  This is the signature test of a
     conical point: Indeterminate unless Hess g is nondegenerate and indefinite.
     """
@@ -284,11 +290,7 @@ def cone_axes(comp: SingularityComponent, x: np.ndarray):
     lam = lam[order]
     Q = Q[:, order]
     W = np.diag(np.sqrt(np.abs(lam) / 2.0)) @ Q.T
-    d = np.linalg.det(W)
-    if d < 0:
-        W[0] *= -1.0  # flipping w1 leaves both the quadric and the verdict invariant
-        d = -d
-    return W, 1.0 / d, s
+    return W, 1.0 / abs(np.linalg.det(W)), s
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +315,7 @@ def find_stationary(problem: ProblemSpec, comps, seeds=None):
         N = _normals(comps, x)
         J = np.zeros((len(y), 3 + m, 3 + m))
         J[:, :m, :3] = N
-        J[:, m:, :3] = _rhess(G, x) - sum(a[:, k, None, None] * _rhess(c.g, x)
-                                          for k, c in enumerate(comps))
+        J[:, m:, :3] = _lagrangian_hessian(G, comps, x, a)
         J[:, m:, 3:] = -np.swapaxes(N, 1, 2)
         return J
 
@@ -349,9 +350,8 @@ def judge(problem: ProblemSpec, x: np.ndarray, comps) -> SpecialPoint:
     kind for m with multipliers alpha, `near_degenerate` by
     `degenerate`.  Its frame has the rows alpha_k * grad(g_k), then the
     tangent directions that diagonalize the restricted Hessian, in
-    descending order of its eigenvalues (the betas); the last row is
-    negated when det W < 0 (the terms are linear in J = 1/det W, so this
-    only normalizes J > 0).  Raises NonTransversal when
+    descending order of its eigenvalues (the betas), and J = 1/|det W|.
+    The point carries no verdict.  Raises NonTransversal when
     sqrt(det(N N^T)) <= 1e-10, and Indeterminate for a multiplier within
     NEAR_ZERO of zero (G is then stationary on a larger set: the surfaces'
     intersection with one surface left out), a cone apex that is not
@@ -384,51 +384,26 @@ def judge(problem: ProblemSpec, x: np.ndarray, comps) -> SpecialPoint:
     betas, V = np.linalg.eigh(M)
     order = np.argsort(-betas)
     W = np.vstack([a * n for a, n in zip(alphas, N)] + [(T @ V[:, order]).T])
-    d = np.linalg.det(W)
-    if d < 0:
-        W[2] *= -1.0
-        d = -d
     return SpecialPoint(x, STATIONARY[m], labels, alphas=alphas,
                         near_degenerate=degenerate(M),
-                        frame=LocalFrame(W, tuple(betas[order]), 1.0 / d, G0))
+                        frame=LocalFrame(W, tuple(betas[order]),
+                                         1.0 / abs(np.linalg.det(W)), G0))
 
 
-def classify_point(problem: ProblemSpec, p) -> SpecialPoint:
-    """`judge` at a single real point with the surfaces |g| <= SURFACE_TOL."""
-    x = np.asarray(p, dtype=float)
-    return judge(problem, x, [c for c in problem.amplitude.components
-                              if abs(np.real(c.g(x))) <= SURFACE_TOL])
-
-
-def _component(problem, label) -> SingularityComponent:
-    for c in problem.amplitude.components:
-        if c.label == label:
-            return c
-    raise KeyError(label)
-
-
-def contribution_verdict(sp: SpecialPoint, problem: ProblemSpec) -> tuple[bool, str]:
-    """Does the point force a contribution, i.e. does no desired-and-allowed
-    local deformation exist?  Encodes the bypass-side criteria per kind."""
+def _with_verdict(sp: SpecialPoint, eta: np.ndarray) -> SpecialPoint:
+    """`sp` with its verdict: does the point force a contribution, i.e. does
+    no desired-and-allowed local deformation exist?  Read from the shift in
+    the point's frame, eps = W eta: a point on m surfaces contributes iff
+    eps_k < 0 on each of its m singular rows, a cone by where eps and grad_w
+    lie relative to its nappes.  A non-special point keeps its reason."""
     if sp.kind is PointKind.NON_SPECIAL:
-        return False, sp.reason or "non-special"
+        return sp
     if sp.kind is PointKind.SP_INTERIOR:
-        return True, "interior-sp"
-
-    x = sp.location
-    if sp.kind in (PointKind.SP_ON_SURFACE, PointKind.SP_ON_CROSSING,
-                   PointKind.TRIPLE_CROSSING):
-        for a, lab in zip(sp.alphas, sp.components):
-            side = bypass_side(problem.eta, _component(problem, lab), x)
-            # contribution iff Gamma runs on the growth side of w^mu e^{i w},
-            # i.e. bypasses below w = alpha*g for every involved surface
-            if a * side >= 0:
-                return False, f"bypass-above:{lab}"
-        return True, "bypass-below-all"
-
+        return replace(sp, contributes=True, reason="interior-sp")
+    W = sp.frame.axes
+    eps = W @ eta
     if sp.kind is PointKind.CONICAL:
         # the shift and grad(G) in the cone's canonical coordinates w
-        eps = sp.frame.axes @ problem.eta
         al = sp.frame.grad_w
         re = np.hypot(eps[0], eps[1])
         ra = np.hypot(al[0], al[1])
@@ -437,12 +412,27 @@ def contribution_verdict(sp: SpecialPoint, problem: ProblemSpec) -> tuple[bool, 
         if abs(al[2] - ra) <= 1e-9 or abs(al[2] + ra) <= 1e-9:
             raise Indeterminate("grad(G) on the dual cone boundary")
         if eps[2] < 0 and al[2] > ra:
-            return True, "cone-trapped:K-"
+            return replace(sp, contributes=True, reason="cone-trapped:K-")
         if eps[2] > 0 and al[2] < -ra:
-            return True, "cone-trapped:K+"
-        return False, "cone-free"
+            return replace(sp, contributes=True, reason="cone-trapped:K+")
+        return replace(sp, reason="cone-free")
+    # contribution iff Gamma runs on the growth side of w^mu e^{i w}, i.e.
+    # bypasses below w_k = alpha_k*g_k (eps_k < 0) for every involved surface
+    for k, lab in enumerate(sp.components):
+        if abs(eps[k]) <= TANGENCY_RTOL * np.linalg.norm(eta) * np.linalg.norm(W[k]):
+            raise TangentialShift(f"eta tangent to {lab!r} at {sp.location}")
+        if eps[k] > 0:
+            return replace(sp, reason=f"bypass-above:{lab}")
+    return replace(sp, contributes=True, reason="bypass-below-all")
 
-    raise ValueError(f"unknown kind {sp.kind}")
+
+def classify_point(problem: ProblemSpec, p) -> SpecialPoint:
+    """`judge` at a single real point with the surfaces |g| <= SURFACE_TOL,
+    with the verdict `detect_all` attaches."""
+    x = np.asarray(p, dtype=float)
+    comps = [c for c in problem.amplitude.components
+             if abs(np.real(c.g(x))) <= SURFACE_TOL]
+    return _with_verdict(judge(problem, x, comps), problem.eta)
 
 
 def detect_all(problem: ProblemSpec, seeds=None) -> list[SpecialPoint]:
@@ -452,8 +442,5 @@ def detect_all(problem: ProblemSpec, seeds=None) -> list[SpecialPoint]:
              for sp in find_stationary(problem, sub, seeds)]
     for c in comps:
         found += find_conical_points(problem, c, seeds)
-    judged = []
-    for sp in found:
-        contributes, reason = contribution_verdict(sp, problem)
-        judged.append(replace(sp, contributes=contributes, reason=reason))
+    judged = [_with_verdict(sp, problem.eta) for sp in found]
     return sorted(judged, key=lambda s: tuple(np.round(s.location, 12)))

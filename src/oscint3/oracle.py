@@ -284,11 +284,11 @@ def kelvin_oracle(z1: float, z2: float, tau: float, lam: float,
         return 0j
     fmax = max(abs(z1), abs(z2)) + 1.0 + tau * 0.55
     oversample = spec.n / 128.0
-    X1, W1 = _axis_nodes(spec.R, lam, tau, fmax, oversample=oversample)
-    X2, W2 = _axis_nodes(spec.R, lam, tau, fmax, oversample=oversample)
-    X1 = _jitter_collisions(X1, X2)
-    W1 = W1 * _taper(X1, spec.R, spec.taper)
-    W2 = W2 * _taper(X2, spec.R, spec.taper)
+    # both axes get the same nodes; the xi1 axis alone may be jittered
+    X2, W = _axis_nodes(spec.R, lam, tau, fmax, oversample=oversample)
+    X1 = _jitter_collisions(X2, X2)
+    W1 = W * _taper(X1, spec.R, spec.taper)
+    W2 = W * _taper(X2, spec.R, spec.taper)
     return WAKE_PREFACTOR * (-2j * np.pi) * _residue_sum(X1, W1, X2, W2,
                                                          z1, z2, tau, lam)
 

@@ -258,7 +258,7 @@ def test_criterion_9_randomized_witnesses_and_verdicts():
                     G, eta, box)
                 sp = detect.classify_point(prob, x0)
                 assert sp.kind is PointKind.SP_ON_SURFACE
-                return detect.contribution_verdict(sp, prob)[0]
+                return sp.contributes
 
             scale = rng.choice([-1, 1]) * rng.uniform(0.2, 5.0)
             try:

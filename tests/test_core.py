@@ -5,11 +5,14 @@ import pytest
 
 from oscint3 import core, kelvin, problems
 from oscint3.core import (
+    AmplitudeSpec,
+    Box3,
     ProblemSpec,
     SingularityComponent,
     TangentialShift,
-    bypass_side,
+    quadratic_field,
 )
+from oscint3.detect import classify_point
 from field_check import check_field_derivatives
 
 
@@ -18,38 +21,47 @@ def _kelvin_comps():
     return p, p.amplitude.components
 
 
+def _verdict(eta, comp, x, a=1.0):
+    """(contributes, reason) at x on the surface of `comp` alone, for the phase
+    G = a*grad(g)(x).xi + |xi - x|^2/2, stationary on it at x with alpha = a.
+    The point contributes iff Gamma bypasses below w = a*g, i.e. iff a and the
+    bypass side sign(eta.grad g) differ in sign."""
+    n = np.real(comp.g.grad(x))
+    prob = ProblemSpec(AmplitudeSpec(quadratic_field(c=1.0), (comp,)),
+                       quadratic_field(np.eye(3), a * n - x), np.asarray(eta),
+                       Box3(np.full(3, -3.0), np.full(3, 3.0)))
+    sp = classify_point(prob, x)
+    return sp.contributes, sp.reason
+
+
 def test_bypass_side_kelvin_plane_above():
     p, (g1, _) = _kelvin_comps()
-    # on the plane varpi = xi1
-    assert bypass_side(p.eta, g1, np.array([0.5, 0.3, 0.5])) == +1
+    # on the plane varpi = xi1 Gamma passes above: side +1
+    x = np.array([0.5, 0.3, 0.5])
+    assert _verdict(p.eta, g1, x, +1.0) == (False, "bypass-above:pole-line")
+    assert _verdict(p.eta, g1, x, -1.0) == (True, "bypass-below-all")
 
 
 def test_bypass_side_kelvin_cone_sign_of_frequency():
     p, (_, g2) = _kelvin_comps()
-    up = np.array([1.0, 0.0, 1.0])            # varpi > 0 sheet
-    dn = np.array([1.0, 0.0, -1.0])           # varpi < 0 sheet
-    assert bypass_side(p.eta, g2, up) == +1
-    assert bypass_side(p.eta, g2, dn) == -1
+    up = np.array([1.0, 0.0, 1.0])            # varpi > 0 sheet: side +1
+    dn = np.array([1.0, 0.0, -1.0])           # varpi < 0 sheet: side -1
+    assert _verdict(p.eta, g2, up) == (False, "bypass-above:dispersion-cone")
+    assert _verdict(p.eta, g2, dn) == (True, "bypass-below-all")
 
 
 def test_bypass_side_tangential_raises():
     p, (g1, _) = _kelvin_comps()
     tangent_shift = np.array([1e-3, 0.0, 1e-3])  # along the plane
     with pytest.raises(TangentialShift):
-        bypass_side(tangent_shift, g1, np.array([0.5, 0.3, 0.5]))
-
-
-def test_bypass_side_requires_surface_point():
-    p, (g1, _) = _kelvin_comps()
-    with pytest.raises(ValueError):
-        bypass_side(p.eta, g1, np.array([0.5, 0.3, 0.9]))
+        _verdict(tangent_shift, g1, np.array([0.5, 0.3, 0.5]))
 
 
 def test_bypass_constant_on_plane_sheet():
     p, (g1, _) = _kelvin_comps()
     for a in np.linspace(-2, 2, 20):
         for b in np.linspace(-2, 2, 20):
-            assert bypass_side(p.eta, g1, np.array([a, b, a])) == +1
+            assert _verdict(p.eta, g1, np.array([a, b, a]))[1] == "bypass-above:pole-line"
 
 
 @pytest.mark.parametrize("eta", [[0.0, float("nan"), 1e-3], [0.0, 1e-3]],

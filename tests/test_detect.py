@@ -14,7 +14,7 @@ from oscint3.core import (
     gaussian_field,
     quadratic_field,
 )
-from oscint3.detect import PointKind, SpecialPoint, classify_point, contribution_verdict
+from oscint3.detect import PointKind, classify_point
 from wake_curve import curve_L
 
 
@@ -129,7 +129,8 @@ def test_crossing_swap_symmetry():
     b = detect.find_stationary(prob, (cB, cA))[0]
     assert np.allclose(a.location, b.location, atol=1e-10)
     assert a.alphas == pytest.approx(b.alphas[::-1])
-    assert contribution_verdict(a, prob)[0] == contribution_verdict(b, prob)[0]
+    assert (detect._with_verdict(a, prob.eta).contributes
+            == detect._with_verdict(b, prob.eta).contributes)
 
 
 def test_triple_crossing_canonical_and_alphas():
@@ -141,6 +142,23 @@ def test_triple_crossing_canonical_and_alphas():
     assert len(pts) == 1
     assert np.allclose(pts[0].location, 0, atol=1e-10)
     assert pts[0].alphas == pytest.approx((2.0, 3.0, 5.0))
+
+
+def test_triple_crossing_frame_rows_are_scaled_normals():
+    """The frame's rows are alpha_k * grad(g_k) whatever the sign of det W,
+    and J = 1/|det W|.  Here alpha = (1, -1, 1), so det W = -1: the verdict
+    reads eps = W eta = (eta1, -eta2, eta3) < 0 as a bypass below all three
+    planes."""
+    comps = tuple(SingularityComponent(quadratic_field(b=np.eye(3)[k]), -1.0,
+                                       f"p{k}") for k in range(3))
+    p = _problem(quadratic_field(np.eye(3), (1.0, -1.0, 1.0)), comps=comps,
+                 eta=(-1e-3, 1e-3, -1e-3))
+    sp = classify_point(p, np.zeros(3))
+    assert sp.kind is PointKind.TRIPLE_CROSSING
+    assert sp.alphas == pytest.approx((1.0, -1.0, 1.0))
+    assert np.array_equal(sp.frame.axes, np.array(sp.alphas)[:, None] * np.eye(3))
+    assert sp.frame.jacobian == pytest.approx(1.0)
+    assert (sp.contributes, sp.reason) == (True, "bypass-below-all")
 
 
 def test_triple_cross_wide_box_every_kind():
@@ -412,16 +430,23 @@ def test_classify_on_crossing_nonstationary():
     assert abs(sp.witness @ np.real(prob.G.grad(p))) > 1e-9
 
 
+def _same_record(a, b) -> bool:
+    """Field-by-field equality of two records, their arrays and frames included."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same_record(getattr(a, f.name), getattr(b, f.name))
+            for f in dataclasses.fields(a))
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
 @pytest.mark.parametrize("key", list(PINNED_POINTS), ids=str)
 def test_classify_point_matches_detect_all(key):
     name, z = key
     prob = problems.get_problem(name)[0] if z is None else kelvin.kelvin_problem(*z)
     for sp in detect.detect_all(prob):
-        cp = classify_point(prob, sp.location)
-        assert (cp.kind, cp.components, cp.near_degenerate) == (
-            sp.kind, sp.components, sp.near_degenerate)
-        assert contribution_verdict(cp, prob) == (sp.contributes, sp.reason)
-        assert cp.alphas == pytest.approx(sp.alphas, rel=1e-12, abs=1e-12)
+        assert _same_record(classify_point(prob, sp.location), sp), sp.location
 
 
 def test_classify_zero_multiplier_indeterminate():
@@ -464,13 +489,25 @@ def test_verdict_cone_examples():
                              ((0.0, 0.0, 1.0), (0, 0, +1e-3), False),
                              ((1.0, 0.0, 1.0), (0, 0, -1e-3), detect.Indeterminate)]:
         p = _problem(quadratic_field(b=b), comps=[cone], eta=eta)
-        sp = classify_point(p, np.zeros(3))
-        assert sp.kind is PointKind.CONICAL
         if expected is detect.Indeterminate:
             with pytest.raises(detect.Indeterminate):
-                contribution_verdict(sp, p)
+                classify_point(p, np.zeros(3))
         else:
-            assert contribution_verdict(sp, p)[0] is expected, (b, eta)
+            sp = classify_point(p, np.zeros(3))
+            assert sp.kind is PointKind.CONICAL
+            assert sp.contributes is expected, (b, eta)
+
+
+def test_detect_all_raises_on_dual_cone_boundary():
+    """A verdict refusal is not swallowed with the finders' Indeterminate
+    roots: the apex is found, and its verdict raises out of detect_all."""
+    cone = SingularityComponent(quadratic_field(np.diag([2.0, 2.0, -2.0])),
+                                -1.0, "cone")
+    p = _problem(quadratic_field(b=(1.0, 0.0, 1.0)), comps=[cone],
+                 eta=(0, 0, -1e-3))
+    assert len(detect.find_conical_points(p, cone)) == 1
+    with pytest.raises(detect.Indeterminate):
+        detect.detect_all(p)
 
 
 def test_verdict_kelvin_transient_iff_causal():
@@ -484,8 +521,7 @@ def test_verdict_kelvin_transient_iff_causal():
         sp = detect.find_stationary(prob, (cone,), seeds=[x + 0.03])
         sp = [s for s in sp if np.linalg.norm(s.location - x) < 0.3]
         assert len(sp) == 1
-        ok, _ = contribution_verdict(sp[0], prob)
-        assert ok is expected
+        assert classify_point(prob, sp[0].location).contributes is expected
 
 
 def test_verdict_kelvin_waves_need_formed_trail():
@@ -525,8 +561,6 @@ def test_verdict_invariant_under_rescaling(c, seed):
         G = quadratic_field(rng.standard_normal((3, 3)) * 0 + np.eye(3) * 0,
                             alpha * scale * n)
         p = _problem(G, comps=[g], eta=tuple(eta))
-        sp = SpecialPoint(np.zeros(3), PointKind.SP_ON_SURFACE, ("s",),
-                          alphas=(alpha / scale,))
-        return contribution_verdict(sp, p)[0]
+        return classify_point(p, np.zeros(3)).contributes
 
     assert make(1.0) == make(c)
