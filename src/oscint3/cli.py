@@ -27,7 +27,16 @@ from .kelvin import (MASK_INVALID, DegenerateFamily, FieldGrid, MergeProximity,
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "run", "main"]
 
-MODES = ("classify", "asym", "oracle", "compare", "field", "fronts")
+# the CSV header of each table mode; field and fronts write their own files
+HEADERS = {
+    "classify": ["x1", "x2", "x3", "kind", "components", "contributes",
+                 "reason", "witness1", "witness2", "witness3"],
+    "asym": ["re_coeff", "im_coeff", "power", "phase0"],
+    "oracle": ["lambda", "re", "im"],
+    "compare": ["lambda", "asym_re", "asym_im", "oracle_re", "oracle_im",
+                "rel_error", "runtime_s"],
+}
+MODES = (*HEADERS, "field", "fronts")
 
 
 class ConfigError(Exception):
@@ -178,11 +187,24 @@ def run(cfg: RunConfig) -> list[str]:
     problem = entry.build(cfg.z)
     spec = _quad_spec(cfg, entry)
 
-    def reference(lam: float):
-        v = entry.reference(problem, lam, spec)
-        return float(np.real(v)) if entry.real_field else v
-
-    files: list[str] = []
+    if cfg.mode in ("field", "fronts"):   # the wake at tau and the first Lambda
+        lam, tau = cfg.lambdas[0], cfg.z[2]
+        ax1 = np.linspace(*cfg.z1_range, cfg.grid[0])
+        ax2 = np.linspace(*cfg.z2_range, cfg.grid[1])
+        if cfg.mode == "fronts":
+            files = []
+            for fam, img in enumerate(render_wavefronts(ax1, ax2, tau, lam), start=1):
+                files.append(f"{cfg.out}-fronts-family{fam}.pgm")
+                write_pgm(files[-1], img.T[::-1])
+            return files
+        fg = field_map(ax1, ax2, tau, lam)
+        csv_path, pgm_path = f"{cfg.out}-field.csv", f"{cfg.out}-field.pgm"
+        write_csv(csv_path, ["z1", "z2", "field", "mask"], _field_lines(fg))
+        valid = fg.mask & MASK_INVALID == 0
+        vmax = np.max(np.abs(fg.values[valid])) if np.any(valid) else 1.0
+        img = np.where(valid, fg.values / (vmax or 1.0), np.nan)
+        write_pgm(pgm_path, img.T[::-1])
+        return [csv_path, pgm_path]
 
     if cfg.mode == "classify":
         rows = []
@@ -190,67 +212,28 @@ def run(cfg: RunConfig) -> list[str]:
             w = sp.witness if sp.witness is not None else (float("nan"),) * 3
             rows.append([*sp.location, sp.kind.value, "+".join(sp.components),
                          sp.contributes, sp.reason, *w])
-        path = f"{cfg.out}-classify.csv"
-        write_csv(path, ["x1", "x2", "x3", "kind", "components", "contributes",
-                         "reason", "witness1", "witness2", "witness3"],
-                  map(_csv_line, rows))
-        files.append(path)
-
     elif cfg.mode == "asym":
         rows = [[np.real(t.coeff), np.imag(t.coeff), t.power, t.phase0]
                 for t in entry.terms(problem)]
-        path = f"{cfg.out}-asym.csv"
-        write_csv(path, ["re_coeff", "im_coeff", "power", "phase0"],
-                  map(_csv_line, rows))
-        files.append(path)
-
     elif cfg.mode == "oracle":
         rows = []
         for lam in cfg.lambdas:
-            v = reference(lam)
+            v = entry.reference(problem, lam, spec)
             rows.append([lam, np.real(v), np.imag(v)])
-        path = f"{cfg.out}-oracle.csv"
-        write_csv(path, ["lambda", "re", "im"], map(_csv_line, rows))
-        files.append(path)
-
-    elif cfg.mode == "compare":
+    else:   # compare
         terms = entry.terms(problem)
         rows = []
         for lam in cfg.lambdas:
             t0 = time.perf_counter()
             a = asym.evaluate(terms, lam, problem.prefactor, entry.real_field)
-            o = reference(lam)
+            o = entry.reference(problem, lam, spec)
             dt = time.perf_counter() - t0
             rel = abs(a - o) / abs(o) if abs(o) > 0 else float("inf")
             rows.append([lam, np.real(a), np.imag(a), np.real(o), np.imag(o),
                          rel, dt])
-        path = f"{cfg.out}-compare.csv"
-        write_csv(path, ["lambda", "asym_re", "asym_im", "oracle_re",
-                         "oracle_im", "rel_error", "runtime_s"], map(_csv_line, rows))
-        files.append(path)
-
-    elif cfg.mode in ("field", "fronts"):   # the wake at tau and the first Lambda
-        lam, tau = cfg.lambdas[0], cfg.z[2]
-        ax1 = np.linspace(*cfg.z1_range, cfg.grid[0])
-        ax2 = np.linspace(*cfg.z2_range, cfg.grid[1])
-        if cfg.mode == "field":
-            fg = field_map(ax1, ax2, tau, lam)
-            path = f"{cfg.out}-field.csv"
-            write_csv(path, ["z1", "z2", "field", "mask"], _field_lines(fg))
-            files.append(path)
-            valid = fg.mask & MASK_INVALID == 0
-            vmax = np.max(np.abs(fg.values[valid])) if np.any(valid) else 1.0
-            img = np.where(valid, fg.values / (vmax or 1.0), np.nan)
-            path = f"{cfg.out}-field.pgm"
-            write_pgm(path, img.T[::-1])
-            files.append(path)
-        else:
-            for fam, img in enumerate(render_wavefronts(ax1, ax2, tau, lam), start=1):
-                path = f"{cfg.out}-fronts-family{fam}.pgm"
-                write_pgm(path, img.T[::-1])
-                files.append(path)
-
-    return files
+    path = f"{cfg.out}-{cfg.mode}.csv"
+    write_csv(path, HEADERS[cfg.mode], map(_csv_line, rows))
+    return [path]
 
 
 NUMERIC_ERRORS = (

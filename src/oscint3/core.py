@@ -95,13 +95,12 @@ def gaussian_field(center=(0.0, 0.0, 0.0)) -> ScalarField3:
         return np.exp(-(d0 * d0 + d1 * d1 + d2 * d2))
 
     def grad(xi):
-        d = xi - c
-        return -2.0 * d * np.exp(-np.sum(d * d, axis=-1))[..., None]
+        return -2.0 * (xi - c) * value(xi)[..., None]
 
     def hess(xi):
         d = xi - c
         return ((4.0 * d[..., :, None] * d[..., None, :] - 2.0 * np.eye(3))
-                * np.exp(-np.sum(d * d, axis=-1))[..., None, None])
+                * value(xi)[..., None, None])
 
     return ScalarField3(value, grad, hess)
 
@@ -110,8 +109,11 @@ def quadratic_field(A=None, b=(0.0, 0.0, 0.0), c: float = 0.0) -> ScalarField3:
     """(1/2) xi.A.xi + b.xi + c with constant A; covers every shipped g and
     G except Kelvin's dispersion cone, and Kelvin's N.  The value is written
     out elementwise, so a stack and one point get the same bits at any A and
-    b: xi.A.xi as a sum over A's nonzero entries, listed once here."""
+    b: xi.A.xi as a sum over A's nonzero entries, listed once here.  A is
+    stored as (A + A^T)/2, which leaves the value as it is and makes the
+    gradient and Hessian right for any A."""
     A = np.zeros((3, 3)) if A is None else np.asarray(A, dtype=float)
+    A = (A + A.T) / 2
     b = np.asarray(b, dtype=float)
     quad = [(int(i), int(j), 0.5 * A[i, j]) for i, j in zip(*np.nonzero(A))]
 
@@ -146,10 +148,16 @@ class SingularityComponent:
 
 @dataclass(frozen=True)
 class AmplitudeSpec:
-    """Factored amplitude F(xi) = N(xi) * prod_j g_j(xi)^mu_j."""
+    """Factored amplitude F(xi) = N(xi) * prod_j g_j(xi)^mu_j.  A point names
+    its factors by label, so the labels must be distinct."""
 
     smooth_factor: ScalarField3
     components: tuple[SingularityComponent, ...] = ()
+
+    def __post_init__(self):
+        labels = [c.label for c in self.components]
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"duplicate component labels in {labels}")
 
     def value_vec(self, xi: np.ndarray):
         """Evaluate F away from the singularities (principal branch powers),
@@ -197,10 +205,7 @@ class Box3:
         """Uniform n^3 seed grid (interior nodes), excluded ball removed."""
         axes = [np.linspace(self.lo[k], self.hi[k], n + 2)[1:-1] for k in range(3)]
         pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-        if self.excluded_center is not None:
-            keep = np.linalg.norm(pts - self.excluded_center, axis=1) >= self.excluded_radius
-            pts = pts[keep]
-        return pts
+        return pts[self.contains(pts)]
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ __all__ = [
     "NonConvergent",
     "PoleCollision",
     "QuadratureSpec",
-    "Contour1D",
     "gamma_tilde",
     "quad_contour_1d",
     "quad_deformed_3d",
@@ -65,7 +64,8 @@ class PoleCollision(Exception):
 class QuadratureSpec:
     """Tensor quadrature parameters: truncation radius, nodes per axis,
     cosine-window taper fraction (0 for none).  The contour's shift is the
-    problem's own eta."""
+    problem's own eta.  `kelvin_oracle` reads n as a panel-density scale
+    instead: it divides the base width of its graded panels by n/128."""
 
     R: float = 8.0
     n: int = 128
@@ -82,19 +82,10 @@ KELVIN_QUAD = QuadratureSpec(R=12.0, n=128)   # kelvin_oracle's default nodes
 
 
 # ---------------------------------------------------------------------------
-# 1D contours
+# 1D contours: a contour is a tuple of segments, ("line", a, b) or
+# ("arc", center, radius, th0, th1), in path order
 
-@dataclass(frozen=True)
-class Contour1D:
-    """Piecewise path in one complex variable.
-
-    segments: list of ("line", a, b) or ("arc", center, radius, th0, th1).
-    """
-
-    segments: tuple
-
-
-def gamma_tilde(r: float = 0.5, T: float = 30.0, H: float = 0.0) -> Contour1D:
+def gamma_tilde(r: float = 0.5, T: float = 30.0, H: float = 0.0) -> tuple:
     """Real line indented around 0 by a semicircle below; optional vertical
     end legs up to height H (for integrands that need the ends pushed into
     the decaying half-plane)."""
@@ -106,19 +97,19 @@ def gamma_tilde(r: float = 0.5, T: float = 30.0, H: float = 0.0) -> Contour1D:
     segs.append(("line", r + 0j, T + 0j))
     if H > 0:
         segs.append(("line", T + 0j, T + 1j * H))
-    return Contour1D(tuple(segs))
+    return tuple(segs)
 
 
-def quad_contour_1d(f: Callable[[complex], complex], contour: Contour1D,
+def quad_contour_1d(f: Callable[[complex], complex], contour: tuple,
                     lam: float = 0.0) -> complex:
     """Adaptive quadrature of f(w) * exp(i*lam*w) along the contour.
 
-    Multivalued integrands supplied through `f` should use `branch_arg`/`branch_power` so the cut sits just below the
-    positive real axis (arg in (-3*pi/2, pi/2]), matching the indented-below
-    contour convention.
+    Multivalued integrands supplied through `f` should use `branch_power`,
+    whose cut sits just below the positive real axis (arg in
+    (-3*pi/2, pi/2]), matching the indented-below contour convention.
     """
     total = 0j
-    for seg in contour.segments:
+    for seg in contour:
         if seg[0] == "line":
             _, a, b = seg
 
@@ -142,15 +133,12 @@ def quad_contour_1d(f: Callable[[complex], complex], contour: Contour1D,
     return total
 
 
-def branch_arg(w) -> np.ndarray:
-    """Argument with the cut just below the positive real axis: (-3pi/2, pi/2]."""
-    a = np.angle(w)
-    return np.where(a > np.pi / 2, a - 2 * np.pi, a)
-
-
 def branch_power(w, mu: float):
-    """w^mu on the branch matching the indented-below contour."""
-    return np.abs(w) ** mu * np.exp(1j * mu * branch_arg(w))
+    """w^mu on the branch matching the indented-below contour: the argument
+    has its cut just below the positive real axis, (-3pi/2, pi/2]."""
+    a = np.angle(w)
+    a = np.where(a > np.pi / 2, a - 2 * np.pi, a)
+    return np.abs(w) ** mu * np.exp(1j * mu * a)
 
 
 # ---------------------------------------------------------------------------

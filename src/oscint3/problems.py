@@ -50,9 +50,9 @@ class ProblemEntry:
     it.  `terms(problem)` returns the leading-order terms, which do not
     depend on Lambda.  With `real_field` they are one of each conjugate pair
     and the field is 2*Re(prefactor * sum).  `reference(problem, lam, spec=None)` is
-    the independent value; the quadrature references (cone, kelvin) take
-    their nodes from `spec`, default `default_quad`, and the others ignore
-    it.
+    the independent value, the one the CLI writes: for Kelvin the real
+    field.  The quadrature references (cone, kelvin) take their nodes from
+    `spec`, default `default_quad`, and the others ignore it.
     """
 
     build: Callable[[tuple[float, float, float]], ProblemSpec]
@@ -153,9 +153,8 @@ def _ref_cone(problem, lam, spec=None) -> complex:
     return val
 
 
-def _ref_kelvin(problem, lam, spec=None) -> complex:
-    z1, z2, tau = problem.z
-    return oracle.kelvin_oracle(z1, z2, tau, lam, spec)
+def _ref_kelvin(problem, lam, spec=None) -> float:
+    return float(np.real(oracle.kelvin_oracle(*problem.z, lam, spec)))
 
 
 def _terms_kelvin(problem) -> list[asym.AsymptoticTerm]:

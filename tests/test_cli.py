@@ -178,6 +178,33 @@ def test_run_compare_kelvin_matches_closed_form_and_oracle(tmp_path):
     assert asym_im == oracle_im == 0.0
 
 
+@pytest.mark.parametrize("mode,header", [
+    ("classify", "x1,x2,x3,kind,components,contributes,reason,"
+                 "witness1,witness2,witness3"),
+    ("asym", "re_coeff,im_coeff,power,phase0"),
+    ("oracle", "lambda,re,im"),
+    ("compare", "lambda,asym_re,asym_im,oracle_re,oracle_im,rel_error,runtime_s"),
+])
+def test_table_modes_write_one_csv(tmp_path, mode, header):
+    out = f"{tmp_path}/t"
+    paths = run(parse_config(f"mode = {mode}\nproblem = gaussian-sp\n"
+                             f"lambda = 20\nout = {out}\n"))
+    assert paths == [f"{out}-{mode}.csv"]
+    assert open(paths[0], newline="").read().split("\r\n")[0] == header
+
+
+def test_run_oracle_kelvin_writes_real_field(tmp_path):
+    """Kelvin's reference is the real field: `oracle` writes im = 0 and the
+    re that `compare` writes as oracle_re, bit for bit."""
+    text = f"problem = kelvin\nz = 3,1.5,10\nlambda = 20\nout = {tmp_path}/k\n"
+    (orc,) = run(parse_config("mode = oracle\n" + text))
+    (cmp,) = run(parse_config("mode = compare\n" + text))
+    ((_, re, im),) = _csv_body(orc)
+    ((_, _, _, oracle_re, _, _, _),) = _csv_body(cmp)
+    assert im == 0.0
+    assert re == oracle_re
+
+
 def test_run_oracle_seventeen_digits(tmp_path):
     cfg = parse_config(f"mode = oracle\nproblem = gaussian-sp\nlambda = 20\n"
                        f"out = {tmp_path}/orc\n")

@@ -82,6 +82,16 @@ def test_singularity_component_rejects_bad_mu():
     SingularityComponent(g, -0.5, "branch")
 
 
+def test_amplitude_rejects_duplicate_labels():
+    """A point names its factors by label, so two factors sharing one would
+    share one multiplier alpha."""
+    pA = SingularityComponent(quadratic_field(b=(2, 0, 0)), -1.0, "p")
+    pB = SingularityComponent(quadratic_field(b=(0, 1, 0)), -1.0, "p")
+    with pytest.raises(ValueError, match="duplicate"):
+        AmplitudeSpec(core.gaussian_field(), (pA, pB))
+    AmplitudeSpec(core.gaussian_field(), (pA, dataclasses.replace(pB, label="q")))
+
+
 @pytest.mark.parametrize("name", ["gaussian-sp", "pole-sp", "double-cross",
                                   "triple-cross", "cone"])
 def test_shipped_fields_pass_derivative_crosscheck(name):
@@ -102,6 +112,13 @@ def test_kelvin_fields_pass_derivative_crosscheck():
     check_field_derivatives(prob.amplitude.smooth_factor, pts)
     for c in prob.amplitude.components:
         check_field_derivatives(c.g, pts)
+
+
+def test_quadratic_field_nonsymmetric_A_derivatives():
+    """(1/2) xi.A.xi depends on A's symmetric part alone, and so do the
+    gradient and Hessian the field returns."""
+    f = quadratic_field([[0, 1, 0], [0, 0, 0], [0, 0, 0]], (0.5, -1.0, 2.0))
+    check_field_derivatives(f, np.random.default_rng(11).uniform(-2, 2, (50, 3)))
 
 
 def test_derivative_crosscheck_rejects_single_point_hessian():

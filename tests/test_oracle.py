@@ -8,7 +8,6 @@ import pytest
 from oscint3 import oracle, problems
 from oscint3.asym import gamma_factor, sum_asymptotics
 from oscint3.oracle import (
-    Contour1D,
     QuadratureSpec,
     SingularityTooClose,
     branch_power,
@@ -23,7 +22,7 @@ from oscint3.oracle import (
 # 1D contour quadrature
 
 def test_small_loop_simple_pole():
-    loop = Contour1D((("arc", 0j, 0.5, 0.0, 2 * np.pi),))
+    loop = (("arc", 0j, 0.5, 0.0, 2 * np.pi),)
     v = quad_contour_1d(lambda w: 1.0 / w, loop)
     assert v == pytest.approx(2j * np.pi, abs=1e-10)
 
@@ -142,7 +141,7 @@ def test_kelvin_residue_bookkeeping_against_line_quadrature():
     s = np.sqrt(s2)
     eps = 1e-3
     T = 300.0
-    line = Contour1D((("line", -T + 1j * eps, T + 1j * eps),))
+    line = (("line", -T + 1j * eps, T + 1j * eps),)
     f = lambda w: x1 * w / ((w - x1) * (w * w - s2))
     direct = quad_contour_1d(f, line, lam=-lam * tau)
     res = (x1 ** 2 * np.exp(-1j * lam * x1 * tau) / (x1 ** 2 - s2)
