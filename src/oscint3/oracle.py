@@ -4,15 +4,15 @@ Three oracles, none of which shares code with the asymptotic machinery:
 
 * quad_deformed_3d: tensor-product Gauss-Legendre over the shifted copy of
   R^3, with optional cosine taper; its error estimate is the difference
-  between the n-node and the (n-32)-node rules.  Slabs of the grid run on two
-  threads and are added in slab order.
+  between the n-node and the (n-32)-node rules.  Slabs of the grid are
+  stored coordinate-major, run on two threads and are added in slab order.
 * quad_contour_1d: adaptive quadrature of f(w) e^{i*Lambda*w} along a
   piecewise contour in one complex variable; used to verify the universal
   factor I(mu) and to build exact factorized references for the canonical
   test problems.
 * kelvin_oracle: residue reduction in the frequency variable followed by a
-  graded-panel 2D quadrature, folded onto xi2 > 0; independent reference for
-  the ship-wake field.
+  graded-panel 2D quadrature on mirror-symmetric axes, folded onto xi1 > 0
+  and xi2 > 0; independent reference for the ship-wake field.
 """
 
 from __future__ import annotations
@@ -72,8 +72,8 @@ class QuadratureSpec:
     taper: float = 0.15
 
     def __post_init__(self):
-        if self.R <= 0 or self.n < 16 or self.n % 2:
-            raise ValueError("need R > 0 and even n >= 16")
+        if not (np.isfinite(self.R) and self.R > 0) or self.n < 16 or self.n % 2:
+            raise ValueError("need a finite R > 0 and even n >= 16")
         if not 0 <= self.taper <= 0.5:
             raise ValueError("taper fraction in [0, 0.5]")
 
@@ -201,21 +201,25 @@ def _ordered_sum(part: Callable[[int], complex], keys) -> complex:
 def _quad_grid(problem: ProblemSpec, lam: float, spec: QuadratureSpec,
                n: int) -> complex:
     """The n-node tensor rule, one slab of the first axis per part of
-    `_ordered_sum`."""
+    `_ordered_sum`.  A slab is stored coordinate-major, (3, n, n), and
+    handed to the evaluators as its (n, n, 3) view, so each xi[..., k] they
+    read is contiguous; the (x2, x3) plane is shifted by i*eta once."""
     xg, wg = leggauss(n)
     x = spec.R * xg
     w = spec.R * wg * _taper(x, spec.R, spec.taper)
     F, G = problem.amplitude, problem.G
     # slab over the first axis; the volume form of a constant shift is 1
-    x23 = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1)
+    x2, x3 = np.meshgrid(x + 1j * problem.eta[1], x + 1j * problem.eta[2],
+                         indexing="ij")
+    x1 = x + 1j * problem.eta[0]
     w23 = np.outer(w, w)
 
     def slab(i):
-        pts = np.empty(x23.shape[:-1] + (3,), dtype=complex)
-        pts[..., 0] = x[i]
-        pts[..., 1] = x23[..., 0]
-        pts[..., 2] = x23[..., 1]
-        pts += 1j * problem.eta
+        c = np.empty((3, n, n), dtype=complex)
+        c[0] = x1[i]
+        c[1] = x2
+        c[2] = x3
+        pts = np.moveaxis(c, 0, -1)
         vals = F.value_vec(pts) * np.exp(1j * lam * G.value(pts))
         return w[i] * np.sum(w23 * vals)
 
@@ -262,23 +266,33 @@ def kelvin_oracle(z1: float, z2: float, tau: float, lam: float,
     For tau > 0 the frequency contour (shifted up by i*eps) closes downward
     and picks up the real poles at varpi = xi1 and varpi = +-(xi1^2+xi2^2)^{1/4};
     the residue sum is then integrated over (xi1, xi2) with graded windowed
-    Gauss-Legendre panels (`_residue_sum`: the even xi2 axis folded onto its
-    positive half, one complex exponential per node pair, blocks of rows on
-    two threads).  For tau < 0 the contour closes upward around no poles and
-    the integral is exactly zero (causality).
+    Gauss-Legendre panels (`_residue_sum`: both axes folded onto their
+    positive halves, one complex exponential per node pair, blocks of rows on
+    two threads).  If a node pair meets the pole-merge curve, the positive
+    xi1 nodes move out by 1e-6 and the negative ones mirror them, so the xi1
+    axis stays mirror-symmetric.  For tau <= 0 the integrand decays like
+    1/varpi^2, the contour closes upward around no poles and the integral is
+    exactly zero (causality).
     """
     spec = spec or KELVIN_QUAD
-    if tau < 0:
+    if tau <= 0:
         return 0j
     fmax = max(abs(z1), abs(z2)) + 1.0 + tau * 0.55
     oversample = spec.n / 128.0
-    # both axes get the same nodes; the xi1 axis alone may be jittered
+    # both axes get the same nodes; the xi1 axis alone may be jittered, outward
     X2, W = _axis_nodes(spec.R, lam, tau, fmax, oversample=oversample)
-    X1 = _jitter_collisions(X2, X2)
+    P = _jitter_collisions(X2[len(X2) // 2:], X2)
+    X1 = np.concatenate([-P[::-1], P])
     W1 = W * _taper(X1, spec.R, spec.taper)
     W2 = W * _taper(X2, spec.R, spec.taper)
     return WAKE_PREFACTOR * (-2j * np.pi) * _residue_sum(X1, W1, X2, W2,
                                                          z1, z2, tau, lam)
+
+
+def _mirrored(X: np.ndarray, sign: float = -1.0) -> bool:
+    """Whether the second half of X is the first half reversed, times sign."""
+    half = len(X) // 2
+    return bool(np.array_equal(X[half:], sign * X[half - 1::-1]))
 
 
 def _residue_sum(X1, W1, X2, W2, z1, z2, tau, lam) -> complex:
@@ -288,19 +302,24 @@ def _residue_sum(X1, W1, X2, W2, z1, z2, tau, lam) -> complex:
 
     The x2 nodes and weights are mirror-symmetric and the residue sum
     depends on xi2 only through xi2^2, so the sum runs over xi2 > 0 with the
-    weights 2*W2*cos(lam*x2*z2).  Per node pair one complex exponential is
-    taken: the +s pole's, whose conjugate is the -s pole's; the xi1 pole's
-    depends on the row alone.  Blocks of rows are the parts of
-    `_ordered_sum`.
+    weights 2*W2*cos(lam*x2*z2).  The x1 nodes are mirror-symmetric too
+    (their weights need not be): with t1, pp, pm the three residues at a
+    row x1 > 0, the row -x1 has the residues conj(t1), conj(pm), conj(pp),
+    so its residue sum is conj(t1 + pm + pp), with the bits the row would
+    get on its own.  Per node pair one complex exponential is taken: the +s
+    pole's, whose conjugate is the -s pole's; the xi1 pole's depends on the
+    row alone.  Blocks of 128 rows with x1 > 0, each with its mirror rows,
+    are the parts of `_ordered_sum`.
     """
-    half = len(X2) // 2
-    if not (np.array_equal(X2[half:], -X2[half - 1::-1])
-            and np.array_equal(W2[half:], W2[half - 1::-1])):
-        raise ValueError("the x2 nodes and weights are not mirror-symmetric")
-    X2 = X2[half:]
+    if not (_mirrored(X1) and _mirrored(X2) and _mirrored(W2, 1.0)):
+        raise ValueError("the x1 nodes and the x2 nodes and weights "
+                         "are not mirror-symmetric")
+    h1, h2 = len(X1) // 2, len(X2) // 2
     u = W1 * np.exp(1j * lam * X1 * z1)
-    v = 2 * W2[half:] * np.cos(lam * X2 * z2)
-    B = 256
+    u_pos, u_neg = u[h1:], u[h1 - 1::-1]
+    X1, X2 = X1[h1:], X2[h2:]
+    v = 2 * W2[h2:] * np.cos(lam * X2 * z2)
+    B = 128
 
     def rows(i0):
         x1 = X1[i0:i0 + B, None]
@@ -311,9 +330,10 @@ def _residue_sum(X1, W1, X2, W2, z1, z2, tau, lam) -> complex:
         t1 = x1 ** 2 * np.exp(-1j * lam * x1 * tau) / (x1 ** 2 - s2)
         pp = x1 * E / (2 * (s - x1))
         pm = -x1 * E.conj() / (2 * (s + x1))
-        return u[i0:i0 + B] @ (t1 + pp + pm) @ v
+        return (u_pos[i0:i0 + B] @ (t1 + pp + pm) @ v
+                + u_neg[i0:i0 + B] @ (t1 + pm + pp).conj() @ v)
 
-    return _ordered_sum(rows, range(0, len(X1), B))
+    return _ordered_sum(rows, range(0, h1, B))
 
 
 def _merge_collisions(X1: np.ndarray, X2: np.ndarray, tol: float) -> bool:

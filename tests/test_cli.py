@@ -422,6 +422,16 @@ def test_module_entry_point_runs_without_warning(tmp_path):
     assert getattr(oscint3, "cli") is sys.modules["oscint3.cli"]
 
 
+def test_main_compare_kelvin_at_onset(tmp_path, capsys):
+    # at tau = 0 the closed form and the oracle are both 0
+    rc = main(["--mode", "compare", "--problem", "kelvin", "--z", "2,0.5,0",
+               "--out", str(tmp_path / "k0")])
+    assert rc == 0
+    ((_, asym_re, asym_im, oracle_re, oracle_im, _, _),) = _csv_body(
+        capsys.readouterr().out.strip())
+    assert asym_re == asym_im == oracle_re == oracle_im == 0.0
+
+
 def test_main_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"mode = classify\nproblem = triple-cross\n"

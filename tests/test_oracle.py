@@ -53,6 +53,9 @@ def test_quadrature_spec_validation():
         QuadratureSpec(n=17)
     with pytest.raises(ValueError):
         QuadratureSpec(taper=0.7)
+    for R in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            QuadratureSpec(R=R)
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +112,8 @@ def test_quad_deformed_agrees_with_asymptotics_gaussian():
 def test_kelvin_oracle_zero_before_onset():
     assert kelvin_oracle(2.0, 0.5, -10.0, 40.0) == 0j
     assert kelvin_oracle(2.0, 0.5, -0.1, 80.0) == 0j
+    assert kelvin_oracle(2.0, 0.5, 0.0, 40.0) == 0j
+    assert kelvin_oracle(2.0, 0.5, -0.0, 40.0) == 0j
 
 
 def test_kelvin_oracle_real_and_symmetric():
@@ -151,6 +156,23 @@ def test_kelvin_residue_bookkeeping_against_line_quadrature():
     assert direct == pytest.approx(want, rel=2e-2)
 
 
+# points where a node pair meets the pole-merge curve and the xi1 axis is
+# jittered, with the values of the jitter that shifted the whole axis by +1e-6
+JITTER_FIXTURES = [
+    ((2.0102272299088453, 1.4806968807572858, 10.0, 80.0), 0.2867122356489399),
+    ((2.4049, 1.2683, 10.0, 40.0), -0.3382703170754144),
+]
+
+
+@pytest.mark.parametrize("z,want", JITTER_FIXTURES)
+def test_kelvin_oracle_outward_jitter_near_axis_shift(z, want):
+    z1, z2, tau, lam = z
+    fmax = max(abs(z1), abs(z2)) + 1.0 + tau * 0.55
+    X, _ = oracle._axis_nodes(12.0, lam, tau, fmax)
+    assert oracle._merge_collisions(X, X, 1e-8)
+    assert abs(kelvin_oracle(*z).real - want) < 1e-8
+
+
 def test_kelvin_oracle_node_refinement():
     # doubling n (which halves the panel width) moves the value very little
     a = kelvin_oracle(3.0, 1.5, 10.0, 40.0)
@@ -186,6 +208,51 @@ def test_residue_sum_rejects_asymmetric_x2_nodes():
         oracle._residue_sum(X, W, X + 1e-3, W, 2.0, 0.5, 3.0, 4.0)
 
 
+def test_residue_sum_rejects_asymmetric_x1_nodes():
+    X, W = oracle._axis_nodes(2.0, 4.0, 3.0, 4.0)
+    with pytest.raises(ValueError):
+        oracle._residue_sum(X + 1e-3, W, X, W, 2.0, 0.5, 3.0, 4.0)
+
+
+def _unfolded_x1_residue_sum(X1, W1, X2, W2, z1, z2, tau, lam) -> complex:
+    # the residue sum with the x2 fold only, in blocks of 256 rows of x1
+    half = len(X2) // 2
+    if not (np.array_equal(X2[half:], -X2[half - 1::-1])
+            and np.array_equal(W2[half:], W2[half - 1::-1])):
+        raise ValueError("the x2 nodes and weights are not mirror-symmetric")
+    X2 = X2[half:]
+    u = W1 * np.exp(1j * lam * X1 * z1)
+    v = 2 * W2[half:] * np.cos(lam * X2 * z2)
+    B = 256
+
+    def rows(i0):
+        x1 = X1[i0:i0 + B, None]
+        s2 = np.sqrt(x1 ** 2 + X2 ** 2)
+        s = np.sqrt(s2)
+        E = np.exp(-1j * lam * s * tau)
+        # analytic across the collision curves x1 = +-s
+        t1 = x1 ** 2 * np.exp(-1j * lam * x1 * tau) / (x1 ** 2 - s2)
+        pp = x1 * E / (2 * (s - x1))
+        pm = -x1 * E.conj() / (2 * (s + x1))
+        return u[i0:i0 + B] @ (t1 + pp + pm) @ v
+
+    return oracle._ordered_sum(rows, range(0, len(X1), B))
+
+
+def test_x1_fold_matches_unfolded_rows():
+    """The +-x1 fold against the sum that forms every x1 row, on 352
+    positive rows (three blocks of 128, the last one short) with tapered,
+    asymmetric x1 weights."""
+    z1, z2, tau, lam = 2.0, 0.5, 3.0, 20.0
+    X1, W = oracle._axis_nodes(6.0, lam, tau, 4.0)
+    assert len(X1) // 2 == 352
+    W1 = W * oracle._taper(X1, 6.0, 0.15) * (1 + 0.1 * X1)
+    X2, W2 = oracle._axis_nodes(2.0, lam, tau, 4.0)
+    got = oracle._residue_sum(X1, W1, X2, W2, z1, z2, tau, lam)
+    want = _unfolded_x1_residue_sum(X1, W1, X2, W2, z1, z2, tau, lam)
+    assert abs(got - want) <= 1e-14 * abs(want)
+
+
 def _serial_quad_grid(problem, lam, spec, n):
     # the slab loop of the tensor rule, written out on one thread
     xg, wg = np.polynomial.legendre.leggauss(n)
@@ -205,7 +272,9 @@ def _serial_quad_grid(problem, lam, spec, n):
     return complex(problem.prefactor) * total
 
 
-@pytest.mark.parametrize("name,lam,R", [("pole-sp", 20.0, 6.0), ("cone", 30.0, 3.0)])
+@pytest.mark.parametrize("name,lam,R", [("pole-sp", 20.0, 6.0), ("cone", 30.0, 3.0),
+                                        ("gaussian-sp", 20.0, 6.0),
+                                        ("double-cross", 20.0, 6.0)])
 def test_quad_grid_two_workers_equal_serial_loop(name, lam, R):
     prob, _ = problems.get_problem(name)
     spec = QuadratureSpec(R=R, n=64)
