@@ -107,11 +107,12 @@ def gaussian_field(center=(0.0, 0.0, 0.0)) -> ScalarField3:
 
 def quadratic_field(A=None, b=(0.0, 0.0, 0.0), c: float = 0.0) -> ScalarField3:
     """(1/2) xi.A.xi + b.xi + c with constant A; covers every shipped g and
-    G except Kelvin's dispersion cone, and Kelvin's N.  The value is written
-    out elementwise, so a stack and one point get the same bits at any A and
-    b: xi.A.xi as a sum over A's nonzero entries, listed once here.  A is
-    stored as (A + A^T)/2, which leaves the value as it is and makes the
-    gradient and Hessian right for any A."""
+    G except Kelvin's dispersion cone, and Kelvin's N.  The value and the
+    gradient are written out elementwise, so a stack and one point get the
+    same bits at any A and b (`xi @ A.T + b` and `xi @ b` would not): both
+    are sums over A's nonzero entries, listed once here.  A is stored as
+    (A + A^T)/2, which leaves the value as it is and makes the gradient and
+    Hessian right for any A."""
     A = np.zeros((3, 3)) if A is None else np.asarray(A, dtype=float)
     A = (A + A.T) / 2
     b = np.asarray(b, dtype=float)
@@ -119,12 +120,16 @@ def quadratic_field(A=None, b=(0.0, 0.0, 0.0), c: float = 0.0) -> ScalarField3:
 
     def value(xi):
         q = sum((a * xi[..., i] * xi[..., j] for i, j, a in quad), 0.0)
-        # `xi @ b` would round a stack and one point differently; xi @ A.T
-        # does not where each row of A has one nonzero entry at most
         return q + (xi[..., 0] * b[0] + xi[..., 1] * b[1] + xi[..., 2] * b[2]) + c
 
-    return ScalarField3(value, lambda xi: xi @ A.T + b,
-                        lambda xi: np.broadcast_to(A, xi.shape + (3,)))
+    def grad(xi):
+        g = np.empty(xi.shape, dtype=np.result_type(xi, b))
+        g[...] = b
+        for i, j, a in quad:
+            g[..., i] += 2 * a * xi[..., j]
+        return g
+
+    return ScalarField3(value, grad, lambda xi: np.broadcast_to(A, xi.shape + (3,)))
 
 
 @dataclass(frozen=True)

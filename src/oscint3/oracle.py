@@ -11,8 +11,9 @@ Three oracles, none of which shares code with the asymptotic machinery:
   factor I(mu) and to build exact factorized references for the canonical
   test problems.
 * kelvin_oracle: residue reduction in the frequency variable followed by a
-  graded-panel 2D quadrature on mirror-symmetric axes, folded onto xi1 > 0
-  and xi2 > 0; independent reference for the ship-wake field.
+  graded-panel 2D quadrature on the positive half-axes xi1 > 0 and xi2 > 0,
+  each node standing for itself and its mirror; independent reference for
+  the ship-wake field.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ RAD_PER_PANEL = 24.0           # phase advance per Gauss-Legendre panel
 PANEL_NODES = 16               # Gauss-Legendre nodes per panel
 WAKE_PREFACTOR = 1j / (8 * np.pi ** 3)   # restated here: the oracle imports no kelvin code
 WORKERS = 2                    # threads of `_ordered_sum`; fixed, never one per part
+COLLISION_TOL = 1e-8           # least distance of a node pair from the pole-merge curve
 
 
 class SingularityTooClose(Exception):
@@ -230,7 +232,7 @@ def _quad_grid(problem: ProblemSpec, lam: float, spec: QuadratureSpec,
 # Kelvin residue oracle
 
 def _graded_panels(R: float, h_base: float, lam: float, tau: float) -> np.ndarray:
-    """Panel edges on [-R, R], width limited by the local oscillation rate
+    """Panel edges on [0, R], width limited by the local oscillation rate
     lam*tau/(2*sqrt(x)) of the square-root phase near the origin."""
     edges = [0.0]
     x = 0.0
@@ -243,12 +245,12 @@ def _graded_panels(R: float, h_base: float, lam: float, tau: float) -> np.ndarra
         h = max(h, 5e-4)
         x = min(x + h, R)
         edges.append(x)
-    e = np.array(edges)
-    return np.concatenate([-e[::-1], e[1:]])
+    return np.array(edges)
 
 
 def _axis_nodes(R: float, lam: float, tau: float, fmax: float,
                 oversample: float = 1.0):
+    """Nodes and weights of the graded panels on (0, R), in increasing order."""
     h_base = RAD_PER_PANEL / (lam * fmax * oversample)
     e = _graded_panels(R, h_base, lam, tau)
     xg, wg = leggauss(PANEL_NODES)
@@ -266,59 +268,46 @@ def kelvin_oracle(z1: float, z2: float, tau: float, lam: float,
     For tau > 0 the frequency contour (shifted up by i*eps) closes downward
     and picks up the real poles at varpi = xi1 and varpi = +-(xi1^2+xi2^2)^{1/4};
     the residue sum is then integrated over (xi1, xi2) with graded windowed
-    Gauss-Legendre panels (`_residue_sum`: both axes folded onto their
-    positive halves, one complex exponential per node pair, blocks of rows on
-    two threads).  If a node pair meets the pole-merge curve, the positive
-    xi1 nodes move out by 1e-6 and the negative ones mirror them, so the xi1
-    axis stays mirror-symmetric.  For tau <= 0 the integrand decays like
-    1/varpi^2, the contour closes upward around no poles and the integral is
-    exactly zero (causality).
+    Gauss-Legendre panels on the positive half-axes (`_residue_sum` adds the
+    mirror nodes -xi1 and -xi2 itself; one complex exponential per node
+    pair, blocks of rows on two threads).  If a node pair meets the
+    pole-merge curve, the xi1 half-axis moves out by 1e-6.  For tau <= 0
+    the integrand decays like 1/varpi^2, the contour closes upward around
+    no poles and the integral is exactly zero (causality).
     """
     spec = spec or KELVIN_QUAD
     if tau <= 0:
         return 0j
     fmax = max(abs(z1), abs(z2)) + 1.0 + tau * 0.55
     oversample = spec.n / 128.0
-    # both axes get the same nodes; the xi1 axis alone may be jittered, outward
+    # both axes get the same nodes; the xi1 axis alone may be jittered
     X2, W = _axis_nodes(spec.R, lam, tau, fmax, oversample=oversample)
-    P = _jitter_collisions(X2[len(X2) // 2:], X2)
-    X1 = np.concatenate([-P[::-1], P])
+    X1 = _jitter_collisions(X2, X2)
     W1 = W * _taper(X1, spec.R, spec.taper)
     W2 = W * _taper(X2, spec.R, spec.taper)
     return WAKE_PREFACTOR * (-2j * np.pi) * _residue_sum(X1, W1, X2, W2,
                                                          z1, z2, tau, lam)
 
 
-def _mirrored(X: np.ndarray, sign: float = -1.0) -> bool:
-    """Whether the second half of X is the first half reversed, times sign."""
-    half = len(X) // 2
-    return bool(np.array_equal(X[half:], sign * X[half - 1::-1]))
-
-
 def _residue_sum(X1, W1, X2, W2, z1, z2, tau, lam) -> complex:
     """sum over node pairs of W1*W2*e^{i*lam*(x1*z1 + x2*z2)} times the
     residue sum of xi1*varpi*e^{-i*lam*varpi*tau} / ((varpi-xi1)(varpi^2-s2))
-    at varpi = xi1, +s, -s, with s2 = sqrt(xi1^2 + xi2^2) and s = sqrt(s2).
+    at varpi = xi1, +s, -s, with s2 = sqrt(xi1^2 + xi2^2) and s = sqrt(s2),
+    over the full axes of nodes +-X1 and +-X2 with the weights W1 and W2.
 
-    The x2 nodes and weights are mirror-symmetric and the residue sum
-    depends on xi2 only through xi2^2, so the sum runs over xi2 > 0 with the
-    weights 2*W2*cos(lam*x2*z2).  The x1 nodes are mirror-symmetric too
-    (their weights need not be): with t1, pp, pm the three residues at a
-    row x1 > 0, the row -x1 has the residues conj(t1), conj(pm), conj(pp),
-    so its residue sum is conj(t1 + pm + pp), with the bits the row would
-    get on its own.  Per node pair one complex exponential is taken: the +s
-    pole's, whose conjugate is the -s pole's; the xi1 pole's depends on the
-    row alone.  Blocks of 128 rows with x1 > 0, each with its mirror rows,
-    are the parts of `_ordered_sum`.
+    X1, W1 and X2, W2 are the positive half-axes, each node standing for
+    itself and its mirror.  The residue sum depends on xi2 only through
+    xi2^2, so each x2 carries the weight 2*W2*cos(lam*x2*z2).  With t1, pp,
+    pm the three residues at a row x1 > 0, the row -x1 has the residues
+    conj(t1), conj(pm), conj(pp), so its residue sum is conj(t1 + pm + pp),
+    with the bits the row would get on its own.  Per node pair one complex
+    exponential is taken: the +s pole's, whose conjugate is the -s pole's;
+    the xi1 pole's depends on the row alone.  Blocks of 128 rows, each with
+    its mirror rows, are the parts of `_ordered_sum`.
     """
-    if not (_mirrored(X1) and _mirrored(X2) and _mirrored(W2, 1.0)):
-        raise ValueError("the x1 nodes and the x2 nodes and weights "
-                         "are not mirror-symmetric")
-    h1, h2 = len(X1) // 2, len(X2) // 2
-    u = W1 * np.exp(1j * lam * X1 * z1)
-    u_pos, u_neg = u[h1:], u[h1 - 1::-1]
-    X1, X2 = X1[h1:], X2[h2:]
-    v = 2 * W2[h2:] * np.cos(lam * X2 * z2)
+    u_pos = W1 * np.exp(1j * lam * X1 * z1)
+    u_neg = W1 * np.exp(-1j * lam * X1 * z1)
+    v = 2 * W2 * np.cos(lam * X2 * z2)
     B = 128
 
     def rows(i0):
@@ -333,30 +322,27 @@ def _residue_sum(X1, W1, X2, W2, z1, z2, tau, lam) -> complex:
         return (u_pos[i0:i0 + B] @ (t1 + pp + pm) @ v
                 + u_neg[i0:i0 + B] @ (t1 + pm + pp).conj() @ v)
 
-    return _ordered_sum(rows, range(0, h1, B))
+    return _ordered_sum(rows, range(0, len(X1), B))
 
 
-def _merge_collisions(X1: np.ndarray, X2: np.ndarray, tol: float) -> bool:
-    """Whether some node pair lies within tol of the pole-merge curve,
-    | |xi1| - (xi1^2 + xi2^2)^{1/4} | < tol.  That difference does not grow
-    as |xi2| grows, so for each xi1 only the sorted-|xi2| neighbours of the
-    curve's |xi2| = |xi1|*sqrt(xi1^2 - 1) (0 for |xi1| < 1) can come
-    closest; two on each side are checked."""
-    Y = np.unique(np.abs(X2))
-    a = np.abs(X1)
-    t = a * np.sqrt(np.maximum((a - 1) * (a + 1), 0.0))
-    j = np.clip(np.searchsorted(Y, t)[:, None] + np.arange(-2, 2), 0, len(Y) - 1)
-    s = (X1[:, None] ** 2 + Y[j] ** 2) ** 0.25
-    return bool(np.any(np.abs(a[:, None] - s) < tol))
+def _merge_collisions(X1: np.ndarray, X2: np.ndarray) -> bool:
+    """Whether some node pair of the positive half-axes lies within
+    COLLISION_TOL of the pole-merge curve, |xi1 - (xi1^2 + xi2^2)^{1/4}|.
+    That difference does not grow as xi2 grows, so for each xi1 only the
+    neighbours in the sorted X2 of the curve's xi2 = xi1*sqrt(xi1^2 - 1)
+    (0 for xi1 < 1) can come closest; two on each side are checked."""
+    t = X1 * np.sqrt(np.maximum((X1 - 1) * (X1 + 1), 0.0))
+    j = np.clip(np.searchsorted(X2, t)[:, None] + np.arange(-2, 2), 0, len(X2) - 1)
+    s = (X1[:, None] ** 2 + X2[j] ** 2) ** 0.25
+    return bool(np.any(np.abs(X1[:, None] - s) < COLLISION_TOL))
 
 
-def _jitter_collisions(X1: np.ndarray, X2: np.ndarray,
-                       tol: float = 1e-8) -> np.ndarray:
-    """Shift the xi1 axis once by 1e-6 if any node pair collides with the
-    pole-merge curve; raise if the jitter does not clear it."""
-    if not _merge_collisions(X1, X2, tol):
+def _jitter_collisions(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
+    """Shift the xi1 half-axis out once by 1e-6 if any node pair collides
+    with the pole-merge curve; raise if the jitter does not clear it."""
+    if not _merge_collisions(X1, X2):
         return X1
     X1j = X1 + 1e-6
-    if _merge_collisions(X1j, X2, tol):
+    if _merge_collisions(X1j, X2):
         raise PoleCollision("quadrature node on the pole-merge curve after jitter")
     return X1j

@@ -49,10 +49,10 @@ class ProblemEntry:
     z = (z1, z2, tau); the canonical problems do not depend on z and ignore
     it.  `terms(problem)` returns the leading-order terms, which do not
     depend on Lambda.  With `real_field` they are one of each conjugate pair
-    and the field is 2*Re(prefactor * sum).  `reference(problem, lam, spec=None)` is
-    the independent value, the one the CLI writes: for Kelvin the real
-    field.  The quadrature references (cone, kelvin) take their nodes from
-    `spec`, default `default_quad`, and the others ignore it.
+    and the field is 2*Re(prefactor * sum).  `reference(problem, lam,
+    spec=None)` is the independent value, the one the CLI writes: for Kelvin
+    the real field.  The quadrature references (cone, kelvin) take their
+    nodes from `spec`, default `default_quad`, and the others ignore it.
     """
 
     build: Callable[[tuple[float, float, float]], ProblemSpec]

@@ -51,3 +51,17 @@ def test_no_unused_imports():
     files = [*Path(oscint3.__file__).parent.glob("*.py"),
              *Path(__file__).parent.glob("*.py")]
     assert [u for f in sorted(files) for u in _unused_imports(f)] == []
+
+
+def test_private_helpers_are_used():
+    """Every module-level private function or class of the package is named
+    somewhere in the package besides its own definition."""
+    trees = [ast.parse(p.read_text())
+             for p in Path(oscint3.__file__).parent.glob("*.py")]
+    private = {n.name for t in trees for n in t.body
+               if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+               and n.name.startswith("_") and not n.name.endswith("__")}
+    named = {getattr(n, "id", None) or getattr(n, "attr", None)
+             for t in trees for n in ast.walk(t)
+             if isinstance(n, (ast.Name, ast.Attribute))}
+    assert sorted(private - named) == []

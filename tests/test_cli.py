@@ -427,9 +427,10 @@ def test_main_compare_kelvin_at_onset(tmp_path, capsys):
     rc = main(["--mode", "compare", "--problem", "kelvin", "--z", "2,0.5,0",
                "--out", str(tmp_path / "k0")])
     assert rc == 0
-    ((_, asym_re, asym_im, oracle_re, oracle_im, _, _),) = _csv_body(
+    ((_, asym_re, asym_im, oracle_re, oracle_im, rel_error, _),) = _csv_body(
         capsys.readouterr().out.strip())
     assert asym_re == asym_im == oracle_re == oracle_im == 0.0
+    assert rel_error == 0.0         # an exact agreement, not an infinite error
 
 
 def test_main_config_file(tmp_path, capsys):

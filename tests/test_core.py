@@ -104,6 +104,16 @@ def test_shipped_fields_pass_derivative_crosscheck(name):
         check_field_derivatives(c.g, pts)
 
 
+def test_dense_quadratic_fields_pass_derivative_crosscheck():
+    # a general A has several nonzero entries per row, where a matrix
+    # product would round a stack of points and one point differently
+    rng = np.random.default_rng(12)
+    pts = rng.uniform(-2, 2, size=(100, 3))
+    for _ in range(5):
+        A, b = rng.normal(size=(3, 3)), rng.normal(size=3)
+        check_field_derivatives(quadratic_field(A, b, rng.normal()), pts)
+
+
 def test_kelvin_fields_pass_derivative_crosscheck():
     prob = kelvin.kelvin_problem(2.0, 2.0, 10.0)
     rng = np.random.default_rng(8)
