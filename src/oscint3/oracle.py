@@ -5,7 +5,8 @@ Three oracles, none of which shares code with the asymptotic machinery:
 * quad_deformed_3d: tensor-product Gauss-Legendre over the shifted copy of
   R^3, with optional cosine taper; its error estimate is the difference
   between the n-node and the (n-32)-node rules.  Slabs of the grid are
-  stored coordinate-major, run on two threads and are added in slab order.
+  stored coordinate-major in one buffer per thread, run on two threads and
+  are added in slab order.
 * quad_contour_1d: adaptive quadrature of f(w) e^{i*Lambda*w} along a
   piecewise contour in one complex variable; used to verify the universal
   factor I(mu) and to build exact factorized references for the canonical
@@ -13,11 +14,14 @@ Three oracles, none of which shares code with the asymptotic machinery:
 * kelvin_oracle: residue reduction in the frequency variable followed by a
   graded-panel 2D quadrature on the positive half-axes xi1 > 0 and xi2 > 0,
   each node standing for itself and its mirror; independent reference for
-  the ship-wake field.
+  the ship-wake field.  The residue sum is formed in real arithmetic, with
+  the bits of the complex formula, over blocks of RESIDUE_ROWS rows in a
+  workspace each thread allocates once per call.
 """
 
 from __future__ import annotations
 
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -48,6 +52,7 @@ PANEL_NODES = 16               # Gauss-Legendre nodes per panel
 WAKE_PREFACTOR = 1j / (8 * np.pi ** 3)   # restated here: the oracle imports no kelvin code
 WORKERS = 2                    # threads of `_ordered_sum`; fixed, never one per part
 COLLISION_TOL = 1e-8           # least distance of a node pair from the pole-merge curve
+RESIDUE_ROWS = 16              # x1 rows per part of the Kelvin residue sum
 
 
 class SingularityTooClose(Exception):
@@ -205,7 +210,9 @@ def _quad_grid(problem: ProblemSpec, lam: float, spec: QuadratureSpec,
     """The n-node tensor rule, one slab of the first axis per part of
     `_ordered_sum`.  A slab is stored coordinate-major, (3, n, n), and
     handed to the evaluators as its (n, n, 3) view, so each xi[..., k] they
-    read is contiguous; the (x2, x3) plane is shifted by i*eta once."""
+    read is contiguous.  Each thread allocates one slab per call and writes
+    the (x2, x3) planes, shifted by i*eta, once; a slab sets only its x1
+    plane, and the phase and the weights are applied in place."""
     xg, wg = leggauss(n)
     x = spec.R * xg
     w = spec.R * wg * _taper(x, spec.R, spec.taper)
@@ -215,15 +222,23 @@ def _quad_grid(problem: ProblemSpec, lam: float, spec: QuadratureSpec,
                          indexing="ij")
     x1 = x + 1j * problem.eta[0]
     w23 = np.outer(w, w)
+    local = threading.local()
 
     def slab(i):
-        c = np.empty((3, n, n), dtype=complex)
+        c = getattr(local, "c", None)
+        if c is None:
+            c = local.c = np.empty((3, n, n), dtype=complex)
+            c[1] = x2
+            c[2] = x3
         c[0] = x1[i]
-        c[1] = x2
-        c[2] = x3
         pts = np.moveaxis(c, 0, -1)
-        vals = F.value_vec(pts) * np.exp(1j * lam * G.value(pts))
-        return w[i] * np.sum(w23 * vals)
+        ph = G.value(pts)
+        ph *= 1j * lam
+        np.exp(ph, out=ph)
+        vals = F.value_vec(pts)
+        vals *= ph
+        vals *= w23
+        return w[i] * np.sum(vals)
 
     return complex(problem.prefactor) * _ordered_sum(slab, range(n))
 
@@ -270,11 +285,17 @@ def kelvin_oracle(z1: float, z2: float, tau: float, lam: float,
     the residue sum is then integrated over (xi1, xi2) with graded windowed
     Gauss-Legendre panels on the positive half-axes (`_residue_sum` adds the
     mirror nodes -xi1 and -xi2 itself; one complex exponential per node
-    pair, blocks of rows on two threads).  If a node pair meets the
+    pair, the rest in real arithmetic on blocks of RESIDUE_ROWS rows, two
+    threads with one workspace each).  If a node pair meets the
     pole-merge curve, the xi1 half-axis moves out by 1e-6.  For tau <= 0
     the integrand decays like 1/varpi^2, the contour closes upward around
     no poles and the integral is exactly zero (causality).
+
+    Raises ValueError, before any node is built, unless z1, z2, tau and
+    lam are finite and lam > 0.
     """
+    if not (np.all(np.isfinite([z1, z2, tau, lam])) and lam > 0):
+        raise ValueError("kelvin_oracle needs finite z1, z2, tau and lam > 0")
     spec = spec or KELVIN_QUAD
     if tau <= 0:
         return 0j
@@ -302,27 +323,88 @@ def _residue_sum(X1, W1, X2, W2, z1, z2, tau, lam) -> complex:
     conj(t1), conj(pm), conj(pp), so its residue sum is conj(t1 + pm + pp),
     with the bits the row would get on its own.  Per node pair one complex
     exponential is taken: the +s pole's, whose conjugate is the -s pole's;
-    the xi1 pole's depends on the row alone.  Blocks of 128 rows, each with
-    its mirror rows, are the parts of `_ordered_sum`.
+    the xi1 pole's depends on the row alone.
+
+    Blocks of RESIDUE_ROWS rows are the parts of `_ordered_sum`.
+    `_residue_block` forms the real and imaginary parts of both residue
+    sums of a block in real arithmetic, in a workspace each thread allocates
+    once per call; each part is reduced by a real matrix-vector product with
+    v, and the row weights u+ and u- are applied to the (B,) results.
     """
     u_pos = W1 * np.exp(1j * lam * X1 * z1)
     u_neg = W1 * np.exp(-1j * lam * X1 * z1)
     v = 2 * W2 * np.cos(lam * X2 * z2)
-    B = 128
+    X1sq = X1 ** 2
+    num = X1sq * np.exp(-1j * lam * X1 * tau)     # t1's numerator, per row
+    X2sq = X2 ** 2
+    B = RESIDUE_ROWS
+    local = threading.local()
 
     def rows(i0):
-        x1 = X1[i0:i0 + B, None]
-        s2 = np.sqrt(x1 ** 2 + X2 ** 2)
-        s = np.sqrt(s2)
-        E = np.exp(-1j * lam * s * tau)
-        # analytic across the collision curves x1 = +-s
-        t1 = x1 ** 2 * np.exp(-1j * lam * x1 * tau) / (x1 ** 2 - s2)
-        pp = x1 * E / (2 * (s - x1))
-        pm = -x1 * E.conj() / (2 * (s + x1))
-        return (u_pos[i0:i0 + B] @ (t1 + pp + pm) @ v
-                + u_neg[i0:i0 + B] @ (t1 + pm + pp).conj() @ v)
+        ws = getattr(local, "ws", None)
+        if ws is None:
+            ws = local.ws = _residue_workspace(min(B, len(X1)), len(X2))
+        k = slice(i0, i0 + B)
+        re, im, mre, mim = _residue_block(ws, X1[k, None], X1sq[k, None],
+                                          num[k, None], X2sq, lam, tau)
+        return (u_pos[k] @ ((re @ v) + 1j * (im @ v))
+                + u_neg[k] @ ((mre @ v) + 1j * (mim @ v)))
 
     return _ordered_sum(rows, range(0, len(X1), B))
+
+
+def _residue_workspace(B: int, N2: int) -> tuple:
+    """Buffers of `_residue_block` for blocks of up to B rows of N2 nodes:
+    seven real planes and one complex."""
+    return np.empty((7, B, N2)), np.empty((B, N2), dtype=complex)
+
+
+def _residue_block(ws, x1, x1sq, num, X2sq, lam, tau):
+    """The residue sums of the rows x1 (a (m, 1) column of positive nodes)
+    over the nodes whose squares are X2sq: returns the real and imaginary
+    parts of t1 + pp + pm and of conj(t1 + pm + pp) as (m, N2) views into
+    the workspace `ws`, which the next call overwrites.
+
+    The parts carry the bits of the complex formula.  A complex divided by
+    a real is a*(1/b) in numpy, so each denominator is inverted once and
+    multiplied in; x1*E is (x1*Er, x1*Ei) and -x1*conj(E) is (-(x1*Er),
+    x1*Ei), so pm's real part enters as a subtraction.  The one complex
+    exponential E = e^{-i*lam*s*tau} is formed as numpy forms it."""
+    m = len(x1)
+    a, b, c, p, q, t1r, t1i = ws[0][:, :m]
+    E = ws[1][:m]
+    np.add(x1sq, X2sq, out=a)
+    np.sqrt(a, out=a)                               # s2
+    np.sqrt(a, out=b)                               # s
+    np.multiply(-1j * lam, b, out=E)
+    E *= tau
+    np.exp(E, out=E)
+    np.subtract(x1sq, a, out=a)                     # x1^2 - s2
+    np.divide(1.0, a, out=a)
+    np.multiply(num.real, a, out=t1r)
+    np.multiply(num.imag, a, out=t1i)
+    np.subtract(b, x1, out=c)                       # s - x1
+    c *= 2
+    np.divide(1.0, c, out=c)                        # 1 / (2(s - x1))
+    b += x1
+    b *= 2
+    np.divide(1.0, b, out=b)                        # 1 / (2(s + x1))
+    np.multiply(x1, E.real, out=p)
+    np.multiply(x1, E.imag, out=q)
+    np.multiply(p, c, out=a)                        # Re pp
+    c *= q                                          # Im pp
+    p *= b                                          # -Re pm
+    b *= q                                          # Im pm
+    np.add(t1r, a, out=q)
+    q -= p                                          # Re (t1 + pp + pm)
+    t1r -= p
+    t1r += a                                        # Re (t1 + pm + pp)
+    np.add(t1i, c, out=a)
+    a += b                                          # Im (t1 + pp + pm)
+    t1i += b
+    t1i += c
+    np.negative(t1i, out=t1i)                       # Im conj(t1 + pm + pp)
+    return q, a, t1r, t1i
 
 
 def _merge_collisions(X1: np.ndarray, X2: np.ndarray) -> bool:

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +174,31 @@ def test_kelvin_oracle_outward_jitter_near_axis_shift(z, want):
     assert abs(kelvin_oracle(*z).real - want) < 1e-8
 
 
+@pytest.mark.parametrize("z", [(2.0, 0.5, 10.0, 0.0), (2.0, 0.5, np.nan, 40.0),
+                               (2.0, 0.5, 10.0, -40.0), (2.0, 0.5, 10.0, np.inf),
+                               (np.inf, 0.5, 10.0, 40.0), (2.0, np.nan, 10.0, 40.0),
+                               (2.0, 0.5, -np.inf, 40.0)])
+def test_kelvin_oracle_rejects_bad_inputs_before_building_nodes(z, monkeypatch):
+    def no_nodes(*args, **kwargs):
+        pytest.fail("kelvin_oracle built nodes for a bad input")
+    monkeypatch.setattr(oracle, "_axis_nodes", no_nodes)
+    with pytest.raises(ValueError):
+        kelvin_oracle(*z)
+
+
+def test_kelvin_oracle_peak_memory():
+    """The residue sum works in one small workspace per thread: at the far
+    oracle-check point (3952 nodes per axis) the traced peak stays below
+    40 MiB, where one complex temporary of 128 rows would be 7.7 MiB."""
+    tracemalloc.start()
+    try:
+        kelvin_oracle(5.5951072595724565, 1.1741763913499976, 10.0, 40.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20
+
+
 def test_kelvin_oracle_node_refinement():
     # doubling n (which halves the panel width) moves the value very little
     a = kelvin_oracle(3.0, 1.5, 10.0, 40.0)
@@ -207,6 +233,39 @@ def test_folded_residue_sum_matches_unfolded():
     want = np.sum(W1[:, None] * W2[None, :]
                   * np.exp(1j * lam * (x1 * z1 + x2 * z2)) * K)
     assert abs(got - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("z,jittered", [
+    ((5.5951072595724565, 1.1741763913499976, 10.0, 40.0), False),
+    ((2.0102272299088453, 1.4806968807572858, 10.0, 80.0), True)])
+def test_residue_block_matches_complex_form(z, jittered):
+    """The real-arithmetic kernel against the complex residue sums it
+    replaces, bit for bit, block by block: at the far oracle-check point and
+    at a point whose x1 axis is jittered and has node pairs next to the
+    pole-merge curve."""
+    z1, z2, tau, lam = z
+    fmax = max(abs(z1), abs(z2)) + 1.0 + tau * 0.55
+    X2, _ = oracle._axis_nodes(12.0, lam, tau, fmax)
+    X1 = oracle._jitter_collisions(X2, X2)
+    assert (X1 is not X2) == jittered
+    B = oracle.RESIDUE_ROWS
+    ws = oracle._residue_workspace(B, len(X2))
+    X1sq = X1 ** 2
+    num = X1sq * np.exp(-1j * lam * X1 * tau)
+    for i0 in range(0, len(X1), B):
+        k = slice(i0, i0 + B)
+        got = oracle._residue_block(ws, X1[k, None], X1sq[k, None], num[k, None],
+                                    X2 ** 2, lam, tau)
+        x1 = X1[k, None]
+        s2 = np.sqrt(x1 ** 2 + X2 ** 2)
+        s = np.sqrt(s2)
+        E = np.exp(-1j * lam * s * tau)
+        t1 = x1 ** 2 * np.exp(-1j * lam * x1 * tau) / (x1 ** 2 - s2)
+        pp = x1 * E / (2 * (s - x1))
+        pm = -x1 * E.conj() / (2 * (s + x1))
+        row, mirror = t1 + pp + pm, (t1 + pm + pp).conj()
+        want = (row.real, row.imag, mirror.real, mirror.imag)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), i0
 
 
 def _unfolded_x1_residue_sum(X1, W1, X2, W2, z1, z2, tau, lam) -> complex:
