@@ -16,6 +16,9 @@ points carries its leading axes through every field evaluation.  Fields are
 triples of callables (value, gradient, hessian) bundled in
 :class:`ScalarField3`; `quadratic_field` and `gaussian_field` build every
 polynomial and Gaussian field of the shipped problems, Kelvin's included.
+A field may also declare how it splits over the coordinates
+(:class:`AxisSplit`), which the tensor-product oracle uses to factor its
+rule; evaluation never reads the declaration.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import numpy as np
 
 __all__ = [
     "TangentialShift",
+    "AxisSplit",
     "ScalarField3",
     "gaussian_field",
     "quadratic_field",
@@ -58,6 +62,26 @@ def as_point(x) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class AxisSplit:
+    """A field that is a sum (op "sum") or a product (op "product") of
+    one-variable parts, value(xi) = parts[0](xi[..., 0]) op parts[1](xi[...,
+    1]) op parts[2](xi[..., 2]).  A part maps a 1D array of (complex)
+    coordinates to the part's values; None is an absent part, 0 in a sum
+    and 1 in a product."""
+
+    op: str
+    parts: tuple[Optional[Callable[[np.ndarray], np.ndarray]], ...]
+
+    def __post_init__(self):
+        if self.op not in ("sum", "product") or len(self.parts) != 3:
+            raise ValueError("an AxisSplit is a sum or a product of three parts")
+
+    def present(self) -> list[int]:
+        """The axes whose part is not absent."""
+        return [k for k, part in enumerate(self.parts) if part is not None]
+
+
+@dataclass(frozen=True)
 class ScalarField3:
     """An analytic scalar function of three (complex) variables.
 
@@ -67,11 +91,16 @@ class ScalarField3:
         Closed-form evaluators of real or complex (..., 3) input: `value`
         returns shape (...), `gradient` (..., 3) and `hessian` the symmetric
         (..., 3, 3) stack; a point in a stack should get the bits it gets alone.
+    split : AxisSplit, optional
+        How the value splits over the coordinates, when it is a sum or a
+        product of one-variable parts; None when it is neither or when the
+        field does not say.  Only `quad_deformed_3d` reads it.
     """
 
     value: Callable[[np.ndarray], complex]
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
+    split: Optional[AxisSplit] = None
 
     def __call__(self, xi) -> complex:
         return self.value(np.asarray(xi))
@@ -86,7 +115,8 @@ class ScalarField3:
 def gaussian_field(center=(0.0, 0.0, 0.0)) -> ScalarField3:
     """exp(-|xi - c|^2), broadcasting over (..., 3) input.  The value writes
     |d|^2 out as d0*d0 + d1*d1 + d2*d2: the same bits as `np.sum` over the
-    length-3 axis, which adds left to right, for less work."""
+    length-3 axis, which adds left to right, for less work.  The field
+    declares the product split with parts exp(-(t - c_k)^2)."""
     c = np.asarray(center, dtype=float)
 
     def value(xi):
@@ -102,7 +132,14 @@ def gaussian_field(center=(0.0, 0.0, 0.0)) -> ScalarField3:
         return ((4.0 * d[..., :, None] * d[..., None, :] - 2.0 * np.eye(3))
                 * value(xi)[..., None, None])
 
-    return ScalarField3(value, grad, hess)
+    def part(ck):
+        def f(t):
+            d = t - ck
+            return np.exp(-(d * d))
+        return f
+
+    return ScalarField3(value, grad, hess,
+                        AxisSplit("product", tuple(part(ck) for ck in c)))
 
 
 def quadratic_field(A=None, b=(0.0, 0.0, 0.0), c: float = 0.0) -> ScalarField3:
@@ -112,7 +149,11 @@ def quadratic_field(A=None, b=(0.0, 0.0, 0.0), c: float = 0.0) -> ScalarField3:
     same bits at any A and b (`xi @ A.T + b` and `xi @ b` would not): both
     are sums over A's nonzero entries, listed once here.  A is stored as
     (A + A^T)/2, which leaves the value as it is and makes the gradient and
-    Hessian right for any A."""
+    Hessian right for any A.  When that A is diagonal the field declares the
+    sum split with parts (1/2) A_kk t^2 + b_k t, with c added to the first
+    part whose A_kk or b_k is nonzero (part 0 when there is none); every
+    other part with A_kk = b_k = 0 is absent.  Any other A declares
+    nothing."""
     A = np.zeros((3, 3)) if A is None else np.asarray(A, dtype=float)
     A = (A + A.T) / 2
     b = np.asarray(b, dtype=float)
@@ -129,7 +170,23 @@ def quadratic_field(A=None, b=(0.0, 0.0, 0.0), c: float = 0.0) -> ScalarField3:
             g[..., i] += 2 * a * xi[..., j]
         return g
 
-    return ScalarField3(value, grad, lambda xi: np.broadcast_to(A, xi.shape + (3,)))
+    return ScalarField3(value, grad, lambda xi: np.broadcast_to(A, xi.shape + (3,)),
+                        _diagonal_split(A, b, c))
+
+
+def _diagonal_split(A: np.ndarray, b: np.ndarray, c: float) -> Optional[AxisSplit]:
+    """The sum split of (1/2) xi.A.xi + b.xi + c, or None unless A is diagonal."""
+    if np.any(A != np.diag(np.diag(A))):
+        return None
+    keep = [A[k, k] != 0 or b[k] != 0 for k in range(3)]
+    home = keep.index(True) if any(keep) else 0     # the part that carries c
+
+    def part(a, bk, ck):
+        return lambda t: a * t * t + bk * t + ck
+
+    return AxisSplit("sum", tuple(
+        part(0.5 * A[k, k], b[k], c if k == home else 0.0)
+        if keep[k] or k == home else None for k in range(3)))
 
 
 @dataclass(frozen=True)

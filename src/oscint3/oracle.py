@@ -4,9 +4,12 @@ Three oracles, none of which shares code with the asymptotic machinery:
 
 * quad_deformed_3d: tensor-product Gauss-Legendre over the shifted copy of
   R^3, with optional cosine taper; its error estimate is the difference
-  between the n-node and the (n-32)-node rules.  Slabs of the grid are
-  stored coordinate-major in one buffer per thread, run on two threads and
-  are added in slab order.
+  between the n-node and the (n-32)-node rules.  The rule factors along the
+  axes where the fields split (`ScalarField3.split`): a factor of one
+  coordinate is evaluated once per axis and folded into that axis's
+  weights, so a fully separable integrand costs three 1D sums.  The factors
+  left over are evaluated on slabs of the grid, stored coordinate-major in
+  one buffer per thread, run on two threads and added in slab order.
 * quad_contour_1d: adaptive quadrature of f(w) e^{i*Lambda*w} along a
   piecewise contour in one complex variable; used to verify the universal
   factor I(mu) and to build exact factorized references for the canonical
@@ -162,18 +165,24 @@ def _taper(x: np.ndarray, R: float, t: float) -> np.ndarray:
 
 def quad_deformed_3d(problem: ProblemSpec, lam: float,
                      spec: QuadratureSpec) -> tuple[complex, float]:
-    """Brute-force integral over the shifted domain R^3 + i*eta.
+    """Tensor-product Gauss-Legendre integral over the shifted domain
+    R^3 + i*eta, with the cosine taper of `spec`.
 
     Returns (value, error) where the error is the difference between the
-    n-node rule and the max(16, n-32)-node rule; Gauss-Legendre converges
+    n-node rule and the (n-32)-node rule; Gauss-Legendre converges
     spectrally once the oscillation is resolved, so a small node offset is a
-    sensitive detector of an under-resolved integrand.  Shipped field
-    evaluators broadcast over (..., 3) input, which this routine relies on
-    for speed; each slab of n^2 nodes is one call, and two slabs run at once
-    (`_ordered_sum`), with the same bits as one thread.
+    sensitive detector of an under-resolved integrand.  Raises NonConvergent,
+    before any node is built, for n < 48, where the smaller rule would have
+    fewer than 16 nodes, and when the two rules differ by more than 1e-3 of
+    the value.  Each rule factors along the axes where the fields declare a
+    split (`_quad_grid`); the factors left over are evaluated on slabs of
+    n^2 nodes, one call per slab, two slabs at once (`_ordered_sum`), with
+    the same bits as one thread.
     """
+    if spec.n < 48:
+        raise NonConvergent(f"n = {spec.n} < 48 leaves no n-32 node rule to compare with")
     _check_singularity_margin(problem, spec.R)
-    coarse = _quad_grid(problem, lam, spec, max(16, spec.n - 32))
+    coarse = _quad_grid(problem, lam, spec, spec.n - 32)
     fine = _quad_grid(problem, lam, spec, spec.n)
     err = abs(fine - coarse)
     if err > 1e-3 * max(abs(fine), 1e-300):
@@ -207,38 +216,96 @@ def _ordered_sum(part: Callable[[int], complex], keys) -> complex:
 
 def _quad_grid(problem: ProblemSpec, lam: float, spec: QuadratureSpec,
                n: int) -> complex:
-    """The n-node tensor rule, one slab of the first axis per part of
-    `_ordered_sum`.  A slab is stored coordinate-major, (3, n, n), and
-    handed to the evaluators as its (n, n, 3) view, so each xi[..., k] they
-    read is contiguous.  Each thread allocates one slab per call and writes
-    the (x2, x3) planes, shifted by i*eta, once; a slab sets only its x1
-    plane, and the phase and the weights are applied in place."""
+    """The n-node tensor rule of w e^{i*lam*G} N prod g^mu, factored along
+    the axes where the fields split (`ScalarField3.split`).
+
+    Each factor that depends on one coordinate is evaluated once on that
+    axis's shifted nodes t_k = x + i*eta_k and multiplied into the axis
+    weights u_k: e^{i*lam*G_k} for a G that is a sum, N_k for an N that is a
+    product, and g^mu (principal power, as in `AmplitudeSpec.value_vec`)
+    for a g with one part.  A g that is a sum over two or more axes is
+    g_1[i] + (g_2 + g_3) on slab i, from a plane built once; every other
+    field is evaluated with `value` on the slab points.  With no slab factor
+    left the rule is (sum u_1)(sum u_2)(sum u_3).
+
+    Otherwise one slab of the first axis is one part of `_ordered_sum`.  The
+    factors are applied in the order of `AmplitudeSpec.value_vec` and then
+    e^{i*lam*G}, in place in the arrays the evaluators return (as fresh
+    arrays), so a problem that declares no split gets the bits of the plain
+    slab loop.  A slab is stored coordinate-major, (3, n, n), and handed to
+    the evaluators as its (n, n, 3) view, so each xi[..., k] they read is
+    contiguous; each thread allocates one slab per call and writes the
+    (x2, x3) planes once, and a slab sets only its x1 plane.  When no
+    factor reads the points, no slab is built."""
     xg, wg = leggauss(n)
     x = spec.R * xg
     w = spec.R * wg * _taper(x, spec.R, spec.taper)
-    F, G = problem.amplitude, problem.G
-    # slab over the first axis; the volume form of a constant shift is 1
-    x2, x3 = np.meshgrid(x + 1j * problem.eta[1], x + 1j * problem.eta[2],
-                         indexing="ij")
-    x1 = x + 1j * problem.eta[0]
-    w23 = np.outer(w, w)
+    t = [x + 1j * e for e in problem.eta]          # the volume form of a shift is 1
+    u = [w, w, w]
+    G, N = problem.G, problem.amplitude.smooth_factor
+
+    slab_G = G.split is None or G.split.op != "sum"
+    if not slab_G:
+        for k in G.split.present():
+            u[k] = u[k] * np.exp(1j * lam * G.split.parts[k](t[k]))
+    slab_N = N.split is None or N.split.op != "product"
+    if not slab_N:
+        for k in N.split.present():
+            u[k] = u[k] * N.split.parts[k](t[k])
+    slab_g = []                     # (mu, g on slab i, whether it reads the points)
+    for c in problem.amplitude.components:
+        g = c.g
+        present = g.split.present() if g.split is not None else []
+        if len(present) == 1:
+            k = present[0]
+            gk = g.split.parts[k](t[k])
+            u[k] = u[k] * (1 / gk if c.mu == -1 else np.power(gk, c.mu))
+        elif g.split is not None and g.split.op == "sum":
+            g1, g2, g3 = (part(t[k]) if part else np.zeros(n)
+                          for k, part in enumerate(g.split.parts))
+            plane = g2[:, None] + g3[None, :]
+            slab_g.append((c.mu, lambda pts, i, g1=g1, plane=plane: g1[i] + plane, False))
+        else:
+            slab_g.append((c.mu, lambda pts, i, g=g: g.value(pts), True))
+    if not (slab_G or slab_N or slab_g):
+        return complex(problem.prefactor) * (np.sum(u[0]) * np.sum(u[1]) * np.sum(u[2]))
+
+    need_pts = slab_G or slab_N or any(reads for _, _, reads in slab_g)
+    x2, x3 = np.meshgrid(t[1], t[2], indexing="ij")
+    w23 = np.outer(u[1], u[2])
     local = threading.local()
 
     def slab(i):
-        c = getattr(local, "c", None)
-        if c is None:
-            c = local.c = np.empty((3, n, n), dtype=complex)
-            c[1] = x2
-            c[2] = x3
-        c[0] = x1[i]
-        pts = np.moveaxis(c, 0, -1)
-        ph = G.value(pts)
-        ph *= 1j * lam
-        np.exp(ph, out=ph)
-        vals = F.value_vec(pts)
-        vals *= ph
-        vals *= w23
-        return w[i] * np.sum(vals)
+        pts = None
+        if need_pts:
+            c = getattr(local, "c", None)
+            if c is None:
+                c = local.c = np.empty((3, n, n), dtype=complex)
+                c[1] = x2
+                c[2] = x3
+            c[0] = t[0][i]
+            pts = np.moveaxis(c, 0, -1)
+        out = N.value(pts) + 0j if slab_N else None
+        for mu, g, _ in slab_g:
+            gv = g(pts, i)
+            if mu != -1:
+                np.power(gv, mu, out=gv)
+            if out is None:
+                out = np.divide(1, gv, out=gv) if mu == -1 else gv
+            elif mu == -1:
+                out /= gv
+            else:
+                out *= gv
+        if slab_G:
+            ph = G.value(pts)
+            ph *= 1j * lam
+            np.exp(ph, out=ph)
+            if out is None:
+                out = ph
+            else:
+                out *= ph
+        out *= w23
+        return u[0][i] * np.sum(out)
 
     return complex(problem.prefactor) * _ordered_sum(slab, range(n))
 

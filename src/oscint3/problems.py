@@ -7,7 +7,7 @@ ship-wake problem:
 * pole-sp        : stationary point on a single pole plane, factorized 1D oracle
 * double-cross   : stationary point on a crossing line of two pole planes
 * triple-cross   : triple crossing of three pole planes
-* cone           : conical point of a quadric pole, brute-force 3D oracle
+* cone           : conical point of a quadric pole, 3D tensor-rule oracle
 * kelvin         : ship wake, residue oracle
 
 The factorized oracles integrate each separated 1D factor with the adaptive

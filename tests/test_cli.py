@@ -466,3 +466,13 @@ def test_main_numeric_failure_exit_3(tmp_path, capsys, z):
                "--z", ",".join(map(str, z)), "--out", str(tmp_path / "n")])
     assert rc == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_main_oracle_cone_too_few_nodes_exit_3(tmp_path, capsys):
+    # quad-n 16 leaves no (n-32)-node rule to check the 3D rule against
+    rc = main(["--mode", "oracle", "--problem", "cone", "--lambda", "30",
+               "--quad-n", "16", "--out", str(tmp_path / "c")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("numeric failure: NonConvergent")
+    assert not (tmp_path / "c-oracle.csv").exists()

@@ -197,3 +197,78 @@ def test_quadratic_value_matches_einsum_form():
         got = f.value(pts)
         assert np.all(np.abs(got - want) <= 1e-14 * scale)
         assert np.array_equal(got, np.array([f.value(p) for p in pts]))
+
+
+# ---------------------------------------------------------------------------
+# split declarations
+
+def _split_value(split, pts):
+    # the field's value rebuilt from its declared one-variable parts
+    parts = [p(pts[..., k]) for k, p in enumerate(split.parts) if p is not None]
+    out = np.zeros(pts.shape[:-1], complex) if split.op == "sum" else np.ones(pts.shape[:-1], complex)
+    for v in parts:
+        out = out + v if split.op == "sum" else out * v
+    return out
+
+
+def _shipped_fields():
+    for name, entry in problems.REGISTRY.items():
+        p = entry.build(problems.DEFAULT_Z)
+        yield f"{name} G", p.G
+        yield f"{name} N", p.amplitude.smooth_factor
+        for c in p.amplitude.components:
+            yield f"{name} {c.label}", c.g
+
+
+def _complex_points(rng, m=200):
+    return rng.uniform(-3, 3, (m, 3)) + 1j * rng.uniform(-0.5, 0.5, (m, 3))
+
+
+def test_split_declarations_match_value():
+    """Every declared split rebuilds the field's value at random complex
+    points, to 1e-14 relative: the shipped fields and Gaussians at three
+    centres relative to the value, random diagonal quadratics relative to
+    the size of the terms they sum (a sum can cancel)."""
+    rng = np.random.default_rng(24)
+    fields = [(f, None) for _, f in _shipped_fields() if f.split is not None]
+    fields += [(core.gaussian_field(c), None)
+               for c in ((0, 0, 0), (1, 0, 0), (0.3, -1.0, 0.7))]
+    for _ in range(20):
+        d = rng.normal(size=3) * (rng.random(3) < 0.7)
+        b = rng.normal(size=3) * (rng.random(3) < 0.7)
+        c = rng.normal()
+        fields.append((quadratic_field(np.diag(d), b, c),
+                       lambda P, d=d, b=b, c=c: (0.5 * P * P) @ np.abs(d) + P @ np.abs(b) + abs(c)))
+    for f, terms in fields:
+        assert f.split is not None
+        pts = _complex_points(rng)
+        got, want = _split_value(f.split, pts), f.value(pts)
+        scale = np.abs(want) if terms is None else terms(np.abs(pts))
+        assert np.all(np.abs(got - want) <= 1e-14 * scale), f
+
+
+def test_shipped_splits():
+    """Which shipped fields declare a split: every G and g that is a
+    diagonal quadratic (the cone's g included) a sum, every Gaussian N a
+    product; Kelvin's N (off-diagonal A) and its dispersion cone nothing."""
+    ops = {name: (f.split.op, f.split.present()) if f.split else None
+           for name, f in _shipped_fields()}
+    assert ops["pole-sp plane"] == ("sum", [0])
+    assert ops["cone cone"] == ("sum", [0, 1, 2])
+    assert ops["cone G"] == ("sum", [0, 2])
+    assert ops["triple-cross p3"] == ("sum", [2])
+    assert ops["kelvin pole-line"] == ("sum", [0, 2])
+    assert ops["kelvin N"] is None and ops["kelvin dispersion-cone"] is None
+    for name in ("gaussian-sp", "pole-sp", "double-cross", "triple-cross", "cone"):
+        assert ops[f"{name} N"] == ("product", [0, 1, 2])
+        assert ops[f"{name} G"][0] == "sum"
+
+
+def test_offdiagonal_quadratics_declare_no_split():
+    rng = np.random.default_rng(25)
+    for _ in range(20):
+        A = rng.normal(size=(3, 3))
+        assert quadratic_field(A, rng.normal(size=3), rng.normal()).split is None
+    # one off-diagonal pair is enough, in either triangle
+    assert quadratic_field([[0, 1e-3, 0], [0, 0, 0], [0, 0, 0]]).split is None
+    assert quadratic_field(np.diag([1.0, 2.0, 3.0])).split is not None

@@ -327,13 +327,69 @@ def _serial_quad_grid(problem, lam, spec, n):
     return complex(problem.prefactor) * total
 
 
+def _without_splits(prob):
+    # the same problem with every split declaration removed, so that the
+    # tensor rule evaluates every factor on the slabs
+    plain = lambda f: dataclasses.replace(f, split=None)
+    amp = prob.amplitude
+    return dataclasses.replace(prob, G=plain(prob.G), amplitude=dataclasses.replace(
+        amp, smooth_factor=plain(amp.smooth_factor),
+        components=tuple(dataclasses.replace(c, g=plain(c.g)) for c in amp.components)))
+
+
 @pytest.mark.parametrize("name,lam,R", [("pole-sp", 20.0, 6.0), ("cone", 30.0, 3.0),
                                         ("gaussian-sp", 20.0, 6.0),
                                         ("double-cross", 20.0, 6.0)])
 def test_quad_grid_two_workers_equal_serial_loop(name, lam, R):
-    prob, _ = problems.get_problem(name)
+    # on the problems without their splits, so every slab is evaluated
+    prob = _without_splits(problems.get_problem(name)[0])
     spec = QuadratureSpec(R=R, n=64)
     assert oracle._quad_grid(prob, lam, spec, 64) == _serial_quad_grid(prob, lam, spec, 64)
+
+
+def _half_power_plane():
+    # pole-sp with its plane at mu = -1/2: a branch power on one axis
+    prob, _ = problems.get_problem("pole-sp")
+    (plane,) = prob.amplitude.components
+    return dataclasses.replace(prob, amplitude=dataclasses.replace(
+        prob.amplitude, components=(dataclasses.replace(plane, mu=-0.5),)))
+
+
+# case: (registry entry, problem, Lambda), at the entry's spec; triple-cross
+# at Lambda = 10, since at 20 its 224-node rule is under-resolved on either
+# path
+FACTORED_CASES = {
+    name: (name, lambda name=name: problems.get_problem(name)[0], lam)
+    for name, lam in (("gaussian-sp", 20.0), ("pole-sp", 20.0), ("double-cross", 20.0),
+                      ("triple-cross", 10.0), ("cone", 30.0))}
+FACTORED_CASES["pole-sp-half-power"] = ("pole-sp", _half_power_plane, 20.0)
+
+
+@pytest.mark.parametrize("case", sorted(FACTORED_CASES))
+def test_factored_rule_matches_slab_path(case):
+    """The rule factored along the declared splits against the slab loop on
+    the same problem without them: value to 1e-12 relative; the error
+    estimate to 1e-6 relative, or to 2e-12 of the value where it sits at the
+    rounding floor of the two rules (the cone's is 9e-11 at n = 384)."""
+    name, build, lam = FACTORED_CASES[case]
+    prob, spec = build(), problems.REGISTRY[name].default_quad
+    val, err = quad_deformed_3d(prob, lam, spec)
+    want, want_err = quad_deformed_3d(_without_splits(prob), lam, spec)
+    assert abs(val - want) <= 1e-12 * abs(want)
+    assert abs(err - want_err) <= max(1e-6 * want_err, 2e-12 * abs(want))
+
+
+def test_quad_deformed_rejects_small_n_before_building_nodes(monkeypatch):
+    """With n < 48 the (n-32)-node rule would have fewer than 16 nodes (at
+    n = 16 the rule was compared with itself and passed with err 0)."""
+    def no_nodes(*args, **kwargs):
+        pytest.fail("quad_deformed_3d built nodes for n < 48")
+    monkeypatch.setattr(oracle, "leggauss", no_nodes)
+    monkeypatch.setattr(oracle, "_check_singularity_margin", no_nodes)
+    prob, _ = problems.get_problem("cone")
+    for n in (16, 32, 46):
+        with pytest.raises(oracle.NonConvergent):
+            quad_deformed_3d(prob, 30.0, QuadratureSpec(R=3.0, n=n))
 
 
 def _collides_brute(X1, X2, tol):
