@@ -45,7 +45,6 @@ __all__ = [
     "term_for_point",
     "expand",
     "evaluate",
-    "sum_asymptotics",
 ]
 
 
@@ -169,8 +168,3 @@ def evaluate(terms, lam: float, prefactor: complex = 1.0,
         return 2 * np.real(total)
     return total
 
-
-def sum_asymptotics(problem: ProblemSpec, lam: float):
-    """`expand` then `evaluate` at one Lambda; returns (value, terms)."""
-    terms = expand(problem)
-    return evaluate(terms, lam, problem.prefactor), terms

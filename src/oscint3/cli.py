@@ -176,7 +176,7 @@ def write_pgm(path: str, img: np.ndarray) -> None:
 
 
 def _quad_spec(cfg: RunConfig, entry: problems.ProblemEntry) -> oracle.QuadratureSpec:
-    d = entry.default_quad
+    d = entry.default_quad or oracle.QuadratureSpec()   # no spec: check quad-* anyway
     return oracle.QuadratureSpec(R=cfg.quad_r or d.R, n=cfg.quad_n or d.n,
                                  taper=cfg.taper)
 

@@ -8,8 +8,8 @@ Three oracles, none of which shares code with the asymptotic machinery:
   axes where the fields split (`ScalarField3.split`): a factor of one
   coordinate is evaluated once per axis and folded into that axis's
   weights, so a fully separable integrand costs three 1D sums.  The factors
-  left over are evaluated on slabs of the grid, stored coordinate-major in
-  one buffer per thread, run on two threads and added in slab order.
+  left over are evaluated on slabs of the grid, run on two threads and
+  added in slab order.
 * quad_contour_1d: adaptive quadrature of f(w) e^{i*Lambda*w} along a
   piecewise contour in one complex variable; used to verify the universal
   factor I(mu) and to build exact factorized references for the canonical
@@ -18,8 +18,12 @@ Three oracles, none of which shares code with the asymptotic machinery:
   graded-panel 2D quadrature on the positive half-axes xi1 > 0 and xi2 > 0,
   each node standing for itself and its mirror; independent reference for
   the ship-wake field.  The residue sum is formed in real arithmetic, with
-  the bits of the complex formula, over blocks of RESIDUE_ROWS rows in a
-  workspace each thread allocates once per call.
+  the bits of the complex formula, over blocks of RESIDUE_ROWS rows.
+
+Both threaded oracles hand their parts to `_ordered_sum`, which adds them
+in key order and gives each part the workspace of the thread it runs on,
+made once per thread per call: the tensor rule's slab points, the residue
+sum's buffers.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -203,13 +207,26 @@ def _check_singularity_margin(problem: ProblemSpec, R: float) -> None:
                 f"|{c.label}| < {SINGULARITY_MARGIN} on the shifted grid")
 
 
-def _ordered_sum(part: Callable[[int], complex], keys) -> complex:
-    """The sum of part(k) over keys, added in key order as a serial loop
-    would, so the bits do not depend on the threads.  The parts run on
-    WORKERS threads; numpy's ufuncs release the GIL, so they overlap."""
+def _ordered_sum(part: Callable[[int, Any], complex], keys,
+                 workspace: Callable[[], Any]) -> complex:
+    """The sum of part(k, ws) over keys, added in key order as a serial
+    loop would, so the bits do not depend on the threads.  The parts run on
+    WORKERS threads; numpy's ufuncs release the GIL, so they overlap.
+
+    ws is the workspace of the thread that runs the part: workspace() makes
+    it when that thread runs its first part of this call, and the thread's
+    later parts get the same object, so a part may overwrite any buffer in
+    it.  This is the one place where the oracles make per-thread buffers."""
+    local = threading.local()
+
+    def run(key):
+        if not hasattr(local, "ws"):
+            local.ws = workspace()
+        return part(key, local.ws)
+
     total = 0j
     with ThreadPoolExecutor(WORKERS) as pool:
-        for p in pool.map(part, keys):
+        for p in pool.map(run, keys):
             total += p
     return total
 
@@ -220,23 +237,24 @@ def _quad_grid(problem: ProblemSpec, lam: float, spec: QuadratureSpec,
     the axes where the fields split (`ScalarField3.split`).
 
     Each factor that depends on one coordinate is evaluated once on that
-    axis's shifted nodes t_k = x + i*eta_k and multiplied into the axis
-    weights u_k: e^{i*lam*G_k} for a G that is a sum, N_k for an N that is a
+    axis's shifted nodes t_k = x + i*eta_k and folded into the axis weights
+    u_k: e^{i*lam*G_k} for a G that is a sum, N_k for an N that is a
     product, and g^mu (principal power, as in `AmplitudeSpec.value_vec`)
-    for a g with one part.  A g that is a sum over two or more axes is
-    g_1[i] + (g_2 + g_3) on slab i, from a plane built once; every other
-    field is evaluated with `value` on the slab points.  With no slab factor
-    left the rule is (sum u_1)(sum u_2)(sum u_3).
+    for a g with one part.  Every other factor is a slab factor: a g that
+    is a sum over two or more axes is g_1[i] + (g_2 + g_3) on slab i, from a
+    plane built once, and any other field is evaluated with `value` on the
+    slab points.  With no slab factor the rule is (sum u_1)(sum u_2)(sum u_3).
 
-    Otherwise one slab of the first axis is one part of `_ordered_sum`.  The
-    factors are applied in the order of `AmplitudeSpec.value_vec` and then
-    e^{i*lam*G}, in place in the arrays the evaluators return (as fresh
-    arrays), so a problem that declares no split gets the bits of the plain
-    slab loop.  A slab is stored coordinate-major, (3, n, n), and handed to
-    the evaluators as its (n, n, 3) view, so each xi[..., k] they read is
-    contiguous; each thread allocates one slab per call and writes the
-    (x2, x3) planes once, and a slab sets only its x1 plane.  When no
-    factor reads the points, no slab is built."""
+    Otherwise one slab of the first axis is one part of `_ordered_sum`.  One
+    loop applies the slab factors, in the order of `AmplitudeSpec.value_vec`
+    and then e^{i*lam*G}: a division for mu = -1, an in-place power
+    otherwise, in the arrays the evaluators return (as fresh arrays), so a
+    problem that declares no split gets the bits of the plain slab loop.
+    The slab points are the thread's workspace (`_ordered_sum`), stored
+    coordinate-major, (3, n, n), and handed to the evaluators as their
+    (n, n, 3) view, so each xi[..., k] they read is contiguous; the (x2, x3)
+    planes are written once, and a slab sets only its x1 plane.  When no
+    slab factor reads the points, there is no workspace."""
     xg, wg = leggauss(n)
     x = spec.R * xg
     w = spec.R * wg * _taper(x, spec.R, spec.taper)
@@ -244,70 +262,61 @@ def _quad_grid(problem: ProblemSpec, lam: float, spec: QuadratureSpec,
     u = [w, w, w]
     G, N = problem.G, problem.amplitude.smooth_factor
 
+    def fold(k, v, mu=1):
+        u[k] = u[k] * (1 / v if mu == -1 else np.power(v, mu))
+
+    factors = []                    # (evaluator on slab i, mu, whether it reads the points)
     slab_G = G.split is None or G.split.op != "sum"
     if not slab_G:
         for k in G.split.present():
-            u[k] = u[k] * np.exp(1j * lam * G.split.parts[k](t[k]))
-    slab_N = N.split is None or N.split.op != "product"
-    if not slab_N:
+            fold(k, np.exp(1j * lam * G.split.parts[k](t[k])))
+    if N.split is None or N.split.op != "product":
+        factors.append((lambda pts, i: N.value(pts) + 0j, 1, True))
+    else:
         for k in N.split.present():
-            u[k] = u[k] * N.split.parts[k](t[k])
-    slab_g = []                     # (mu, g on slab i, whether it reads the points)
+            fold(k, N.split.parts[k](t[k]))
     for c in problem.amplitude.components:
         g = c.g
         present = g.split.present() if g.split is not None else []
         if len(present) == 1:
             k = present[0]
-            gk = g.split.parts[k](t[k])
-            u[k] = u[k] * (1 / gk if c.mu == -1 else np.power(gk, c.mu))
+            fold(k, g.split.parts[k](t[k]), c.mu)
         elif g.split is not None and g.split.op == "sum":
             g1, g2, g3 = (part(t[k]) if part else np.zeros(n)
                           for k, part in enumerate(g.split.parts))
             plane = g2[:, None] + g3[None, :]
-            slab_g.append((c.mu, lambda pts, i, g1=g1, plane=plane: g1[i] + plane, False))
+            factors.append((lambda pts, i, g1=g1, plane=plane: g1[i] + plane, c.mu, False))
         else:
-            slab_g.append((c.mu, lambda pts, i, g=g: g.value(pts), True))
-    if not (slab_G or slab_N or slab_g):
+            factors.append((lambda pts, i, g=g: g.value(pts), c.mu, True))
+    if slab_G:
+        factors.append((lambda pts, i: np.exp(1j * lam * G.value(pts)), 1, True))
+    if not factors:
         return complex(problem.prefactor) * (np.sum(u[0]) * np.sum(u[1]) * np.sum(u[2]))
 
-    need_pts = slab_G or slab_N or any(reads for _, _, reads in slab_g)
-    x2, x3 = np.meshgrid(t[1], t[2], indexing="ij")
-    w23 = np.outer(u[1], u[2])
-    local = threading.local()
+    def points():                   # coordinate-major, as its (n, n, 3) view
+        return np.moveaxis(np.array(np.broadcast_arrays(0j, t[1][:, None], t[2])), 0, -1)
 
-    def slab(i):
-        pts = None
-        if need_pts:
-            c = getattr(local, "c", None)
-            if c is None:
-                c = local.c = np.empty((3, n, n), dtype=complex)
-                c[1] = x2
-                c[2] = x3
-            c[0] = t[0][i]
-            pts = np.moveaxis(c, 0, -1)
-        out = N.value(pts) + 0j if slab_N else None
-        for mu, g, _ in slab_g:
-            gv = g(pts, i)
-            if mu != -1:
-                np.power(gv, mu, out=gv)
+    def slab(i, pts):
+        if pts is not None:
+            pts[..., 0] = t[0][i]
+        out = None
+        for f, mu, _ in factors:
+            v = f(pts, i)
+            if mu not in (1, -1):
+                np.power(v, mu, out=v)
             if out is None:
-                out = np.divide(1, gv, out=gv) if mu == -1 else gv
+                out = np.divide(1, v, out=v) if mu == -1 else v
             elif mu == -1:
-                out /= gv
+                out /= v
             else:
-                out *= gv
-        if slab_G:
-            ph = G.value(pts)
-            ph *= 1j * lam
-            np.exp(ph, out=ph)
-            if out is None:
-                out = ph
-            else:
-                out *= ph
+                out *= v
         out *= w23
         return u[0][i] * np.sum(out)
 
-    return complex(problem.prefactor) * _ordered_sum(slab, range(n))
+    w23 = np.outer(u[1], u[2])
+    need_pts = any(reads for _, _, reads in factors)
+    return complex(problem.prefactor) * _ordered_sum(
+        slab, range(n), points if need_pts else lambda: None)
 
 
 # ---------------------------------------------------------------------------
@@ -392,11 +401,12 @@ def _residue_sum(X1, W1, X2, W2, z1, z2, tau, lam) -> complex:
     exponential is taken: the +s pole's, whose conjugate is the -s pole's;
     the xi1 pole's depends on the row alone.
 
-    Blocks of RESIDUE_ROWS rows are the parts of `_ordered_sum`.
-    `_residue_block` forms the real and imaginary parts of both residue
-    sums of a block in real arithmetic, in a workspace each thread allocates
-    once per call; each part is reduced by a real matrix-vector product with
-    v, and the row weights u+ and u- are applied to the (B,) results.
+    Blocks of RESIDUE_ROWS rows are the parts of `_ordered_sum`, whose
+    workspace is `_residue_workspace`'s.  `_residue_block` forms the real
+    and imaginary parts of both residue sums of a block in real arithmetic,
+    in the workspace of the thread; each part is reduced by a real
+    matrix-vector product with v, and the row weights u+ and u- are applied
+    to the (B,) results.
     """
     u_pos = W1 * np.exp(1j * lam * X1 * z1)
     u_neg = W1 * np.exp(-1j * lam * X1 * z1)
@@ -405,19 +415,16 @@ def _residue_sum(X1, W1, X2, W2, z1, z2, tau, lam) -> complex:
     num = X1sq * np.exp(-1j * lam * X1 * tau)     # t1's numerator, per row
     X2sq = X2 ** 2
     B = RESIDUE_ROWS
-    local = threading.local()
 
-    def rows(i0):
-        ws = getattr(local, "ws", None)
-        if ws is None:
-            ws = local.ws = _residue_workspace(min(B, len(X1)), len(X2))
+    def rows(i0, ws):
         k = slice(i0, i0 + B)
         re, im, mre, mim = _residue_block(ws, X1[k, None], X1sq[k, None],
                                           num[k, None], X2sq, lam, tau)
         return (u_pos[k] @ ((re @ v) + 1j * (im @ v))
                 + u_neg[k] @ ((mre @ v) + 1j * (mim @ v)))
 
-    return _ordered_sum(rows, range(0, len(X1), B))
+    return _ordered_sum(rows, range(0, len(X1), B),
+                        lambda: _residue_workspace(min(B, len(X1)), len(X2)))
 
 
 def _residue_workspace(B: int, N2: int) -> tuple:

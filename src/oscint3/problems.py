@@ -17,7 +17,7 @@ contour routine, so they are independent of the closed-form terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -51,13 +51,15 @@ class ProblemEntry:
     depend on Lambda.  With `real_field` they are one of each conjugate pair
     and the field is 2*Re(prefactor * sum).  `reference(problem, lam,
     spec=None)` is the independent value, the one the CLI writes: for Kelvin
-    the real field.  The quadrature references (cone, kelvin) take their
-    nodes from `spec`, default `default_quad`, and the others ignore it.
+    the real field.  Only the quadrature references (cone, kelvin) carry a
+    `default_quad`; they take their nodes from `spec`, default
+    `default_quad`.  The other references are closed-form or factorized:
+    they ignore `spec`, and their `default_quad` is None.
     """
 
     build: Callable[[tuple[float, float, float]], ProblemSpec]
     reference: Callable[..., complex]
-    default_quad: oracle.QuadratureSpec
+    default_quad: Optional[oracle.QuadratureSpec] = None
     terms: Callable[[ProblemSpec], list[asym.AsymptoticTerm]] = asym.expand
     real_field: bool = False
 
@@ -164,14 +166,10 @@ def _terms_kelvin(problem) -> list[asym.AsymptoticTerm]:
 DEFAULT_Z = (2.0, 2.0, 10.0)   # the CLI's z = (z1, z2, tau) when none is given
 
 REGISTRY: dict[str, ProblemEntry] = {
-    "gaussian-sp": ProblemEntry(_build_gaussian_sp, _ref_gaussian_sp,
-                                oracle.QuadratureSpec(R=6.0, n=224)),
-    "pole-sp": ProblemEntry(_build_pole_sp, _ref_pole_sp,
-                            oracle.QuadratureSpec(R=6.0, n=256)),
-    "double-cross": ProblemEntry(_build_double_cross, _ref_double_cross,
-                                 oracle.QuadratureSpec(R=6.0, n=256)),
-    "triple-cross": ProblemEntry(_build_triple_cross, _ref_triple_cross,
-                                 oracle.QuadratureSpec(R=6.0, n=256)),
+    "gaussian-sp": ProblemEntry(_build_gaussian_sp, _ref_gaussian_sp),
+    "pole-sp": ProblemEntry(_build_pole_sp, _ref_pole_sp),
+    "double-cross": ProblemEntry(_build_double_cross, _ref_double_cross),
+    "triple-cross": ProblemEntry(_build_triple_cross, _ref_triple_cross),
     "cone": ProblemEntry(_build_cone, _ref_cone, _CONE_QUAD),
     "kelvin": ProblemEntry(lambda z: kelvin_mod.kelvin_problem(*z), _ref_kelvin,
                            oracle.KELVIN_QUAD, terms=_terms_kelvin,

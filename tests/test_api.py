@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import oscint3
+from oscint3 import core, kelvin, oracle
 from oscint3.cli import NUMERIC_ERRORS
 
 
@@ -65,3 +66,37 @@ def test_private_helpers_are_used():
              for t in trees for n in ast.walk(t)
              if isinstance(n, (ast.Name, ast.Attribute))}
     assert sorted(private - named) == []
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _perfbench_uses() -> set[tuple[str, str]]:
+    """(module, name) for every `cli.name`, `kelvin.name`, `oracle.name` and
+    `problems.name` in the benchmark's scripts, read from their source."""
+    uses = set()
+    for path in PERFBENCH.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in ("cli", "kelvin", "oracle", "problems")):
+                uses.add((node.value.id, node.attr))
+    return uses
+
+
+def test_benchmark_contract():
+    """What the benchmark in perfbench/ needs of the package, whether or not
+    any package code calls it: the names its scripts read, the names its
+    setup code (a string in run.py) reads, the methods `spans.METHODS`
+    wraps through vars(cls)[meth], and the calls it makes.  perfbench/ is
+    only read, never imported, so nothing is written there."""
+    uses = _perfbench_uses() | {("problems", "get_problem"), ("problems", "REGISTRY")}
+    assert {("cli", "run"), ("kelvin", "KelvinParams"), ("oracle", "QuadratureSpec")} <= uses
+    assert [u for u in sorted(uses)
+            if not hasattr(importlib.import_module(f"oscint3.{u[0]}"), u[1])] == []
+    methods = next(ast.literal_eval(node.value)
+                   for node in ast.parse((PERFBENCH / "spans.py").read_text()).body
+                   if isinstance(node, ast.Assign)
+                   and getattr(node.targets[0], "id", None) == "METHODS")
+    assert methods and [m for m in methods if m[1] not in vars(getattr(core, m[0]))] == []
+    kelvin.KelvinParams(2.0, 1.0, 10.0, 40.0)          # as checks.py builds it
+    oracle.QuadratureSpec(R=3.0, n=256)                # as bench_pass.py builds it

@@ -1,5 +1,7 @@
 import ast
 import dataclasses
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 from oscint3 import oracle, problems
-from oscint3.asym import gamma_factor, sum_asymptotics
+from oscint3.asym import evaluate, expand, gamma_factor
 from oscint3.oracle import (
     QuadratureSpec,
     SingularityTooClose,
@@ -75,7 +77,7 @@ def test_quad_deformed_gaussian_closed_form():
 def test_quad_deformed_matches_factorized_reference(name):
     prob, entry = problems.get_problem(name)
     lam = 20.0
-    val, _ = quad_deformed_3d(prob, lam, entry.default_quad)
+    val, _ = quad_deformed_3d(prob, lam, QuadratureSpec(R=6.0, n=256))
     want = entry.reference(prob, lam)
     assert abs(val - want) / abs(want) < 1e-4
 
@@ -103,7 +105,7 @@ def test_quad_deformed_agrees_with_asymptotics_gaussian():
     prob, _ = problems.get_problem("gaussian-sp")
     lam = 20.0
     val, _ = quad_deformed_3d(prob, lam, QuadratureSpec(R=6.0, n=224))
-    asy, _ = sum_asymptotics(prob, lam)
+    asy = evaluate(expand(prob), lam, prob.prefactor)
     assert abs(val - asy) / abs(asy) < 3 / lam
 
 
@@ -279,7 +281,7 @@ def _unfolded_x1_residue_sum(X1, W1, X2, W2, z1, z2, tau, lam) -> complex:
     v = 2 * W2[half:] * np.cos(lam * X2 * z2)
     B = 256
 
-    def rows(i0):
+    def rows(i0, _):
         x1 = X1[i0:i0 + B, None]
         s2 = np.sqrt(x1 ** 2 + X2 ** 2)
         s = np.sqrt(s2)
@@ -290,7 +292,7 @@ def _unfolded_x1_residue_sum(X1, W1, X2, W2, z1, z2, tau, lam) -> complex:
         pm = -x1 * E.conj() / (2 * (s + x1))
         return u[i0:i0 + B] @ (t1 + pp + pm) @ v
 
-    return oracle._ordered_sum(rows, range(0, len(X1), B))
+    return oracle._ordered_sum(rows, range(0, len(X1), B), lambda: None)
 
 
 def test_x1_fold_matches_unfolded_rows():
@@ -347,6 +349,40 @@ def test_quad_grid_two_workers_equal_serial_loop(name, lam, R):
     assert oracle._quad_grid(prob, lam, spec, 64) == _serial_quad_grid(prob, lam, spec, 64)
 
 
+def test_ordered_sum_hands_each_part_its_threads_workspace():
+    """More keys than threads: workspace() runs at most once per thread,
+    each part gets the object its own thread made, and the total has the
+    bits of the serial key-order sum, on parts whose sum depends on the
+    order."""
+    vals = [complex(v, -v) for v in (1e16, 1.0, -1e16, 1.0) * 8]
+    made, runs, lock = [], [], threading.Lock()
+
+    def workspace():
+        ws = object()
+        with lock:
+            made.append((threading.get_ident(), ws))
+        return ws
+
+    def part(k, ws):
+        time.sleep(1e-3)
+        with lock:
+            runs.append((threading.get_ident(), ws))
+        return vals[k]
+
+    got = oracle._ordered_sum(part, range(len(vals)), workspace)
+    serial = 0j
+    for v in vals:
+        serial += v
+    backward = 0j
+    for v in reversed(vals):
+        backward += v
+    assert len(vals) > oracle.WORKERS and serial != backward
+    assert got == serial
+    threads = [t for t, _ in made]
+    assert len(threads) == len(set(threads)) and set(threads) == {t for t, _ in runs}
+    assert all(ws is dict(made)[t] for t, ws in runs)
+
+
 def _half_power_plane():
     # pole-sp with its plane at mu = -1/2: a branch power on one axis
     prob, _ = problems.get_problem("pole-sp")
@@ -355,14 +391,14 @@ def _half_power_plane():
         prob.amplitude, components=(dataclasses.replace(plane, mu=-0.5),)))
 
 
-# case: (registry entry, problem, Lambda), at the entry's spec; triple-cross
-# at Lambda = 10, since at 20 its 224-node rule is under-resolved on either
-# path
+# case: (problem, Lambda, spec); triple-cross at Lambda = 10, since at 20
+# its 256-node rule is under-resolved on either path
 FACTORED_CASES = {
-    name: (name, lambda name=name: problems.get_problem(name)[0], lam)
-    for name, lam in (("gaussian-sp", 20.0), ("pole-sp", 20.0), ("double-cross", 20.0),
-                      ("triple-cross", 10.0), ("cone", 30.0))}
-FACTORED_CASES["pole-sp-half-power"] = ("pole-sp", _half_power_plane, 20.0)
+    name: (lambda name=name: problems.get_problem(name)[0], lam, QuadratureSpec(R=R, n=n))
+    for name, lam, R, n in (("gaussian-sp", 20.0, 6.0, 224), ("pole-sp", 20.0, 6.0, 256),
+                            ("double-cross", 20.0, 6.0, 256),
+                            ("triple-cross", 10.0, 6.0, 256), ("cone", 30.0, 3.0, 384))}
+FACTORED_CASES["pole-sp-half-power"] = (_half_power_plane, 20.0, QuadratureSpec(R=6.0, n=256))
 
 
 @pytest.mark.parametrize("case", sorted(FACTORED_CASES))
@@ -371,8 +407,8 @@ def test_factored_rule_matches_slab_path(case):
     the same problem without them: value to 1e-12 relative; the error
     estimate to 1e-6 relative, or to 2e-12 of the value where it sits at the
     rounding floor of the two rules (the cone's is 9e-11 at n = 384)."""
-    name, build, lam = FACTORED_CASES[case]
-    prob, spec = build(), problems.REGISTRY[name].default_quad
+    build, lam, spec = FACTORED_CASES[case]
+    prob = build()
     val, err = quad_deformed_3d(prob, lam, spec)
     want, want_err = quad_deformed_3d(_without_splits(prob), lam, spec)
     assert abs(val - want) <= 1e-12 * abs(want)
