@@ -18,7 +18,12 @@ Three oracles, none of which shares code with the asymptotic machinery:
   graded-panel 2D quadrature on the positive half-axes xi1 > 0 and xi2 > 0,
   each node standing for itself and its mirror; independent reference for
   the ship-wake field.  The residue sum is formed in real arithmetic, with
-  the bits of the complex formula, over blocks of RESIDUE_ROWS rows.
+  the bits of the complex formula, over blocks of RESIDUE_ROWS rows and
+  tiles of up to RESIDUE_COLS columns.  When both half-axes carry the same
+  nodes, a block forms the square roots and the exponential of each node
+  pair once and uses them for the pair and its transpose (a direct and a
+  transposed tile); a jittered xi1 axis falls back to direct tiles over
+  every column.
 
 Both threaded oracles hand their parts to `_ordered_sum`, which adds them
 in key order and gives each part the workspace of the thread it runs on,
@@ -60,6 +65,7 @@ WAKE_PREFACTOR = 1j / (8 * np.pi ** 3)   # restated here: the oracle imports no 
 WORKERS = 2                    # threads of `_ordered_sum`; fixed, never one per part
 COLLISION_TOL = 1e-8           # least distance of a node pair from the pole-merge curve
 RESIDUE_ROWS = 16              # x1 rows per part of the Kelvin residue sum
+RESIDUE_COLS = 4096            # x2 columns per tile of a part: bounds its workspace
 
 
 class SingularityTooClose(Exception):
@@ -360,12 +366,15 @@ def kelvin_oracle(z1: float, z2: float, tau: float, lam: float,
     and picks up the real poles at varpi = xi1 and varpi = +-(xi1^2+xi2^2)^{1/4};
     the residue sum is then integrated over (xi1, xi2) with graded windowed
     Gauss-Legendre panels on the positive half-axes (`_residue_sum` adds the
-    mirror nodes -xi1 and -xi2 itself; one complex exponential per node
-    pair, the rest in real arithmetic on blocks of RESIDUE_ROWS rows, two
-    threads with one workspace each).  If a node pair meets the
-    pole-merge curve, the xi1 half-axis moves out by 1e-6.  For tau <= 0
-    the integrand decays like 1/varpi^2, the contour closes upward around
-    no poles and the integral is exactly zero (causality).
+    mirror nodes -xi1 and -xi2 itself; the rest is in real arithmetic on
+    tiles of RESIDUE_ROWS rows by up to RESIDUE_COLS columns, on two
+    threads with one workspace each).  Both axes carry the same nodes, so
+    the complex exponential of a node pair is formed once for the pair and
+    its transpose.  If a node pair meets the pole-merge curve, the xi1
+    half-axis moves out by 1e-6, and the sum then forms one exponential per
+    node pair.  For tau <= 0 the integrand decays like 1/varpi^2, the
+    contour closes upward around no poles and the integral is exactly zero
+    (causality).
 
     Raises ValueError, before any node is built, unless z1, z2, tau and
     lam are finite and lam > 0.
@@ -397,16 +406,25 @@ def _residue_sum(X1, W1, X2, W2, z1, z2, tau, lam) -> complex:
     xi2^2, so each x2 carries the weight 2*W2*cos(lam*x2*z2).  With t1, pp,
     pm the three residues at a row x1 > 0, the row -x1 has the residues
     conj(t1), conj(pm), conj(pp), so its residue sum is conj(t1 + pm + pp),
-    with the bits the row would get on its own.  Per node pair one complex
-    exponential is taken: the +s pole's, whose conjugate is the -s pole's;
-    the xi1 pole's depends on the row alone.
+    with the bits the row would get on its own.  One complex exponential
+    serves both s poles of a node pair: the +s pole's, whose conjugate is
+    the -s pole's; the xi1 pole's depends on the row alone.
 
-    Blocks of RESIDUE_ROWS rows are the parts of `_ordered_sum`, whose
-    workspace is `_residue_workspace`'s.  `_residue_block` forms the real
-    and imaginary parts of both residue sums of a block in real arithmetic,
-    in the workspace of the thread; each part is reduced by a real
-    matrix-vector product with v, and the row weights u+ and u- are applied
-    to the (B,) results.
+    Blocks I of RESIDUE_ROWS rows are the parts of `_ordered_sum`, whose
+    workspace is `_residue_workspace`'s; a block walks its columns in tiles
+    K of up to RESIDUE_COLS, so the workspace does not grow with the axes.
+    When both half-axes are the same array, s2, s and E = e^{-i*lam*s*tau}
+    depend on x1^2 + x2^2 alone, which has the same bits for a pair and its
+    transpose, so block I forms them once, on the columns j >= i0, for two
+    tiles: the direct tile, rows X[I] against the columns X[K], and the
+    transposed tile, rows X[J] with J = K minus [0, i0 + B) against the
+    columns X[I], which reads the same planes in their own orientation.
+    Each ordered pair is counted once.  When the xi1 axis was jittered (X1
+    is not X2), each block forms them on every column and has no transposed
+    tile.  `_residue_parts` forms the real and imaginary parts of both
+    residue sums of a tile in real arithmetic; a direct tile is reduced as
+    u @ (part @ v), a transposed one as (v[I] @ part) @ u[J], where u+ and
+    u- are the row weights of x1 and -x1.
     """
     u_pos = W1 * np.exp(1j * lam * X1 * z1)
     u_neg = W1 * np.exp(-1j * lam * X1 * z1)
@@ -414,53 +432,91 @@ def _residue_sum(X1, W1, X2, W2, z1, z2, tau, lam) -> complex:
     X1sq = X1 ** 2
     num = X1sq * np.exp(-1j * lam * X1 * tau)     # t1's numerator, per row
     X2sq = X2 ** 2
-    B = RESIDUE_ROWS
+    B, C = RESIDUE_ROWS, RESIDUE_COLS
+    shared = X1 is X2
 
     def rows(i0, ws):
-        k = slice(i0, i0 + B)
-        re, im, mre, mim = _residue_block(ws, X1[k, None], X1sq[k, None],
-                                          num[k, None], X2sq, lam, tau)
-        return (u_pos[k] @ ((re @ v) + 1j * (im @ v))
-                + u_neg[k] @ ((mre @ v) + 1j * (mim @ v)))
+        I = slice(i0, i0 + B)
+        total = 0j
+        for c0 in range(i0 if shared else 0, len(X2), C):
+            K = slice(c0, c0 + C)
+            re, im, mre, mim = _residue_block(ws, X1[I, None], X1sq[I, None],
+                                              num[I, None], X2sq[K], lam, tau)
+            total += (u_pos[I] @ ((re @ v[K]) + 1j * (im @ v[K]))
+                      + u_neg[I] @ ((mre @ v[K]) + 1j * (mim @ v[K])))
+            t0 = max(c0, i0 + B)                # the transposed tile's first row
+            if not shared or t0 >= min(c0 + C, len(X2)):
+                continue
+            J = slice(t0, c0 + C)
+            s2, s, E = (p[:, t0 - c0:] for p in _pair_planes(ws, B, re.shape[1]))
+            re, im, mre, mim = _residue_parts(ws, X1[None, J], X1sq[None, J],
+                                              num[None, J], s2, s, E)
+            vi = v[I]
+            total += (((vi @ re) + 1j * (vi @ im)) @ u_pos[J]
+                      + ((vi @ mre) + 1j * (vi @ mim)) @ u_neg[J])
+        return total
 
-    return _ordered_sum(rows, range(0, len(X1), B),
-                        lambda: _residue_workspace(min(B, len(X1)), len(X2)))
+    return _ordered_sum(rows, range(0, len(X1), B), lambda: _residue_workspace(
+        min(B, len(X1)), min(C, len(X2))))
 
 
 def _residue_workspace(B: int, N2: int) -> tuple:
-    """Buffers of `_residue_block` for blocks of up to B rows of N2 nodes:
-    seven real planes and one complex."""
-    return np.empty((7, B, N2)), np.empty((B, N2), dtype=complex)
+    """Buffers of `_residue_block` and `_residue_parts` for tiles of up to
+    B rows and N2 columns: nine real planes and one complex, each of B*N2
+    elements.  Planes 0-6 are the scratch of `_residue_parts`; planes 7 and
+    8 hold s2 and s, and the complex plane E, of the tile's node pairs,
+    which stay there for the transposed tile of `_residue_sum`."""
+    return np.empty((9, B * N2)), np.empty(B * N2, dtype=complex)
+
+
+def _plane(buf: np.ndarray, shape: tuple) -> np.ndarray:
+    """The first prod(shape) elements of a workspace plane, as a C-ordered
+    array of that shape, so a narrow tile is as compact as a wide one."""
+    return buf[:shape[0] * shape[1]].reshape(shape)
+
+
+def _pair_planes(ws, m: int, n: int) -> tuple:
+    """The (m, n) planes of s2, s and E in the workspace `ws`."""
+    return _plane(ws[0][7], (m, n)), _plane(ws[0][8], (m, n)), _plane(ws[1], (m, n))
 
 
 def _residue_block(ws, x1, x1sq, num, X2sq, lam, tau):
     """The residue sums of the rows x1 (a (m, 1) column of positive nodes)
     over the nodes whose squares are X2sq: returns the real and imaginary
     parts of t1 + pp + pm and of conj(t1 + pm + pp) as (m, N2) views into
-    the workspace `ws`, which the next call overwrites.
+    the workspace `ws`, which the next call overwrites.  s2, s and the one
+    complex exponential E = e^{-i*lam*s*tau}, formed as numpy forms it, are
+    left in the workspace's `_pair_planes`."""
+    s2, s, E = _pair_planes(ws, len(x1), len(X2sq))
+    np.add(x1sq, X2sq, out=s2)
+    np.sqrt(s2, out=s2)
+    np.sqrt(s2, out=s)
+    np.multiply(-1j * lam, s, out=E)
+    E *= tau
+    np.exp(E, out=E)
+    return _residue_parts(ws, x1, x1sq, num, s2, s, E)
+
+
+def _residue_parts(ws, x1, x1sq, num, s2, s, E):
+    """The real and imaginary parts of t1 + pp + pm and of conj(t1 + pm +
+    pp) on a tile of node pairs, as views into the scratch planes of `ws`.
+    s2, s and E are the tile's planes; x1, x1sq and num (t1's numerator)
+    are the rows' values, a column (m, 1) or a row (1, n) that broadcasts
+    against them.  s2, s and E are read, not overwritten.
 
     The parts carry the bits of the complex formula.  A complex divided by
     a real is a*(1/b) in numpy, so each denominator is inverted once and
     multiplied in; x1*E is (x1*Er, x1*Ei) and -x1*conj(E) is (-(x1*Er),
-    x1*Ei), so pm's real part enters as a subtraction.  The one complex
-    exponential E = e^{-i*lam*s*tau} is formed as numpy forms it."""
-    m = len(x1)
-    a, b, c, p, q, t1r, t1i = ws[0][:, :m]
-    E = ws[1][:m]
-    np.add(x1sq, X2sq, out=a)
-    np.sqrt(a, out=a)                               # s2
-    np.sqrt(a, out=b)                               # s
-    np.multiply(-1j * lam, b, out=E)
-    E *= tau
-    np.exp(E, out=E)
-    np.subtract(x1sq, a, out=a)                     # x1^2 - s2
+    x1*Ei), so pm's real part enters as a subtraction."""
+    a, b, c, p, q, t1r, t1i = (_plane(pl, s2.shape) for pl in ws[0][:7])
+    np.subtract(x1sq, s2, out=a)                    # x1^2 - s2
     np.divide(1.0, a, out=a)
     np.multiply(num.real, a, out=t1r)
     np.multiply(num.imag, a, out=t1i)
-    np.subtract(b, x1, out=c)                       # s - x1
+    np.subtract(s, x1, out=c)                       # s - x1
     c *= 2
     np.divide(1.0, c, out=c)                        # 1 / (2(s - x1))
-    b += x1
+    np.add(s, x1, out=b)
     b *= 2
     np.divide(1.0, b, out=b)                        # 1 / (2(s + x1))
     np.multiply(x1, E.real, out=p)

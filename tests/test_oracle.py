@@ -191,7 +191,8 @@ def test_kelvin_oracle_rejects_bad_inputs_before_building_nodes(z, monkeypatch):
 def test_kelvin_oracle_peak_memory():
     """The residue sum works in one small workspace per thread: at the far
     oracle-check point (3952 nodes per axis) the traced peak stays below
-    40 MiB, where one complex temporary of 128 rows would be 7.7 MiB."""
+    40 MiB.  Each thread's workspace is nine real planes and one complex
+    plane of B x N = 16 x 3952, 5.3 MiB."""
     tracemalloc.start()
     try:
         kelvin_oracle(5.5951072595724565, 1.1741763913499976, 10.0, 40.0)
@@ -216,14 +217,9 @@ def _mirror(X, W):
     return np.concatenate([-X[::-1], X]), np.concatenate([W[::-1], W])
 
 
-def test_folded_residue_sum_matches_unfolded():
-    """The half-axis sum and the conjugated exponential against the plain
-    sum over every node pair of the full axes with three exponentials."""
-    z1, z2, tau, lam = 2.0, 0.5, 3.0, 15.0
-    X1, W1 = oracle._axis_nodes(3.0, lam, tau, 4.0)
-    X2, W2 = oracle._axis_nodes(2.0, lam, tau, 4.0)
-    assert len(X1) > 128            # more than one block of rows
-    got = oracle._residue_sum(X1, W1, X2, W2, z1, z2, tau, lam)
+def _every_pair_residue_sum(X1, W1, X2, W2, z1, z2, tau, lam) -> complex:
+    # the plain sum over every node pair of the full axes whose positive
+    # halves are X1 and X2, with three exponentials per pair
     X1, W1 = _mirror(X1, W1)
     X2, W2 = _mirror(X2, W2)
     x1, x2 = X1[:, None], X2[None, :]
@@ -232,9 +228,43 @@ def test_folded_residue_sum_matches_unfolded():
     K = (x1 ** 2 * np.exp(-1j * lam * x1 * tau) / (x1 ** 2 - s2)
          + x1 * np.exp(-1j * lam * s * tau) / (2 * (s - x1))
          - x1 * np.exp(1j * lam * s * tau) / (2 * (s + x1)))
-    want = np.sum(W1[:, None] * W2[None, :]
+    return np.sum(W1[:, None] * W2[None, :]
                   * np.exp(1j * lam * (x1 * z1 + x2 * z2)) * K)
-    assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_folded_residue_sum_matches_unfolded(monkeypatch):
+    """The half-axis sum and the conjugated exponential against the plain
+    sum over every node pair of the full axes with three exponentials, in
+    one column tile per block and in tiles of 40 columns."""
+    z1, z2, tau, lam = 2.0, 0.5, 3.0, 15.0
+    X1, W1 = oracle._axis_nodes(3.0, lam, tau, 4.0)
+    X2, W2 = oracle._axis_nodes(2.0, lam, tau, 4.0)
+    assert len(X1) > 128            # more than one block of rows
+    want = _every_pair_residue_sum(X1, W1, X2, W2, z1, z2, tau, lam)
+    for cols in (oracle.RESIDUE_COLS, 40):
+        monkeypatch.setattr(oracle, "RESIDUE_COLS", cols)
+        got = oracle._residue_sum(X1, W1, X2, W2, z1, z2, tau, lam)
+        assert abs(got - want) <= 1e-13 * abs(want), cols
+
+
+def test_shared_residue_sum_matches_every_pair(monkeypatch):
+    """With both half-axes the same array, the direct and transposed tiles
+    against the plain sum over every node pair of the full axes: 137 nodes
+    (eight blocks of 16 and a short one of 9), tapered, nonuniform weights
+    that differ between the axes.  With tiles of 40 columns a block's
+    transposed tile starts inside a column tile, and the last tile is
+    short."""
+    z1, z2, tau, lam = 2.0, 0.5, 3.0, 15.0
+    X, W = oracle._axis_nodes(3.0, lam, tau, 4.0)
+    X, W = X[:-7], W[:-7] * oracle._taper(X[:-7], 3.0, 0.15)
+    assert len(X) % oracle.RESIDUE_ROWS and len(X) > 2 * oracle.RESIDUE_ROWS
+    assert not oracle._merge_collisions(X, X)
+    W1, W2 = W * (1 + 0.1 * X ** 2), W * (1 - 0.05 * X)
+    want = _every_pair_residue_sum(X, W1, X, W2, z1, z2, tau, lam)
+    for cols in (oracle.RESIDUE_COLS, 40):
+        monkeypatch.setattr(oracle, "RESIDUE_COLS", cols)
+        got = oracle._residue_sum(X, W1, X, W2, z1, z2, tau, lam)
+        assert abs(got - want) <= 1e-13 * abs(want), cols
 
 
 @pytest.mark.parametrize("z,jittered", [
@@ -260,6 +290,38 @@ def test_residue_block_matches_complex_form(z, jittered):
                                     X2 ** 2, lam, tau)
         x1 = X1[k, None]
         s2 = np.sqrt(x1 ** 2 + X2 ** 2)
+        s = np.sqrt(s2)
+        E = np.exp(-1j * lam * s * tau)
+        t1 = x1 ** 2 * np.exp(-1j * lam * x1 * tau) / (x1 ** 2 - s2)
+        pp = x1 * E / (2 * (s - x1))
+        pm = -x1 * E.conj() / (2 * (s + x1))
+        row, mirror = t1 + pp + pm, (t1 + pm + pp).conj()
+        want = (row.real, row.imag, mirror.real, mirror.imag)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), i0
+
+
+def test_transposed_tile_matches_complex_form():
+    """The transposed tile of the shared residue sum against the complex
+    residue sums of its rows X[J], J = [i0 + B, N), over the columns X[I],
+    bit for bit, block by block, at the far oracle-check point: the tile
+    reads the s2, s and E that block I formed for its direct tile."""
+    z1, z2, tau, lam = 5.5951072595724565, 1.1741763913499976, 10.0, 40.0
+    fmax = max(abs(z1), abs(z2)) + 1.0 + tau * 0.55
+    X, _ = oracle._axis_nodes(12.0, lam, tau, fmax)
+    assert oracle._jitter_collisions(X, X) is X
+    B, N = oracle.RESIDUE_ROWS, len(X)
+    ws = oracle._residue_workspace(B, N)
+    Xsq = X ** 2
+    num = Xsq * np.exp(-1j * lam * X * tau)
+    for i0 in range(0, N - B, B):
+        I, J = slice(i0, i0 + B), slice(i0 + B, None)
+        oracle._residue_block(ws, X[I, None], Xsq[I, None], num[I, None],
+                              Xsq[i0:], lam, tau)
+        s2, s, E = (p[:, B:] for p in oracle._pair_planes(ws, B, N - i0))
+        got = oracle._residue_parts(ws, X[None, J], Xsq[None, J], num[None, J],
+                                    s2, s, E)
+        x1, x2 = X[None, J], X[I, None]
+        s2 = np.sqrt(x1 ** 2 + x2 ** 2)
         s = np.sqrt(s2)
         E = np.exp(-1j * lam * s * tau)
         t1 = x1 ** 2 * np.exp(-1j * lam * x1 * tau) / (x1 ** 2 - s2)
