@@ -19,11 +19,10 @@ Three oracles, none of which shares code with the asymptotic machinery:
   each node standing for itself and its mirror; independent reference for
   the ship-wake field.  The residue sum is formed in real arithmetic, with
   the bits of the complex formula, over blocks of RESIDUE_ROWS rows and
-  tiles of up to RESIDUE_COLS columns.  When both half-axes carry the same
-  nodes, a block forms the square roots and the exponential of each node
-  pair once and uses them for the pair and its transpose (a direct and a
-  transposed tile); a jittered xi1 axis falls back to direct tiles over
-  every column.
+  tiles of up to RESIDUE_COLS columns.  Both half-axes carry the same
+  nodes, so a block forms the square roots and the exponential of each
+  node pair once and uses them for the pair and its transpose (a direct and
+  a transposed tile).
 
 Both threaded oracles hand their parts to `_ordered_sum`, which adds them
 in key order and gives each part the workspace of the thread it runs on,
@@ -82,16 +81,19 @@ class PoleCollision(Exception):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tensor quadrature parameters: truncation radius, nodes per axis,
-    cosine-window taper fraction (0 for none).  The contour's shift is the
-    problem's own eta.  `kelvin_oracle` reads n as a panel-density scale
-    instead: it divides the base width of its graded panels by n/128."""
+    """Tensor quadrature parameters: truncation radius, nodes per axis (an
+    even integer >= 16, a Python or numpy int), cosine-window taper fraction
+    (0 for none).  The contour's shift is the problem's own eta.
+    `kelvin_oracle` reads n as a panel-density scale instead: it divides
+    the base width of its graded panels by n/128."""
 
     R: float = 8.0
     n: int = 128
     taper: float = 0.15
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
+            raise ValueError(f"n must be an integer, not {self.n!r}")
         if not (np.isfinite(self.R) and self.R > 0) or self.n < 16 or self.n % 2:
             raise ValueError("need a finite R > 0 and even n >= 16")
         if not 0 <= self.taper <= 0.5:
@@ -364,17 +366,16 @@ def kelvin_oracle(z1: float, z2: float, tau: float, lam: float,
 
     For tau > 0 the frequency contour (shifted up by i*eps) closes downward
     and picks up the real poles at varpi = xi1 and varpi = +-(xi1^2+xi2^2)^{1/4};
-    the residue sum is then integrated over (xi1, xi2) with graded windowed
-    Gauss-Legendre panels on the positive half-axes (`_residue_sum` adds the
-    mirror nodes -xi1 and -xi2 itself; the rest is in real arithmetic on
-    tiles of RESIDUE_ROWS rows by up to RESIDUE_COLS columns, on two
-    threads with one workspace each).  Both axes carry the same nodes, so
-    the complex exponential of a node pair is formed once for the pair and
-    its transpose.  If a node pair meets the pole-merge curve, the xi1
-    half-axis moves out by 1e-6, and the sum then forms one exponential per
-    node pair.  For tau <= 0 the integrand decays like 1/varpi^2, the
-    contour closes upward around no poles and the integral is exactly zero
-    (causality).
+    the residue sum is then integrated over (xi1, xi2) with one graded
+    windowed Gauss-Legendre rule on the positive half-axis, used for both
+    xi1 and xi2 (`_residue_sum` adds the mirror nodes -xi1 and -xi2 itself;
+    the rest is in real arithmetic on tiles of RESIDUE_ROWS rows by up to
+    RESIDUE_COLS columns, on two threads with one workspace each), so the
+    complex exponential of a node pair is formed once for the pair and its
+    transpose.  If a node pair meets the pole-merge curve, the whole rule
+    is stretched by 1 + 1e-6 (`_jitter_collisions`).  For tau <= 0 the
+    integrand decays like 1/varpi^2, the contour closes upward around no
+    poles and the integral is exactly zero (causality).
 
     Raises ValueError, before any node is built, unless z1, z2, tau and
     lam are finite and lam > 0.
@@ -385,79 +386,71 @@ def kelvin_oracle(z1: float, z2: float, tau: float, lam: float,
     if tau <= 0:
         return 0j
     fmax = max(abs(z1), abs(z2)) + 1.0 + tau * 0.55
-    oversample = spec.n / 128.0
-    # both axes get the same nodes; the xi1 axis alone may be jittered
-    X2, W = _axis_nodes(spec.R, lam, tau, fmax, oversample=oversample)
-    X1 = _jitter_collisions(X2, X2)
-    W1 = W * _taper(X1, spec.R, spec.taper)
-    W2 = W * _taper(X2, spec.R, spec.taper)
-    return WAKE_PREFACTOR * (-2j * np.pi) * _residue_sum(X1, W1, X2, W2,
-                                                         z1, z2, tau, lam)
+    X, W = _jitter_collisions(*_axis_nodes(spec.R, lam, tau, fmax,
+                                           oversample=spec.n / 128.0))
+    W = W * _taper(X, spec.R, spec.taper)
+    return WAKE_PREFACTOR * (-2j * np.pi) * _residue_sum(X, W, z1, z2, tau, lam)
 
 
-def _residue_sum(X1, W1, X2, W2, z1, z2, tau, lam) -> complex:
-    """sum over node pairs of W1*W2*e^{i*lam*(x1*z1 + x2*z2)} times the
+def _residue_sum(X, W, z1, z2, tau, lam) -> complex:
+    """sum over node pairs of W[i]*W[j]*e^{i*lam*(x1*z1 + x2*z2)} times the
     residue sum of xi1*varpi*e^{-i*lam*varpi*tau} / ((varpi-xi1)(varpi^2-s2))
     at varpi = xi1, +s, -s, with s2 = sqrt(xi1^2 + xi2^2) and s = sqrt(s2),
-    over the full axes of nodes +-X1 and +-X2 with the weights W1 and W2.
+    over the full axis of nodes +-X with the weights W, for xi1 and xi2.
 
-    X1, W1 and X2, W2 are the positive half-axes, each node standing for
-    itself and its mirror.  The residue sum depends on xi2 only through
-    xi2^2, so each x2 carries the weight 2*W2*cos(lam*x2*z2).  With t1, pp,
-    pm the three residues at a row x1 > 0, the row -x1 has the residues
-    conj(t1), conj(pm), conj(pp), so its residue sum is conj(t1 + pm + pp),
-    with the bits the row would get on its own.  One complex exponential
-    serves both s poles of a node pair: the +s pole's, whose conjugate is
-    the -s pole's; the xi1 pole's depends on the row alone.
+    X, W is the positive half-axis, each node standing for itself and its
+    mirror.  The residue sum depends on xi2 only through xi2^2, so each x2
+    carries the weight 2*W*cos(lam*x2*z2).  With t1, pp, pm the three
+    residues at a row x1 > 0, the row -x1 has the residues conj(t1),
+    conj(pm), conj(pp), so its residue sum is conj(t1 + pm + pp), with the
+    bits the row would get on its own.  One complex exponential serves both
+    s poles of a node pair: the +s pole's, whose conjugate is the -s pole's;
+    the xi1 pole's depends on the row alone.
 
     Blocks I of RESIDUE_ROWS rows are the parts of `_ordered_sum`, whose
     workspace is `_residue_workspace`'s; a block walks its columns in tiles
-    K of up to RESIDUE_COLS, so the workspace does not grow with the axes.
-    When both half-axes are the same array, s2, s and E = e^{-i*lam*s*tau}
-    depend on x1^2 + x2^2 alone, which has the same bits for a pair and its
-    transpose, so block I forms them once, on the columns j >= i0, for two
-    tiles: the direct tile, rows X[I] against the columns X[K], and the
-    transposed tile, rows X[J] with J = K minus [0, i0 + B) against the
-    columns X[I], which reads the same planes in their own orientation.
-    Each ordered pair is counted once.  When the xi1 axis was jittered (X1
-    is not X2), each block forms them on every column and has no transposed
-    tile.  `_residue_parts` forms the real and imaginary parts of both
-    residue sums of a tile in real arithmetic; a direct tile is reduced as
-    u @ (part @ v), a transposed one as (v[I] @ part) @ u[J], where u+ and
-    u- are the row weights of x1 and -x1.
+    K of up to RESIDUE_COLS, so the workspace does not grow with the axis.
+    s2, s and E = e^{-i*lam*s*tau} depend on x1^2 + x2^2 alone, which has
+    the same bits for a pair and its transpose, so block I forms them once,
+    on the columns j >= i0, for two tiles: the direct tile, rows X[I]
+    against the columns X[K], and the transposed tile, rows X[J] with J = K
+    minus [0, i0 + B) against the columns X[I], which reads the same planes
+    in their own orientation.  Each ordered pair is counted once.
+    `_residue_parts` forms the real and imaginary parts of both residue sums
+    of a tile in real arithmetic; a direct tile is reduced as u @ (part @
+    v), a transposed one as (v[I] @ part) @ u[J], where u+ and u- are the
+    row weights of x1 and -x1.
     """
-    u_pos = W1 * np.exp(1j * lam * X1 * z1)
-    u_neg = W1 * np.exp(-1j * lam * X1 * z1)
-    v = 2 * W2 * np.cos(lam * X2 * z2)
-    X1sq = X1 ** 2
-    num = X1sq * np.exp(-1j * lam * X1 * tau)     # t1's numerator, per row
-    X2sq = X2 ** 2
-    B, C = RESIDUE_ROWS, RESIDUE_COLS
-    shared = X1 is X2
+    u_pos = W * np.exp(1j * lam * X * z1)
+    u_neg = W * np.exp(-1j * lam * X * z1)
+    v = 2 * W * np.cos(lam * X * z2)
+    Xsq = X ** 2
+    num = Xsq * np.exp(-1j * lam * X * tau)       # t1's numerator, per row
+    B, C, N = RESIDUE_ROWS, RESIDUE_COLS, len(X)
 
     def rows(i0, ws):
         I = slice(i0, i0 + B)
         total = 0j
-        for c0 in range(i0 if shared else 0, len(X2), C):
+        for c0 in range(i0, N, C):
             K = slice(c0, c0 + C)
-            re, im, mre, mim = _residue_block(ws, X1[I, None], X1sq[I, None],
-                                              num[I, None], X2sq[K], lam, tau)
+            re, im, mre, mim = _residue_block(ws, X[I, None], Xsq[I, None],
+                                              num[I, None], Xsq[K], lam, tau)
             total += (u_pos[I] @ ((re @ v[K]) + 1j * (im @ v[K]))
                       + u_neg[I] @ ((mre @ v[K]) + 1j * (mim @ v[K])))
             t0 = max(c0, i0 + B)                # the transposed tile's first row
-            if not shared or t0 >= min(c0 + C, len(X2)):
+            if t0 >= min(c0 + C, N):
                 continue
             J = slice(t0, c0 + C)
             s2, s, E = (p[:, t0 - c0:] for p in _pair_planes(ws, B, re.shape[1]))
-            re, im, mre, mim = _residue_parts(ws, X1[None, J], X1sq[None, J],
+            re, im, mre, mim = _residue_parts(ws, X[None, J], Xsq[None, J],
                                               num[None, J], s2, s, E)
             vi = v[I]
             total += (((vi @ re) + 1j * (vi @ im)) @ u_pos[J]
                       + ((vi @ mre) + 1j * (vi @ mim)) @ u_neg[J])
         return total
 
-    return _ordered_sum(rows, range(0, len(X1), B), lambda: _residue_workspace(
-        min(B, len(X1)), min(C, len(X2))))
+    return _ordered_sum(rows, range(0, N, B),
+                        lambda: _residue_workspace(min(B, N), min(C, N)))
 
 
 def _residue_workspace(B: int, N2: int) -> tuple:
@@ -480,15 +473,15 @@ def _pair_planes(ws, m: int, n: int) -> tuple:
     return _plane(ws[0][7], (m, n)), _plane(ws[0][8], (m, n)), _plane(ws[1], (m, n))
 
 
-def _residue_block(ws, x1, x1sq, num, X2sq, lam, tau):
+def _residue_block(ws, x1, x1sq, num, Xsq, lam, tau):
     """The residue sums of the rows x1 (a (m, 1) column of positive nodes)
-    over the nodes whose squares are X2sq: returns the real and imaginary
+    over the nodes whose squares are Xsq: returns the real and imaginary
     parts of t1 + pp + pm and of conj(t1 + pm + pp) as (m, N2) views into
     the workspace `ws`, which the next call overwrites.  s2, s and the one
     complex exponential E = e^{-i*lam*s*tau}, formed as numpy forms it, are
     left in the workspace's `_pair_planes`."""
-    s2, s, E = _pair_planes(ws, len(x1), len(X2sq))
-    np.add(x1sq, X2sq, out=s2)
+    s2, s, E = _pair_planes(ws, len(x1), len(Xsq))
+    np.add(x1sq, Xsq, out=s2)
     np.sqrt(s2, out=s2)
     np.sqrt(s2, out=s)
     np.multiply(-1j * lam, s, out=E)
@@ -537,24 +530,26 @@ def _residue_parts(ws, x1, x1sq, num, s2, s, E):
     return q, a, t1r, t1i
 
 
-def _merge_collisions(X1: np.ndarray, X2: np.ndarray) -> bool:
-    """Whether some node pair of the positive half-axes lies within
-    COLLISION_TOL of the pole-merge curve, |xi1 - (xi1^2 + xi2^2)^{1/4}|.
-    That difference does not grow as xi2 grows, so for each xi1 only the
-    neighbours in the sorted X2 of the curve's xi2 = xi1*sqrt(xi1^2 - 1)
+def _merge_collisions(X: np.ndarray) -> bool:
+    """Whether some node pair (xi1, xi2) of the sorted positive half-axis X
+    lies within COLLISION_TOL of the pole-merge curve, |xi1 - (xi1^2 +
+    xi2^2)^{1/4}|.  That difference does not grow as xi2 grows, so for each
+    xi1 only the neighbours in X of the curve's xi2 = xi1*sqrt(xi1^2 - 1)
     (0 for xi1 < 1) can come closest; two on each side are checked."""
-    t = X1 * np.sqrt(np.maximum((X1 - 1) * (X1 + 1), 0.0))
-    j = np.clip(np.searchsorted(X2, t)[:, None] + np.arange(-2, 2), 0, len(X2) - 1)
-    s = (X1[:, None] ** 2 + X2[j] ** 2) ** 0.25
-    return bool(np.any(np.abs(X1[:, None] - s) < COLLISION_TOL))
+    t = X * np.sqrt(np.maximum((X - 1) * (X + 1), 0.0))
+    j = np.clip(np.searchsorted(X, t)[:, None] + np.arange(-2, 2), 0, len(X) - 1)
+    s = (X[:, None] ** 2 + X[j] ** 2) ** 0.25
+    return bool(np.any(np.abs(X[:, None] - s) < COLLISION_TOL))
 
 
-def _jitter_collisions(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
-    """Shift the xi1 half-axis out once by 1e-6 if any node pair collides
-    with the pole-merge curve; raise if the jitter does not clear it."""
-    if not _merge_collisions(X1, X2):
-        return X1
-    X1j = X1 + 1e-6
-    if _merge_collisions(X1j, X2):
+def _jitter_collisions(X: np.ndarray, W: np.ndarray) -> tuple:
+    """The rule (X, W) itself if no node pair collides with the pole-merge
+    curve; otherwise the rule stretched by 1 + 1e-6, which is the same rule
+    on the stretched interval (the taper still closes it at R).  Raises
+    PoleCollision if the stretched rule collides too."""
+    if not _merge_collisions(X):
+        return X, W
+    X, W = X * (1 + 1e-6), W * (1 + 1e-6)
+    if _merge_collisions(X):
         raise PoleCollision("quadrature node on the pole-merge curve after jitter")
-    return X1j
+    return X, W

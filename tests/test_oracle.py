@@ -59,6 +59,11 @@ def test_quadrature_spec_validation():
     for R in (np.nan, np.inf):
         with pytest.raises(ValueError):
             QuadratureSpec(R=R)
+    for n in (128.0, np.float64(128), 64.5, True, np.bool_(True)):
+        with pytest.raises(ValueError):
+            QuadratureSpec(n=n)
+    for n in (np.int64(128), np.int32(64), 256):
+        assert QuadratureSpec(n=n).n == n
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +164,9 @@ def test_kelvin_residue_bookkeeping_against_line_quadrature():
     assert direct == pytest.approx(want, rel=2e-2)
 
 
-# points where a node pair meets the pole-merge curve and the xi1 axis is
-# jittered, with the values of the jitter that shifted the whole axis by +1e-6
+# points where a node pair meets the pole-merge curve, so the rule is
+# stretched by 1 + 1e-6; the values were frozen from a jitter that shifted the
+# xi1 axis alone by +1e-6, which the stretched rule meets to 4.6e-10 and 1.1e-10
 JITTER_FIXTURES = [
     ((2.0102272299088453, 1.4806968807572858, 10.0, 80.0), 0.2867122356489399),
     ((2.4049, 1.2683, 10.0, 40.0), -0.3382703170754144),
@@ -172,7 +178,7 @@ def test_kelvin_oracle_outward_jitter_near_axis_shift(z, want):
     z1, z2, tau, lam = z
     fmax = max(abs(z1), abs(z2)) + 1.0 + tau * 0.55
     X, _ = oracle._axis_nodes(12.0, lam, tau, fmax)
-    assert oracle._merge_collisions(X, X)
+    assert oracle._merge_collisions(X)
     assert abs(kelvin_oracle(*z).real - want) < 1e-8
 
 
@@ -217,53 +223,37 @@ def _mirror(X, W):
     return np.concatenate([-X[::-1], X]), np.concatenate([W[::-1], W])
 
 
-def _every_pair_residue_sum(X1, W1, X2, W2, z1, z2, tau, lam) -> complex:
-    # the plain sum over every node pair of the full axes whose positive
-    # halves are X1 and X2, with three exponentials per pair
-    X1, W1 = _mirror(X1, W1)
-    X2, W2 = _mirror(X2, W2)
-    x1, x2 = X1[:, None], X2[None, :]
+def _every_pair_residue_sum(X, W, z1, z2, tau, lam) -> complex:
+    # the plain sum over every node pair of the full axis whose positive
+    # half is X, for xi1 and xi2, with three exponentials per pair
+    X, W = _mirror(X, W)
+    x1, x2 = X[:, None], X[None, :]
     s2 = np.sqrt(x1 ** 2 + x2 ** 2)
     s = np.sqrt(s2)
     K = (x1 ** 2 * np.exp(-1j * lam * x1 * tau) / (x1 ** 2 - s2)
          + x1 * np.exp(-1j * lam * s * tau) / (2 * (s - x1))
          - x1 * np.exp(1j * lam * s * tau) / (2 * (s + x1)))
-    return np.sum(W1[:, None] * W2[None, :]
+    return np.sum(W[:, None] * W[None, :]
                   * np.exp(1j * lam * (x1 * z1 + x2 * z2)) * K)
 
 
-def test_folded_residue_sum_matches_unfolded(monkeypatch):
-    """The half-axis sum and the conjugated exponential against the plain
-    sum over every node pair of the full axes with three exponentials, in
-    one column tile per block and in tiles of 40 columns."""
-    z1, z2, tau, lam = 2.0, 0.5, 3.0, 15.0
-    X1, W1 = oracle._axis_nodes(3.0, lam, tau, 4.0)
-    X2, W2 = oracle._axis_nodes(2.0, lam, tau, 4.0)
-    assert len(X1) > 128            # more than one block of rows
-    want = _every_pair_residue_sum(X1, W1, X2, W2, z1, z2, tau, lam)
-    for cols in (oracle.RESIDUE_COLS, 40):
-        monkeypatch.setattr(oracle, "RESIDUE_COLS", cols)
-        got = oracle._residue_sum(X1, W1, X2, W2, z1, z2, tau, lam)
-        assert abs(got - want) <= 1e-13 * abs(want), cols
-
-
 def test_shared_residue_sum_matches_every_pair(monkeypatch):
-    """With both half-axes the same array, the direct and transposed tiles
-    against the plain sum over every node pair of the full axes: 137 nodes
-    (eight blocks of 16 and a short one of 9), tapered, nonuniform weights
-    that differ between the axes.  With tiles of 40 columns a block's
-    transposed tile starts inside a column tile, and the last tile is
-    short."""
+    """The half-axis sum, the conjugated exponential and the direct and
+    transposed tiles against the plain sum over every node pair of the full
+    axis with three exponentials: 137 nodes (eight blocks of 16 and a short
+    one of 9), tapered, nonuniform weights, in one column tile per block and
+    in tiles of 40 columns, where a block's transposed tile starts inside a
+    column tile and the last tile is short."""
     z1, z2, tau, lam = 2.0, 0.5, 3.0, 15.0
     X, W = oracle._axis_nodes(3.0, lam, tau, 4.0)
-    X, W = X[:-7], W[:-7] * oracle._taper(X[:-7], 3.0, 0.15)
+    X, W = X[:-7], W[:-7]
+    W = W * oracle._taper(X, 3.0, 0.15) * (1 + 0.1 * X ** 2)
     assert len(X) % oracle.RESIDUE_ROWS and len(X) > 2 * oracle.RESIDUE_ROWS
-    assert not oracle._merge_collisions(X, X)
-    W1, W2 = W * (1 + 0.1 * X ** 2), W * (1 - 0.05 * X)
-    want = _every_pair_residue_sum(X, W1, X, W2, z1, z2, tau, lam)
+    assert not oracle._merge_collisions(X)
+    want = _every_pair_residue_sum(X, W, z1, z2, tau, lam)
     for cols in (oracle.RESIDUE_COLS, 40):
         monkeypatch.setattr(oracle, "RESIDUE_COLS", cols)
-        got = oracle._residue_sum(X, W1, X, W2, z1, z2, tau, lam)
+        got = oracle._residue_sum(X, W, z1, z2, tau, lam)
         assert abs(got - want) <= 1e-13 * abs(want), cols
 
 
@@ -273,23 +263,23 @@ def test_shared_residue_sum_matches_every_pair(monkeypatch):
 def test_residue_block_matches_complex_form(z, jittered):
     """The real-arithmetic kernel against the complex residue sums it
     replaces, bit for bit, block by block: at the far oracle-check point and
-    at a point whose x1 axis is jittered and has node pairs next to the
-    pole-merge curve."""
+    at a point whose rule is stretched, on the stretched axis, which still
+    has node pairs next to the pole-merge curve."""
     z1, z2, tau, lam = z
     fmax = max(abs(z1), abs(z2)) + 1.0 + tau * 0.55
-    X2, _ = oracle._axis_nodes(12.0, lam, tau, fmax)
-    X1 = oracle._jitter_collisions(X2, X2)
-    assert (X1 is not X2) == jittered
+    X0, W0 = oracle._axis_nodes(12.0, lam, tau, fmax)
+    X, _ = oracle._jitter_collisions(X0, W0)
+    assert (X is not X0) == jittered
     B = oracle.RESIDUE_ROWS
-    ws = oracle._residue_workspace(B, len(X2))
-    X1sq = X1 ** 2
-    num = X1sq * np.exp(-1j * lam * X1 * tau)
-    for i0 in range(0, len(X1), B):
+    ws = oracle._residue_workspace(B, len(X))
+    Xsq = X ** 2
+    num = Xsq * np.exp(-1j * lam * X * tau)
+    for i0 in range(0, len(X), B):
         k = slice(i0, i0 + B)
-        got = oracle._residue_block(ws, X1[k, None], X1sq[k, None], num[k, None],
-                                    X2 ** 2, lam, tau)
-        x1 = X1[k, None]
-        s2 = np.sqrt(x1 ** 2 + X2 ** 2)
+        got = oracle._residue_block(ws, X[k, None], Xsq[k, None], num[k, None],
+                                    Xsq, lam, tau)
+        x1 = X[k, None]
+        s2 = np.sqrt(x1 ** 2 + X ** 2)
         s = np.sqrt(s2)
         E = np.exp(-1j * lam * s * tau)
         t1 = x1 ** 2 * np.exp(-1j * lam * x1 * tau) / (x1 ** 2 - s2)
@@ -308,7 +298,7 @@ def test_transposed_tile_matches_complex_form():
     z1, z2, tau, lam = 5.5951072595724565, 1.1741763913499976, 10.0, 40.0
     fmax = max(abs(z1), abs(z2)) + 1.0 + tau * 0.55
     X, _ = oracle._axis_nodes(12.0, lam, tau, fmax)
-    assert oracle._jitter_collisions(X, X) is X
+    assert not oracle._merge_collisions(X)
     B, N = oracle.RESIDUE_ROWS, len(X)
     ws = oracle._residue_workspace(B, N)
     Xsq = X ** 2
@@ -332,20 +322,17 @@ def test_transposed_tile_matches_complex_form():
         assert all(np.array_equal(g, w) for g, w in zip(got, want)), i0
 
 
-def _unfolded_x1_residue_sum(X1, W1, X2, W2, z1, z2, tau, lam) -> complex:
-    # the residue sum with the x2 fold only, in blocks of 256 rows of x1
-    half = len(X2) // 2
-    if not (np.array_equal(X2[half:], -X2[half - 1::-1])
-            and np.array_equal(W2[half:], W2[half - 1::-1])):
-        raise ValueError("the x2 nodes and weights are not mirror-symmetric")
-    X2 = X2[half:]
+def _unfolded_x1_residue_sum(X, W, z1, z2, tau, lam) -> complex:
+    # the residue sum over the half-axis X, W with the x2 fold only: every
+    # x1 row of the full axis, in blocks of 256 rows
+    X1, W1 = _mirror(X, W)
     u = W1 * np.exp(1j * lam * X1 * z1)
-    v = 2 * W2[half:] * np.cos(lam * X2 * z2)
+    v = 2 * W * np.cos(lam * X * z2)
     B = 256
 
     def rows(i0, _):
         x1 = X1[i0:i0 + B, None]
-        s2 = np.sqrt(x1 ** 2 + X2 ** 2)
+        s2 = np.sqrt(x1 ** 2 + X ** 2)
         s = np.sqrt(s2)
         E = np.exp(-1j * lam * s * tau)
         # analytic across the collision curves x1 = +-s
@@ -359,16 +346,15 @@ def _unfolded_x1_residue_sum(X1, W1, X2, W2, z1, z2, tau, lam) -> complex:
 
 def test_x1_fold_matches_unfolded_rows():
     """The +-x1 fold against the sum that forms every x1 row of the full
-    axes, on 352 positive rows (three blocks of 128, the last one short)
-    with tapered, nonuniform x1 weights."""
+    axis, on 345 positive rows (21 blocks of 16 and a short one of 9) with
+    tapered, nonuniform weights."""
     z1, z2, tau, lam = 2.0, 0.5, 3.0, 20.0
-    X1, W = oracle._axis_nodes(6.0, lam, tau, 4.0)
-    assert len(X1) == 352
-    W1 = W * oracle._taper(X1, 6.0, 0.15) * (1 + 0.1 * X1 ** 2)
-    X2, W2 = oracle._axis_nodes(2.0, lam, tau, 4.0)
-    got = oracle._residue_sum(X1, W1, X2, W2, z1, z2, tau, lam)
-    want = _unfolded_x1_residue_sum(*_mirror(X1, W1), *_mirror(X2, W2),
-                                    z1, z2, tau, lam)
+    X, W = oracle._axis_nodes(6.0, lam, tau, 4.0)
+    X, W = X[:-7], W[:-7]
+    W = W * oracle._taper(X, 6.0, 0.15) * (1 + 0.1 * X ** 2)
+    assert len(X) == 345 and len(X) % oracle.RESIDUE_ROWS
+    got = oracle._residue_sum(X, W, z1, z2, tau, lam)
+    want = _unfolded_x1_residue_sum(X, W, z1, z2, tau, lam)
     assert abs(got - want) <= 1e-14 * abs(want)
 
 
@@ -490,45 +476,52 @@ def test_quad_deformed_rejects_small_n_before_building_nodes(monkeypatch):
             quad_deformed_3d(prob, 30.0, QuadratureSpec(R=3.0, n=n))
 
 
-def _collides_brute(X1, X2, tol):
-    a = np.abs(X1[:, None])
-    s = (X1[:, None] ** 2 + X2[None, :] ** 2) ** 0.25
-    return bool(np.any(np.abs(a - s) < tol))
+def _collides_brute(X, tol):
+    s = (X[:, None] ** 2 + X[None, :] ** 2) ** 0.25
+    return bool(np.any(np.abs(X[:, None] - s) < tol))
 
 
 def test_merge_collisions_match_brute_force_scan():
     rng = np.random.default_rng(11)
     hits = 0
     for _ in range(200):
-        X2 = np.sort(rng.uniform(0, 4, rng.integers(1, 60)))
+        X2 = rng.uniform(0, 4, rng.integers(1, 60))
         X1 = rng.uniform(0, 3, rng.integers(1, 60))
         # put a few xi1 nodes within a few tol of the curve through some xi2
         k = rng.integers(0, 3)
         y = rng.choice(X2, k)
         a = np.sqrt((1 + np.sqrt(1 + 4 * y * y)) / 2)     # a^4 - a^2 = y^2
         X1[:k] = a + rng.uniform(-3e-8, 3e-8, k)
-        X1.sort()
-        want = _collides_brute(X1, X2, 1e-8)
+        X = np.union1d(X1, X2)                             # one sorted axis
+        want = _collides_brute(X, 1e-8)
         hits += want
-        assert oracle._merge_collisions(X1, X2) == want
+        assert oracle._merge_collisions(X) == want
     assert 0 < hits < 200
 
 
+A_QUARTER = np.sqrt((1 + np.sqrt(2.0)) / 2)              # a^4 - a^2 = 0.5^2
+
+
 def test_jitter_shifts_a_node_on_the_merge_curve():
-    X2 = np.array([0.5, 1.25])
-    a = np.sqrt((1 + np.sqrt(2.0)) / 2)                   # a^4 - a^2 = 0.5^2
-    X1 = np.array([0.3, a, 2.0])
-    assert _collides_brute(X1, X2, 1e-8)
-    np.testing.assert_array_equal(oracle._jitter_collisions(X1, X2), X1 + 1e-6)
-    clear = np.array([0.3, 1.7, 2.0])
-    assert oracle._jitter_collisions(clear, X2) is clear
+    """A colliding rule comes back stretched by 1 + 1e-6, nodes and
+    weights; a clear one comes back as the same objects."""
+    X = np.array([0.3, 0.5, A_QUARTER, 2.0])
+    W = np.array([0.1, 0.2, 0.3, 0.4])
+    assert _collides_brute(X, 1e-8)
+    Xj, Wj = oracle._jitter_collisions(X, W)
+    np.testing.assert_array_equal(Xj, X * (1 + 1e-6))
+    np.testing.assert_array_equal(Wj, W * (1 + 1e-6))
+    clear = np.array([0.3, 0.5, 1.7, 2.0])
+    Xc, Wc = oracle._jitter_collisions(clear, W)
+    assert Xc is clear and Wc is W
 
 
 def test_jitter_that_cannot_clear_raises():
-    X2 = np.array([0.5])
-    a = np.sqrt((1 + np.sqrt(2.0)) / 2)
+    # the stretch carries the first and third nodes onto a colliding pair
+    a = A_QUARTER
+    X = np.array([0.5 / (1 + 1e-6), 0.5, a / (1 + 1e-6), a])
     with pytest.raises(oracle.PoleCollision):
-        oracle._jitter_collisions(np.array([a - 1e-6, a]), X2)
+        oracle._jitter_collisions(X, np.ones(4))
 
 
 def test_oracle_imports_no_asymptotic_code():
