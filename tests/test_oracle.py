@@ -237,6 +237,22 @@ def _every_pair_residue_sum(X, W, z1, z2, tau, lam) -> complex:
                   * np.exp(1j * lam * (x1 * z1 + x2 * z2)) * K)
 
 
+def test_folded_residue_sum_matches_unfolded(monkeypatch):
+    """The half-axis sum and the conjugated exponential against the plain
+    sum over every node pair of the full axis with three exponentials, on
+    the rule `_axis_nodes` builds as it stands (144 nodes, nine full blocks
+    of 16), in one column tile per block and in tiles of 40 columns."""
+    z1, z2, tau, lam = 2.0, 0.5, 3.0, 15.0
+    X, W = oracle._axis_nodes(3.0, lam, tau, 4.0)
+    assert len(X) > 2 * oracle.RESIDUE_ROWS    # more than one block of rows
+    assert not oracle._merge_collisions(X)
+    want = _every_pair_residue_sum(X, W, z1, z2, tau, lam)
+    for cols in (oracle.RESIDUE_COLS, 40):
+        monkeypatch.setattr(oracle, "RESIDUE_COLS", cols)
+        got = oracle._residue_sum(X, W, z1, z2, tau, lam)
+        assert abs(got - want) <= 1e-13 * abs(want), cols
+
+
 def test_shared_residue_sum_matches_every_pair(monkeypatch):
     """The half-axis sum, the conjugated exponential and the direct and
     transposed tiles against the plain sum over every node pair of the full
