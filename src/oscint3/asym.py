@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from . import detect
-from .core import AmplitudeSpec, ProblemSpec
+from .core import AmplitudeSpec, NumericFailure, ProblemSpec
 from .detect import PointKind, SpecialPoint
 
 __all__ = [
@@ -48,11 +48,11 @@ __all__ = [
 ]
 
 
-class UnsupportedExponent(Exception):
+class UnsupportedExponent(NumericFailure):
     pass
 
 
-class DegenerateConfiguration(Exception):
+class DegenerateConfiguration(NumericFailure):
     pass
 
 
@@ -89,12 +89,16 @@ def local_coefficient(amplitude: AmplitudeSpec, involved: tuple[str, ...],
     """Local amplitude coefficient C in w-coordinates.
 
     With w_k = alpha_k * g_k for the involved factors, g^mu = alpha^{-mu} w^mu,
-    so C = N(x) * prod(uninvolved g^mu) * prod(alpha^{-mu})."""
+    so C = N(x) * prod(uninvolved g^mu) * prod(alpha^{-mu}).  The w contour
+    passes below w = 0, so for alpha < 0 the g contour passes above g = 0
+    and alpha^{-mu} is |alpha|^{-mu} e^{i*pi*mu}, not the principal power."""
     C = complex(amplitude.smooth_factor(x))
     it = dict(zip(involved, alphas))
     for c in amplitude.components:
         if c.label in it:
-            C *= complex(it[c.label]) ** (-c.mu)
+            a = it[c.label]
+            C *= (complex(a) ** (-c.mu) if a > 0 or c.mu == -1
+                  else abs(a) ** (-c.mu) * np.exp(1j * np.pi * c.mu))
         else:
             C *= complex(c.g(x)) ** c.mu
     return C

@@ -22,8 +22,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import asym, detect, oracle, problems
-from .kelvin import (MASK_INVALID, DegenerateFamily, FieldGrid, MergeProximity,
-                     field_map, render_wavefronts)
+from .core import NumericFailure
+from .kelvin import MASK_INVALID, FieldGrid, field_map, render_wavefronts
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "run", "main"]
 
@@ -238,13 +238,7 @@ def run(cfg: RunConfig) -> list[str]:
     return [path]
 
 
-NUMERIC_ERRORS = (
-    oracle.SingularityTooClose, oracle.NonConvergent, oracle.PoleCollision,
-    detect.NonTransversal, detect.Indeterminate,
-    asym.UnsupportedExponent, asym.DegenerateConfiguration,
-    DegenerateFamily, MergeProximity,
-    np.linalg.LinAlgError,
-)
+NUMERIC_ERRORS = (NumericFailure, np.linalg.LinAlgError)
 
 
 def main(argv=None) -> int:

@@ -29,6 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 __all__ = [
+    "NumericFailure",
     "TangentialShift",
     "AxisSplit",
     "ScalarField3",
@@ -47,7 +48,12 @@ SURFACE_TOL = 1e-10
 TANGENCY_RTOL = 1e-12
 
 
-class TangentialShift(Exception):
+class NumericFailure(Exception):
+    """Base of the package's numeric failures: inputs for which a routine
+    cannot give a value it trusts.  The CLI exits with code 3 on one."""
+
+
+class TangentialShift(NumericFailure):
     """The shift eta is (numerically) tangent to a singularity surface."""
 
 

@@ -46,6 +46,7 @@ import numpy as np
 from .core import (
     SURFACE_TOL,
     TANGENCY_RTOL,
+    NumericFailure,
     ProblemSpec,
     ScalarField3,
     SingularityComponent,
@@ -89,11 +90,11 @@ OFF_REASON = ("off-singularities", "non-stationary-on-surface",
               "non-stationary-on-crossing")
 
 
-class NonTransversal(Exception):
+class NonTransversal(NumericFailure):
     pass
 
 
-class Indeterminate(Exception):
+class Indeterminate(NumericFailure):
     """A defining quantity sits within 1e-9 of zero; classification refused."""
 
 

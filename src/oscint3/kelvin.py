@@ -32,6 +32,7 @@ from .asym import AsymptoticTerm, evaluate
 from .core import (
     AmplitudeSpec,
     Box3,
+    NumericFailure,
     ProblemSpec,
     ScalarField3,
     SingularityComponent,
@@ -67,12 +68,12 @@ MASK_TRANSIENT = 2   # transient term active
 MASK_INVALID = 4     # excluded: z2 strip, origin, wedge margin, degenerate, merge
 
 
-class DegenerateFamily(Exception):
+class DegenerateFamily(NumericFailure):
     """No wave-family term: a family near the wedge boundary (beta ~ 0, merge
     regime), or the track z2 = 0, where the diverging frequency is infinite."""
 
 
-class MergeProximity(Exception):
+class MergeProximity(NumericFailure):
     """Transient point too close to merging with a crossing-curve point."""
 
 

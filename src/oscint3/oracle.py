@@ -12,17 +12,15 @@ Three oracles, none of which shares code with the asymptotic machinery:
   added in slab order.
 * quad_contour_1d: adaptive quadrature of f(w) e^{i*Lambda*w} along a
   piecewise contour in one complex variable; used to verify the universal
-  factor I(mu) and to build exact factorized references for the canonical
-  test problems.
+  factor I(mu) and to build the factorized references of the canonical
+  test problems.  Those are not exact: their indentation has a fixed
+  radius, on which |e^{i*Lambda*w}| grows with Lambda, and at Lambda = 80
+  they are off by up to 2e-5 relative.
 * kelvin_oracle: residue reduction in the frequency variable followed by a
   graded-panel 2D quadrature on the positive half-axes xi1 > 0 and xi2 > 0,
   each node standing for itself and its mirror; independent reference for
-  the ship-wake field.  The residue sum is formed in real arithmetic, with
-  the bits of the complex formula, over blocks of RESIDUE_ROWS rows and
-  tiles of up to RESIDUE_COLS columns.  Both half-axes carry the same
-  nodes, so a block forms the square roots and the exponential of each
-  node pair once and uses them for the pair and its transpose (a direct and
-  a transposed tile).
+  the ship-wake field.  The residue sum is formed in real arithmetic, in
+  tiles of node pairs (`_residue_sum`).
 
 Both threaded oracles hand their parts to `_ordered_sum`, which adds them
 in key order and gives each part the workspace of the thread it runs on,
@@ -42,7 +40,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
-from .core import ProblemSpec
+from .core import NumericFailure, ProblemSpec
 
 __all__ = [
     "SingularityTooClose",
@@ -67,15 +65,15 @@ RESIDUE_ROWS = 16              # x1 rows per part of the Kelvin residue sum
 RESIDUE_COLS = 4096            # x2 columns per tile of a part: bounds its workspace
 
 
-class SingularityTooClose(Exception):
+class SingularityTooClose(NumericFailure):
     pass
 
 
-class NonConvergent(Exception):
+class NonConvergent(NumericFailure):
     pass
 
 
-class PoleCollision(Exception):
+class PoleCollision(NumericFailure):
     pass
 
 
@@ -366,16 +364,13 @@ def kelvin_oracle(z1: float, z2: float, tau: float, lam: float,
 
     For tau > 0 the frequency contour (shifted up by i*eps) closes downward
     and picks up the real poles at varpi = xi1 and varpi = +-(xi1^2+xi2^2)^{1/4};
-    the residue sum is then integrated over (xi1, xi2) with one graded
-    windowed Gauss-Legendre rule on the positive half-axis, used for both
-    xi1 and xi2 (`_residue_sum` adds the mirror nodes -xi1 and -xi2 itself;
-    the rest is in real arithmetic on tiles of RESIDUE_ROWS rows by up to
-    RESIDUE_COLS columns, on two threads with one workspace each), so the
-    complex exponential of a node pair is formed once for the pair and its
-    transpose.  If a node pair meets the pole-merge curve, the whole rule
-    is stretched by 1 + 1e-6 (`_jitter_collisions`).  For tau <= 0 the
-    integrand decays like 1/varpi^2, the contour closes upward around no
-    poles and the integral is exactly zero (causality).
+    the residue sum (`_residue_sum`) is then integrated over (xi1, xi2) with
+    one graded windowed Gauss-Legendre rule on the positive half-axis
+    (`_half_axis_rule`), used for both xi1 and xi2.  If a node pair meets
+    the pole-merge curve, the whole rule is stretched by 1 + 1e-6
+    (`_jitter_collisions`).  For tau <= 0 the integrand decays like
+    1/varpi^2, the contour closes upward around no poles and the integral
+    is exactly zero (causality).
 
     Raises ValueError, before any node is built, unless z1, z2, tau and
     lam are finite and lam > 0.
@@ -385,11 +380,15 @@ def kelvin_oracle(z1: float, z2: float, tau: float, lam: float,
     spec = spec or KELVIN_QUAD
     if tau <= 0:
         return 0j
-    fmax = max(abs(z1), abs(z2)) + 1.0 + tau * 0.55
-    X, W = _jitter_collisions(*_axis_nodes(spec.R, lam, tau, fmax,
-                                           oversample=spec.n / 128.0))
+    X, W = _jitter_collisions(*_half_axis_rule(z1, z2, tau, lam, spec))
     W = W * _taper(X, spec.R, spec.taper)
     return WAKE_PREFACTOR * (-2j * np.pi) * _residue_sum(X, W, z1, z2, tau, lam)
+
+
+def _half_axis_rule(z1, z2, tau, lam, spec: QuadratureSpec) -> tuple:
+    """`kelvin_oracle`'s half-axis rule (X, W), before the jitter and the taper."""
+    return _axis_nodes(spec.R, lam, tau, max(abs(z1), abs(z2)) + 1.0 + tau * 0.55,
+                       oversample=spec.n / 128.0)
 
 
 def _residue_sum(X, W, z1, z2, tau, lam) -> complex:
@@ -400,26 +399,26 @@ def _residue_sum(X, W, z1, z2, tau, lam) -> complex:
 
     X, W is the positive half-axis, each node standing for itself and its
     mirror.  The residue sum depends on xi2 only through xi2^2, so each x2
-    carries the weight 2*W*cos(lam*x2*z2).  With t1, pp, pm the three
+    carries the weight v = 2*W*cos(lam*x2*z2).  With t1, pp, pm the three
     residues at a row x1 > 0, the row -x1 has the residues conj(t1),
     conj(pm), conj(pp), so its residue sum is conj(t1 + pm + pp), with the
     bits the row would get on its own.  One complex exponential serves both
     s poles of a node pair: the +s pole's, whose conjugate is the -s pole's;
     the xi1 pole's depends on the row alone.
 
-    Blocks I of RESIDUE_ROWS rows are the parts of `_ordered_sum`, whose
-    workspace is `_residue_workspace`'s; a block walks its columns in tiles
-    K of up to RESIDUE_COLS, so the workspace does not grow with the axis.
-    s2, s and E = e^{-i*lam*s*tau} depend on x1^2 + x2^2 alone, which has
-    the same bits for a pair and its transpose, so block I forms them once,
-    on the columns j >= i0, for two tiles: the direct tile, rows X[I]
-    against the columns X[K], and the transposed tile, rows X[J] with J = K
-    minus [0, i0 + B) against the columns X[I], which reads the same planes
-    in their own orientation.  Each ordered pair is counted once.
-    `_residue_parts` forms the real and imaginary parts of both residue sums
-    of a tile in real arithmetic; a direct tile is reduced as u @ (part @
-    v), a transposed one as (v[I] @ part) @ u[J], where u+ and u- are the
-    row weights of x1 and -x1.
+    The sum is formed in real arithmetic, with the bits of the complex
+    formula, a tile (rows by columns of node pairs) at a time.  Blocks I of
+    RESIDUE_ROWS rows are the parts of `_ordered_sum`; block I walks the
+    columns j >= i0 in ranges K of up to RESIDUE_COLS, so its thread's
+    `_residue_workspace` does not grow with the axis.  s2, s and E =
+    e^{-i*lam*s*tau} have the same bits for a pair and its transpose, so
+    `_pair_planes` forms them once, X[I] against X[K], for two tiles: the
+    direct tile, and the transposed tile, the columns J of K past the block
+    as rows against the columns X[I], which slices the planes at J.  Each
+    ordered pair is counted once.  `tile` reduces either orientation as
+    u+ @ (part @ v) + u- @ (mirror part @ v) over `_residue_parts`, u+ and
+    u- being the row weights of x1 and -x1; a transposed tile passes the
+    transposes of its parts.
     """
     u_pos = W * np.exp(1j * lam * X * z1)
     u_neg = W * np.exp(-1j * lam * X * z1)
@@ -428,38 +427,39 @@ def _residue_sum(X, W, z1, z2, tau, lam) -> complex:
     num = Xsq * np.exp(-1j * lam * X * tau)       # t1's numerator, per row
     B, C, N = RESIDUE_ROWS, RESIDUE_COLS, len(X)
 
-    def rows(i0, ws):
+    def tile(rows, cols, parts):
+        re, im, mre, mim = parts
+        vc = v[cols]
+        return (u_pos[rows] @ ((re @ vc) + 1j * (im @ vc))
+                + u_neg[rows] @ ((mre @ vc) + 1j * (mim @ vc)))
+
+    def block(i0, ws):
         I = slice(i0, i0 + B)
         total = 0j
         for c0 in range(i0, N, C):
-            K = slice(c0, c0 + C)
-            re, im, mre, mim = _residue_block(ws, X[I, None], Xsq[I, None],
-                                              num[I, None], Xsq[K], lam, tau)
-            total += (u_pos[I] @ ((re @ v[K]) + 1j * (im @ v[K]))
-                      + u_neg[I] @ ((mre @ v[K]) + 1j * (mim @ v[K])))
-            t0 = max(c0, i0 + B)                # the transposed tile's first row
-            if t0 >= min(c0 + C, N):
-                continue
-            J = slice(t0, c0 + C)
-            s2, s, E = (p[:, t0 - c0:] for p in _pair_planes(ws, B, re.shape[1]))
-            re, im, mre, mim = _residue_parts(ws, X[None, J], Xsq[None, J],
-                                              num[None, J], s2, s, E)
-            vi = v[I]
-            total += (((vi @ re) + 1j * (vi @ im)) @ u_pos[J]
-                      + ((vi @ mre) + 1j * (vi @ mim)) @ u_neg[J])
+            K = slice(c0, min(c0 + C, N))
+            s2, s, E = _pair_planes(ws, Xsq[I, None], Xsq[K], lam, tau)
+            total += tile(I, K, _residue_parts(ws, X[I, None], Xsq[I, None],
+                                               num[I, None], s2, s, E))
+            t = max(i0 + B - c0, 0)             # the transposed tile's first column
+            if c0 + t < K.stop:
+                J = slice(c0 + t, K.stop)
+                parts = _residue_parts(ws, X[None, J], Xsq[None, J], num[None, J],
+                                       s2[:, t:], s[:, t:], E[:, t:])
+                total += tile(J, I, (p.T for p in parts))
         return total
 
-    return _ordered_sum(rows, range(0, N, B),
+    return _ordered_sum(block, range(0, N, B),
                         lambda: _residue_workspace(min(B, N), min(C, N)))
 
 
-def _residue_workspace(B: int, N2: int) -> tuple:
-    """Buffers of `_residue_block` and `_residue_parts` for tiles of up to
-    B rows and N2 columns: nine real planes and one complex, each of B*N2
-    elements.  Planes 0-6 are the scratch of `_residue_parts`; planes 7 and
-    8 hold s2 and s, and the complex plane E, of the tile's node pairs,
-    which stay there for the transposed tile of `_residue_sum`."""
-    return np.empty((9, B * N2)), np.empty(B * N2, dtype=complex)
+def _residue_workspace(B: int, N2: int) -> dict:
+    """Planes of B*N2 elements for tiles of up to B rows and N2 columns: the
+    seven real "scratch" planes of `_residue_parts`, and "s2", "s" and the
+    complex "E" of `_pair_planes`, which stay there for the transposed tile."""
+    n = B * N2
+    return {"scratch": np.empty((7, n)), "s2": np.empty(n), "s": np.empty(n),
+            "E": np.empty(n, dtype=complex)}
 
 
 def _plane(buf: np.ndarray, shape: tuple) -> np.ndarray:
@@ -468,26 +468,18 @@ def _plane(buf: np.ndarray, shape: tuple) -> np.ndarray:
     return buf[:shape[0] * shape[1]].reshape(shape)
 
 
-def _pair_planes(ws, m: int, n: int) -> tuple:
-    """The (m, n) planes of s2, s and E in the workspace `ws`."""
-    return _plane(ws[0][7], (m, n)), _plane(ws[0][8], (m, n)), _plane(ws[1], (m, n))
-
-
-def _residue_block(ws, x1, x1sq, num, Xsq, lam, tau):
-    """The residue sums of the rows x1 (a (m, 1) column of positive nodes)
-    over the nodes whose squares are Xsq: returns the real and imaginary
-    parts of t1 + pp + pm and of conj(t1 + pm + pp) as (m, N2) views into
-    the workspace `ws`, which the next call overwrites.  s2, s and the one
-    complex exponential E = e^{-i*lam*s*tau}, formed as numpy forms it, are
-    left in the workspace's `_pair_planes`."""
-    s2, s, E = _pair_planes(ws, len(x1), len(Xsq))
+def _pair_planes(ws, x1sq, Xsq, lam, tau) -> tuple:
+    """s2, s and E = e^{-i*lam*s*tau}, formed as numpy forms them, of the
+    rows with squares x1sq (m, 1) against the columns with squares Xsq (n,):
+    (m, n) views into the planes of `ws`, which the next call overwrites."""
+    s2, s, E = (_plane(ws[k], (len(x1sq), len(Xsq))) for k in ("s2", "s", "E"))
     np.add(x1sq, Xsq, out=s2)
     np.sqrt(s2, out=s2)
     np.sqrt(s2, out=s)
     np.multiply(-1j * lam, s, out=E)
     E *= tau
     np.exp(E, out=E)
-    return _residue_parts(ws, x1, x1sq, num, s2, s, E)
+    return s2, s, E
 
 
 def _residue_parts(ws, x1, x1sq, num, s2, s, E):
@@ -501,7 +493,7 @@ def _residue_parts(ws, x1, x1sq, num, s2, s, E):
     a real is a*(1/b) in numpy, so each denominator is inverted once and
     multiplied in; x1*E is (x1*Er, x1*Ei) and -x1*conj(E) is (-(x1*Er),
     x1*Ei), so pm's real part enters as a subtraction."""
-    a, b, c, p, q, t1r, t1i = (_plane(pl, s2.shape) for pl in ws[0][:7])
+    a, b, c, p, q, t1r, t1i = (_plane(pl, s2.shape) for pl in ws["scratch"])
     np.subtract(x1sq, s2, out=a)                    # x1^2 - s2
     np.divide(1.0, a, out=a)
     np.multiply(num.real, a, out=t1r)
@@ -545,8 +537,9 @@ def _merge_collisions(X: np.ndarray) -> bool:
 def _jitter_collisions(X: np.ndarray, W: np.ndarray) -> tuple:
     """The rule (X, W) itself if no node pair collides with the pole-merge
     curve; otherwise the rule stretched by 1 + 1e-6, which is the same rule
-    on the stretched interval (the taper still closes it at R).  Raises
-    PoleCollision if the stretched rule collides too."""
+    on the stretched interval.  A taper > 0 still closes it at R; with
+    taper = 0 it reaches R*(1 + 1e-6).  Raises PoleCollision if the
+    stretched rule collides too."""
     if not _merge_collisions(X):
         return X, W
     X, W = X * (1 + 1e-6), W * (1 + 1e-6)

@@ -6,7 +6,7 @@ import pytest
 
 import oscint3
 from oscint3 import core, kelvin, oracle
-from oscint3.cli import NUMERIC_ERRORS
+from oscint3.cli import NUMERIC_ERRORS, ConfigError
 
 
 @pytest.mark.parametrize("name", oscint3.__all__)
@@ -16,7 +16,9 @@ def test_all_names_resolve(name):
 
 
 def test_numeric_errors_are_raised():
-    """Every oscint3 exception the CLI maps to exit code 3 is raised somewhere."""
+    """Every exception class the package defines, except the CLI's
+    ConfigError, is a `core.NumericFailure`, which the CLI maps to exit
+    code 3, and every subclass of it is raised somewhere in the package."""
     src = Path(oscint3.__file__).parent
     raised = set()
     for path in src.glob("*.py"):
@@ -25,8 +27,15 @@ def test_numeric_errors_are_raised():
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 raised.add(exc.attr if isinstance(exc, ast.Attribute) else
                            getattr(exc, "id", None))
-    ours = [e.__name__ for e in NUMERIC_ERRORS if e.__module__.startswith("oscint3")]
-    assert ours and [n for n in ours if n not in raised] == []
+    ours = {obj for name in oscint3.__all__
+            for obj in vars(importlib.import_module(f"oscint3.{name}")).values()
+            if isinstance(obj, type) and issubclass(obj, BaseException)
+            and obj.__module__.startswith("oscint3")} - {ConfigError}
+    assert core.NumericFailure in NUMERIC_ERRORS
+    assert [e.__name__ for e in ours if not issubclass(e, core.NumericFailure)] == []
+    failures = ours - {core.NumericFailure}
+    assert core.TangentialShift in failures
+    assert sorted(e.__name__ for e in failures if e.__name__ not in raised) == []
 
 
 def _unused_imports(path: Path) -> list[str]:

@@ -15,6 +15,7 @@ from oscint3.core import (
     quadratic_field,
 )
 from oscint3.detect import LocalFrame, PointKind, SpecialPoint
+from oscint3.oracle import QuadratureSpec, quad_deformed_3d
 from wake_curve import curve_L
 
 
@@ -335,3 +336,22 @@ def test_cone_branch_exponent_raises():
         asym.term_for_point(half, cones[0])
     with pytest.raises(asym.UnsupportedExponent):
         asym.expand(half)
+
+
+@pytest.mark.parametrize("mu", [-0.5, 0.5, -1.25])
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_branch_exponent_term_matches_quadrature(sign, mu):
+    """pole-sp with its plane written as g = sign*(x1 - 1) and raised to a
+    branch exponent mu, against the tensor-rule oracle: the term converges
+    at the rate 1/Lambda for either sign of alpha.  With sign = -1, alpha <
+    0, and the principal alpha^{-mu} gave a relative error near 2 for mu =
+    +-1/2 and near 1.45 for mu = -5/4."""
+    prob, _ = problems.get_problem("pole-sp")
+    plane = SingularityComponent(quadratic_field(b=(sign, 0, 0), c=-sign), mu, "plane")
+    prob = dataclasses.replace(prob, amplitude=dataclasses.replace(
+        prob.amplitude, components=(plane,)))
+    terms = expand(prob)
+    for lam in (20.0, 40.0, 80.0):
+        ref, _ = quad_deformed_3d(prob, lam, QuadratureSpec(R=7.0, n=1024))
+        rel = abs(evaluate(terms, lam, prob.prefactor) - ref) / abs(ref)
+        assert rel <= 5 / lam, (lam, rel)

@@ -175,9 +175,7 @@ JITTER_FIXTURES = [
 
 @pytest.mark.parametrize("z,want", JITTER_FIXTURES)
 def test_kelvin_oracle_outward_jitter_near_axis_shift(z, want):
-    z1, z2, tau, lam = z
-    fmax = max(abs(z1), abs(z2)) + 1.0 + tau * 0.55
-    X, _ = oracle._axis_nodes(12.0, lam, tau, fmax)
+    X, _ = oracle._half_axis_rule(*z, oracle.KELVIN_QUAD)
     assert oracle._merge_collisions(X)
     assert abs(kelvin_oracle(*z).real - want) < 1e-8
 
@@ -276,57 +274,25 @@ def test_shared_residue_sum_matches_every_pair(monkeypatch):
 @pytest.mark.parametrize("z,jittered", [
     ((5.5951072595724565, 1.1741763913499976, 10.0, 40.0), False),
     ((2.0102272299088453, 1.4806968807572858, 10.0, 80.0), True)])
-def test_residue_block_matches_complex_form(z, jittered):
-    """The real-arithmetic kernel against the complex residue sums it
-    replaces, bit for bit, block by block: at the far oracle-check point and
-    at a point whose rule is stretched, on the stretched axis, which still
-    has node pairs next to the pole-merge curve."""
+def test_residue_tiles_match_complex_form(z, jittered):
+    """Both tiles of every block against the complex residue sums they
+    replace, bit for bit: the direct tile, rows X[I] against the columns
+    j >= i0, and the transposed tile, rows X[J], J = [i0 + B, N), against
+    the columns X[I], which reads the planes `_pair_planes` formed for the
+    direct tile and hands `tile` the transposes of its parts.  At the far
+    oracle-check point and at a point whose rule is stretched, on the
+    stretched axis, which still has node pairs next to the pole-merge
+    curve."""
     z1, z2, tau, lam = z
-    fmax = max(abs(z1), abs(z2)) + 1.0 + tau * 0.55
-    X0, W0 = oracle._axis_nodes(12.0, lam, tau, fmax)
+    X0, W0 = oracle._half_axis_rule(z1, z2, tau, lam, oracle.KELVIN_QUAD)
     X, _ = oracle._jitter_collisions(X0, W0)
     assert (X is not X0) == jittered
-    B = oracle.RESIDUE_ROWS
-    ws = oracle._residue_workspace(B, len(X))
-    Xsq = X ** 2
-    num = Xsq * np.exp(-1j * lam * X * tau)
-    for i0 in range(0, len(X), B):
-        k = slice(i0, i0 + B)
-        got = oracle._residue_block(ws, X[k, None], Xsq[k, None], num[k, None],
-                                    Xsq, lam, tau)
-        x1 = X[k, None]
-        s2 = np.sqrt(x1 ** 2 + X ** 2)
-        s = np.sqrt(s2)
-        E = np.exp(-1j * lam * s * tau)
-        t1 = x1 ** 2 * np.exp(-1j * lam * x1 * tau) / (x1 ** 2 - s2)
-        pp = x1 * E / (2 * (s - x1))
-        pm = -x1 * E.conj() / (2 * (s + x1))
-        row, mirror = t1 + pp + pm, (t1 + pm + pp).conj()
-        want = (row.real, row.imag, mirror.real, mirror.imag)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want)), i0
-
-
-def test_transposed_tile_matches_complex_form():
-    """The transposed tile of the shared residue sum against the complex
-    residue sums of its rows X[J], J = [i0 + B, N), over the columns X[I],
-    bit for bit, block by block, at the far oracle-check point: the tile
-    reads the s2, s and E that block I formed for its direct tile."""
-    z1, z2, tau, lam = 5.5951072595724565, 1.1741763913499976, 10.0, 40.0
-    fmax = max(abs(z1), abs(z2)) + 1.0 + tau * 0.55
-    X, _ = oracle._axis_nodes(12.0, lam, tau, fmax)
-    assert not oracle._merge_collisions(X)
     B, N = oracle.RESIDUE_ROWS, len(X)
     ws = oracle._residue_workspace(B, N)
     Xsq = X ** 2
     num = Xsq * np.exp(-1j * lam * X * tau)
-    for i0 in range(0, N - B, B):
-        I, J = slice(i0, i0 + B), slice(i0 + B, None)
-        oracle._residue_block(ws, X[I, None], Xsq[I, None], num[I, None],
-                              Xsq[i0:], lam, tau)
-        s2, s, E = (p[:, B:] for p in oracle._pair_planes(ws, B, N - i0))
-        got = oracle._residue_parts(ws, X[None, J], Xsq[None, J], num[None, J],
-                                    s2, s, E)
-        x1, x2 = X[None, J], X[I, None]
+
+    def complex_parts(x1, x2):
         s2 = np.sqrt(x1 ** 2 + x2 ** 2)
         s = np.sqrt(s2)
         E = np.exp(-1j * lam * s * tau)
@@ -334,8 +300,22 @@ def test_transposed_tile_matches_complex_form():
         pp = x1 * E / (2 * (s - x1))
         pm = -x1 * E.conj() / (2 * (s + x1))
         row, mirror = t1 + pp + pm, (t1 + pm + pp).conj()
-        want = (row.real, row.imag, mirror.real, mirror.imag)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want)), i0
+        return row.real, row.imag, mirror.real, mirror.imag
+
+    def equal(got, want):
+        return all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    for i0 in range(0, N, B):
+        I, J = slice(i0, i0 + B), slice(i0 + B, N)
+        s2, s, E = oracle._pair_planes(ws, Xsq[I, None], Xsq[i0:], lam, tau)
+        got = oracle._residue_parts(ws, X[I, None], Xsq[I, None], num[I, None],
+                                    s2, s, E)
+        assert equal(got, complex_parts(X[I, None], X[None, i0:])), i0
+        if i0 + B < N:
+            got = oracle._residue_parts(ws, X[None, J], Xsq[None, J], num[None, J],
+                                        s2[:, B:], s[:, B:], E[:, B:])
+            want = complex_parts(X[J, None], X[None, I])
+            assert equal((p.T for p in got), want), i0
 
 
 def _unfolded_x1_residue_sum(X, W, z1, z2, tau, lam) -> complex:
