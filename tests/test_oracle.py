@@ -271,51 +271,74 @@ def test_shared_residue_sum_matches_every_pair(monkeypatch):
         assert abs(got - want) <= 1e-13 * abs(want), cols
 
 
-@pytest.mark.parametrize("z,jittered", [
+TILE_POINTS = [
     ((5.5951072595724565, 1.1741763913499976, 10.0, 40.0), False),
-    ((2.0102272299088453, 1.4806968807572858, 10.0, 80.0), True)])
-def test_residue_tiles_match_complex_form(z, jittered):
-    """Both tiles of every block against the complex residue sums they
-    replace, bit for bit: the direct tile, rows X[I] against the columns
-    j >= i0, and the transposed tile, rows X[J], J = [i0 + B, N), against
-    the columns X[I], which reads the planes `_pair_planes` formed for the
-    direct tile and hands `tile` the transposes of its parts.  At the far
-    oracle-check point and at a point whose rule is stretched, on the
-    stretched axis, which still has node pairs next to the pole-merge
-    curve."""
+    ((2.0102272299088453, 1.4806968807572858, 10.0, 80.0), True)]
+
+
+def _tile_axis(z, jittered):
+    # the (jittered) half-axis of the Kelvin rule at z, its squares, the
+    # residue numerators and a workspace for the tiles
     z1, z2, tau, lam = z
     X0, W0 = oracle._half_axis_rule(z1, z2, tau, lam, oracle.KELVIN_QUAD)
     X, _ = oracle._jitter_collisions(X0, W0)
     assert (X is not X0) == jittered
-    B, N = oracle.RESIDUE_ROWS, len(X)
-    ws = oracle._residue_workspace(B, N)
-    Xsq = X ** 2
-    num = Xsq * np.exp(-1j * lam * X * tau)
+    ws = oracle._residue_workspace(oracle.RESIDUE_ROWS, len(X))
+    return X, X ** 2, X ** 2 * np.exp(-1j * lam * X * tau), ws
 
-    def complex_parts(x1, x2):
-        s2 = np.sqrt(x1 ** 2 + x2 ** 2)
-        s = np.sqrt(s2)
-        E = np.exp(-1j * lam * s * tau)
-        t1 = x1 ** 2 * np.exp(-1j * lam * x1 * tau) / (x1 ** 2 - s2)
-        pp = x1 * E / (2 * (s - x1))
-        pm = -x1 * E.conj() / (2 * (s + x1))
-        row, mirror = t1 + pp + pm, (t1 + pm + pp).conj()
-        return row.real, row.imag, mirror.real, mirror.imag
 
-    def equal(got, want):
-        return all(np.array_equal(g, w) for g, w in zip(got, want))
+def _complex_residue_parts(x1, x2, lam, tau):
+    # the complex residue sums the real-arithmetic kernel replaces
+    s2 = np.sqrt(x1 ** 2 + x2 ** 2)
+    s = np.sqrt(s2)
+    E = np.exp(-1j * lam * s * tau)
+    t1 = x1 ** 2 * np.exp(-1j * lam * x1 * tau) / (x1 ** 2 - s2)
+    pp = x1 * E / (2 * (s - x1))
+    pm = -x1 * E.conj() / (2 * (s + x1))
+    row, mirror = t1 + pp + pm, (t1 + pm + pp).conj()
+    return row.real, row.imag, mirror.real, mirror.imag
 
-    for i0 in range(0, N, B):
-        I, J = slice(i0, i0 + B), slice(i0 + B, N)
+
+def _equal_parts(got, want):
+    return all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("z,jittered", TILE_POINTS)
+def test_residue_block_matches_complex_form(z, jittered):
+    """The direct tile of every block, rows X[I] against the columns
+    j >= i0, against the complex residue sums it replaces, bit for bit: at
+    the far oracle-check point and at a point whose rule is stretched, on
+    the stretched axis, which still has node pairs next to the pole-merge
+    curve."""
+    lam, tau = z[3], z[2]
+    X, Xsq, num, ws = _tile_axis(z, jittered)
+    B = oracle.RESIDUE_ROWS
+    for i0 in range(0, len(X), B):
+        I = slice(i0, i0 + B)
         s2, s, E = oracle._pair_planes(ws, Xsq[I, None], Xsq[i0:], lam, tau)
         got = oracle._residue_parts(ws, X[I, None], Xsq[I, None], num[I, None],
                                     s2, s, E)
-        assert equal(got, complex_parts(X[I, None], X[None, i0:])), i0
-        if i0 + B < N:
-            got = oracle._residue_parts(ws, X[None, J], Xsq[None, J], num[None, J],
-                                        s2[:, B:], s[:, B:], E[:, B:])
-            want = complex_parts(X[J, None], X[None, I])
-            assert equal((p.T for p in got), want), i0
+        want = _complex_residue_parts(X[I, None], X[None, i0:], lam, tau)
+        assert _equal_parts(got, want), i0
+
+
+def test_transposed_tile_matches_complex_form():
+    """The transposed tile of every block, rows X[J], J = [i0 + B, N),
+    against the columns X[I], against the complex residue sums of its rows,
+    bit for bit, at both points of the direct-tile test: the tile reads the
+    planes `_pair_planes` formed for the direct tile and hands `tile` the
+    transposes of its parts."""
+    for z, jittered in TILE_POINTS:
+        lam, tau = z[3], z[2]
+        X, Xsq, num, ws = _tile_axis(z, jittered)
+        B, N = oracle.RESIDUE_ROWS, len(X)
+        for i0 in range(0, N - B, B):
+            I, J = slice(i0, i0 + B), slice(i0 + B, N)
+            s2, s, E = oracle._pair_planes(ws, Xsq[I, None], Xsq[i0:], lam, tau)
+            got = oracle._residue_parts(ws, X[None, J], Xsq[None, J],
+                                        num[None, J], s2[:, B:], s[:, B:], E[:, B:])
+            want = _complex_residue_parts(X[J, None], X[None, I], lam, tau)
+            assert _equal_parts((p.T for p in got), want), (z, i0)
 
 
 def _unfolded_x1_residue_sum(X, W, z1, z2, tau, lam) -> complex:
