@@ -85,13 +85,16 @@ class AsymptoticTerm:
 
 
 def local_coefficient(amplitude: AmplitudeSpec, involved: tuple[str, ...],
-                      alphas: tuple[float, ...], x) -> complex:
+                      alphas: tuple[float, ...], x, eta=None) -> complex:
     """Local amplitude coefficient C in w-coordinates.
 
     With w_k = alpha_k * g_k for the involved factors, g^mu = alpha^{-mu} w^mu,
     so C = N(x) * prod(uninvolved g^mu) * prod(alpha^{-mu}).  The w contour
     passes below w = 0, so for alpha < 0 the g contour passes above g = 0
-    and alpha^{-mu} is |alpha|^{-mu} e^{i*pi*mu}, not the principal power."""
+    and alpha^{-mu} is |alpha|^{-mu} e^{i*pi*mu}, not the principal power.
+    An uninvolved g^mu is the principal power unless eta is given, g(x) < 0
+    and the contour, shifted by eta, passes below the cut (eta . grad g <
+    0): then it is |g|^mu e^{-i*pi*mu}."""
     C = complex(amplitude.smooth_factor(x))
     it = dict(zip(involved, alphas))
     for c in amplitude.components:
@@ -100,16 +103,19 @@ def local_coefficient(amplitude: AmplitudeSpec, involved: tuple[str, ...],
             C *= (complex(a) ** (-c.mu) if a > 0 or c.mu == -1
                   else abs(a) ** (-c.mu) * np.exp(1j * np.pi * c.mu))
         else:
-            C *= complex(c.g(x)) ** c.mu
+            g = complex(c.g(x))
+            below = (c.mu != -1 and eta is not None and g.real < 0
+                     and np.dot(eta, c.g.grad(x)).real < 0)
+            C *= abs(g) ** c.mu * np.exp(-1j * np.pi * c.mu) if below else g ** c.mu
     return C
 
 
 def term_from_frame(sp: SpecialPoint, amplitude: AmplitudeSpec,
-                    mus) -> AsymptoticTerm:
+                    mus, eta=None) -> AsymptoticTerm:
     """The product-formula term of a non-conical point with m = len(mus)
     singular directions and the 3 - m free directions of `sp.frame.betas`."""
     m, frame = len(mus), sp.frame
-    A = local_coefficient(amplitude, sp.components, sp.alphas, sp.location)
+    A = local_coefficient(amplitude, sp.components, sp.alphas, sp.location, eta)
     for mu in mus:
         A = A * gamma_factor(mu)
     # prod over the free directions of sqrt(2*pi/|beta|) * exp(i*pi/4*sign(beta)),
@@ -121,7 +127,7 @@ def term_from_frame(sp: SpecialPoint, amplitude: AmplitudeSpec,
     return AsymptoticTerm(A, -sum(mus) - m - (3 - m) / 2, frame.phase0)
 
 
-def term_cone(sp: SpecialPoint, amplitude: AmplitudeSpec) -> AsymptoticTerm:
+def term_cone(sp: SpecialPoint, amplitude: AmplitudeSpec, eta=None) -> AsymptoticTerm:
     """Contribution of a conical point of a simple-pole quadric whose
     grad(G) lies inside the dual cone (the verdict `detect.detect_all`
     attaches checks that)."""
@@ -130,7 +136,7 @@ def term_cone(sp: SpecialPoint, amplitude: AmplitudeSpec) -> AsymptoticTerm:
     disc = a3 * a3 - a1 * a1 - a2 * a2
     # C from F = N/g = cone_sign * N / (w1^2+w2^2-w3^2), other factors at x
     C = frame.cone_sign * local_coefficient(amplitude, sp.components, (1.0,),
-                                            sp.location)
+                                            sp.location, eta)
     A = 4 * C * np.pi ** 2 * frame.jacobian / np.sqrt(disc)
     return AsymptoticTerm(A, -1.0, frame.phase0)
 
@@ -146,10 +152,10 @@ def term_for_point(problem: ProblemSpec, sp: SpecialPoint) -> AsymptoticTerm:
         if mu[sp.components[0]] != -1:    # term_cone is a simple pole's
             raise UnsupportedExponent(
                 f"conical point with mu = {mu[sp.components[0]]} != -1")
-        t = term_cone(sp, problem.amplitude)
+        t = term_cone(sp, problem.amplitude, problem.eta)
     else:
         t = term_from_frame(sp, problem.amplitude,
-                            tuple(mu[lab] for lab in sp.components))
+                            tuple(mu[lab] for lab in sp.components), problem.eta)
     return replace(t, source=sp)
 
 

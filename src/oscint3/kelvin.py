@@ -125,8 +125,8 @@ def kelvin_problem(z1: float, z2: float, tau: float) -> ProblemSpec:
     # stationarity gives (2w^2 - 1)/sqrt(w^2 - 1) = (tau - z1)/|z2|, at least
     # 2*sqrt(w^2 - 1), so no coordinate exceeds 1 + ((tau - z1)/(2|z2|))^2; the
     # transient lies at |xi| = (tau/(2r))^2.  Infinite bounds (z2 = 0, the
-    # origin) keep the least half-width.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # origin, a z2 whose square overflows) keep the least half-width.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         R = 1.25 * np.max([1 + ((tau - z1) / (2 * np.abs(z2))) ** 2,
                            (tau / (2 * np.hypot(z1, z2))) ** 2])
     R = max(SEARCH_RADIUS, R) if np.isfinite(R) else SEARCH_RADIUS

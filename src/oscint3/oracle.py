@@ -19,8 +19,8 @@ Three oracles, none of which shares code with the asymptotic machinery:
 * kelvin_oracle: residue reduction in the frequency variable followed by a
   graded-panel 2D quadrature on the positive half-axes xi1 > 0 and xi2 > 0,
   each node standing for itself and its mirror; independent reference for
-  the ship-wake field.  The residue sum is formed in real arithmetic, in
-  tiles of node pairs (`_residue_sum`).
+  the ship-wake field, which is real.  The residue sum is formed in real
+  arithmetic, in tiles of node pairs (`_residue_sum`).
 
 Both threaded oracles hand their parts to `_ordered_sum`, which adds them
 in key order and gives each part the workspace of the thread it runs on,
@@ -58,7 +58,8 @@ MARGIN_PROBES = 40             # probe points per axis of the singularity check
 SINGULARITY_MARGIN = 1e-3      # least |g| allowed on the shifted grid
 RAD_PER_PANEL = 24.0           # phase advance per Gauss-Legendre panel
 PANEL_NODES = 16               # Gauss-Legendre nodes per panel
-WAKE_PREFACTOR = 1j / (8 * np.pi ** 3)   # restated here: the oracle imports no kelvin code
+# the wake prefactor i/(8 pi^3) times -2*pi*i, restated: the oracle imports no kelvin code
+RESIDUE_FACTOR = 1 / (4 * np.pi ** 2)
 WORKERS = 2                    # threads of `_ordered_sum`; fixed, never one per part
 COLLISION_TOL = 1e-8           # least distance of a node pair from the pole-merge curve
 RESIDUE_ROWS = 16              # x1 rows per part of the Kelvin residue sum
@@ -359,8 +360,8 @@ def _axis_nodes(R: float, lam: float, tau: float, fmax: float,
 
 
 def kelvin_oracle(z1: float, z2: float, tau: float, lam: float,
-                  spec: Optional[QuadratureSpec] = None) -> complex:
-    """Reference value of the ship-wake integral by residue reduction.
+                  spec: Optional[QuadratureSpec] = None) -> float:
+    """Real reference value of the ship-wake integral by residue reduction.
 
     For tau > 0 the frequency contour (shifted up by i*eps) closes downward
     and picks up the real poles at varpi = xi1 and varpi = +-(xi1^2+xi2^2)^{1/4};
@@ -370,7 +371,7 @@ def kelvin_oracle(z1: float, z2: float, tau: float, lam: float,
     the pole-merge curve, the whole rule is stretched by 1 + 1e-6
     (`_jitter_collisions`).  For tau <= 0 the integrand decays like
     1/varpi^2, the contour closes upward around no poles and the integral
-    is exactly zero (causality).
+    is exactly zero (causality): the value is 0.0.
 
     Raises ValueError, before any node is built, unless z1, z2, tau and
     lam are finite and lam > 0.
@@ -379,10 +380,10 @@ def kelvin_oracle(z1: float, z2: float, tau: float, lam: float,
         raise ValueError("kelvin_oracle needs finite z1, z2, tau and lam > 0")
     spec = spec or KELVIN_QUAD
     if tau <= 0:
-        return 0j
+        return 0.0
     X, W = _jitter_collisions(*_half_axis_rule(z1, z2, tau, lam, spec))
     W = W * _taper(X, spec.R, spec.taper)
-    return WAKE_PREFACTOR * (-2j * np.pi) * _residue_sum(X, W, z1, z2, tau, lam)
+    return float(RESIDUE_FACTOR * _residue_sum(X, W, z1, z2, tau, lam))
 
 
 def _half_axis_rule(z1, z2, tau, lam, spec: QuadratureSpec) -> tuple:
@@ -391,7 +392,7 @@ def _half_axis_rule(z1, z2, tau, lam, spec: QuadratureSpec) -> tuple:
                        oversample=spec.n / 128.0)
 
 
-def _residue_sum(X, W, z1, z2, tau, lam) -> complex:
+def _residue_sum(X, W, z1, z2, tau, lam) -> float:
     """sum over node pairs of W[i]*W[j]*e^{i*lam*(x1*z1 + x2*z2)} times the
     residue sum of xi1*varpi*e^{-i*lam*varpi*tau} / ((varpi-xi1)(varpi^2-s2))
     at varpi = xi1, +s, -s, with s2 = sqrt(xi1^2 + xi2^2) and s = sqrt(s2),
@@ -399,43 +400,40 @@ def _residue_sum(X, W, z1, z2, tau, lam) -> complex:
 
     X, W is the positive half-axis, each node standing for itself and its
     mirror.  The residue sum depends on xi2 only through xi2^2, so each x2
-    carries the weight v = 2*W*cos(lam*x2*z2).  With t1, pp, pm the three
-    residues at a row x1 > 0, the row -x1 has the residues conj(t1),
-    conj(pm), conj(pp), so its residue sum is conj(t1 + pm + pp), with the
-    bits the row would get on its own.  One complex exponential serves both
-    s poles of a node pair: the +s pole's, whose conjugate is the -s pole's;
-    the xi1 pole's depends on the row alone.
+    carries the weight v = 2*W*cos(lam*x2*z2).  With t1, pp, pm the
+    residues at a row x1 > 0 and u = W*e^{i*lam*x1*z1} its weight, the row
+    -x1 has the residues conj(t1), conj(pm), conj(pp) and the weight
+    conj(u), so the two rows add up to 2*Re(u*(t1 + pp + pm) @ v), and the
+    sum is real.  One complex exponential serves both s poles of a node
+    pair: the +s pole's, whose conjugate is the -s pole's.
 
-    The sum is formed in real arithmetic, with the bits of the complex
-    formula, a tile (rows by columns of node pairs) at a time.  Blocks I of
-    RESIDUE_ROWS rows are the parts of `_ordered_sum`; block I walks the
-    columns j >= i0 in ranges K of up to RESIDUE_COLS, so its thread's
-    `_residue_workspace` does not grow with the axis.  s2, s and E =
-    e^{-i*lam*s*tau} have the same bits for a pair and its transpose, so
-    `_pair_planes` forms them once, X[I] against X[K], for two tiles: the
+    The sum is formed a tile (rows by columns of node pairs) at a time.
+    Blocks I of RESIDUE_ROWS rows are the parts of `_ordered_sum`; block I
+    walks the columns j >= i0 in ranges K of up to RESIDUE_COLS, so its
+    thread's `_residue_workspace` does not grow with the axis.  s2, s and
+    E = e^{-i*lam*s*tau} have the same bits for a pair and its transpose,
+    so `_pair_planes` forms them once, X[I] against X[K], for two tiles: the
     direct tile, and the transposed tile, the columns J of K past the block
     as rows against the columns X[I], which slices the planes at J.  Each
     ordered pair is counted once.  `tile` reduces either orientation as
-    u+ @ (part @ v) + u- @ (mirror part @ v) over `_residue_parts`, u+ and
-    u- being the row weights of x1 and -x1; a transposed tile passes the
-    transposes of its parts.
+    ur @ (re @ v) - ui @ (im @ v), with ur + i*ui = 2*u and re, im the parts
+    of `_residue_parts`; a transposed tile passes their transposes.
     """
-    u_pos = W * np.exp(1j * lam * X * z1)
-    u_neg = W * np.exp(-1j * lam * X * z1)
+    ur = 2 * W * np.cos(lam * X * z1)
+    ui = 2 * W * np.sin(lam * X * z1)
     v = 2 * W * np.cos(lam * X * z2)
     Xsq = X ** 2
     num = Xsq * np.exp(-1j * lam * X * tau)       # t1's numerator, per row
     B, C, N = RESIDUE_ROWS, RESIDUE_COLS, len(X)
 
     def tile(rows, cols, parts):
-        re, im, mre, mim = parts
+        re, im = parts
         vc = v[cols]
-        return (u_pos[rows] @ ((re @ vc) + 1j * (im @ vc))
-                + u_neg[rows] @ ((mre @ vc) + 1j * (mim @ vc)))
+        return ur[rows] @ (re @ vc) - ui[rows] @ (im @ vc)
 
     def block(i0, ws):
         I = slice(i0, i0 + B)
-        total = 0j
+        total = 0.0
         for c0 in range(i0, N, C):
             K = slice(c0, min(c0 + C, N))
             s2, s, E = _pair_planes(ws, Xsq[I, None], Xsq[K], lam, tau)
@@ -450,15 +448,15 @@ def _residue_sum(X, W, z1, z2, tau, lam) -> complex:
         return total
 
     return _ordered_sum(block, range(0, N, B),
-                        lambda: _residue_workspace(min(B, N), min(C, N)))
+                        lambda: _residue_workspace(min(B, N), min(C, N))).real
 
 
 def _residue_workspace(B: int, N2: int) -> dict:
     """Planes of B*N2 elements for tiles of up to B rows and N2 columns: the
-    seven real "scratch" planes of `_residue_parts`, and "s2", "s" and the
+    six real "scratch" planes of `_residue_parts`, and "s2", "s" and the
     complex "E" of `_pair_planes`, which stay there for the transposed tile."""
     n = B * N2
-    return {"scratch": np.empty((7, n)), "s2": np.empty(n), "s": np.empty(n),
+    return {"scratch": np.empty((6, n)), "s2": np.empty(n), "s": np.empty(n),
             "E": np.empty(n, dtype=complex)}
 
 
@@ -483,43 +481,38 @@ def _pair_planes(ws, x1sq, Xsq, lam, tau) -> tuple:
 
 
 def _residue_parts(ws, x1, x1sq, num, s2, s, E):
-    """The real and imaginary parts of t1 + pp + pm and of conj(t1 + pm +
-    pp) on a tile of node pairs, as views into the scratch planes of `ws`.
-    s2, s and E are the tile's planes; x1, x1sq and num (t1's numerator)
-    are the rows' values, a column (m, 1) or a row (1, n) that broadcasts
-    against them.  s2, s and E are read, not overwritten.
+    """The real and imaginary parts of t1 + pp + pm on a tile of node pairs,
+    as views into the scratch planes of `ws`.  s2, s and E are the tile's
+    planes; x1, x1sq and num (t1's numerator) are the rows' values, a column
+    (m, 1) or a row (1, n) that broadcasts against them.  s2, s and E are
+    read, not overwritten.
 
     The parts carry the bits of the complex formula.  A complex divided by
     a real is a*(1/b) in numpy, so each denominator is inverted once and
     multiplied in; x1*E is (x1*Er, x1*Ei) and -x1*conj(E) is (-(x1*Er),
     x1*Ei), so pm's real part enters as a subtraction."""
-    a, b, c, p, q, t1r, t1i = (_plane(pl, s2.shape) for pl in ws["scratch"])
+    re, im, a, b, p, q = (_plane(pl, s2.shape) for pl in ws["scratch"])
     np.subtract(x1sq, s2, out=a)                    # x1^2 - s2
     np.divide(1.0, a, out=a)
-    np.multiply(num.real, a, out=t1r)
-    np.multiply(num.imag, a, out=t1i)
-    np.subtract(s, x1, out=c)                       # s - x1
-    c *= 2
-    np.divide(1.0, c, out=c)                        # 1 / (2(s - x1))
-    np.add(s, x1, out=b)
-    b *= 2
-    np.divide(1.0, b, out=b)                        # 1 / (2(s + x1))
+    np.multiply(num.real, a, out=re)                # t1
+    np.multiply(num.imag, a, out=im)
+    np.subtract(s, x1, out=a)                       # s - x1
+    a *= 2
+    np.divide(1.0, a, out=a)                        # 1 / (2(s - x1))
     np.multiply(x1, E.real, out=p)
     np.multiply(x1, E.imag, out=q)
-    np.multiply(p, c, out=a)                        # Re pp
-    c *= q                                          # Im pp
-    p *= b                                          # -Re pm
-    b *= q                                          # Im pm
-    np.add(t1r, a, out=q)
-    q -= p                                          # Re (t1 + pp + pm)
-    t1r -= p
-    t1r += a                                        # Re (t1 + pm + pp)
-    np.add(t1i, c, out=a)
-    a += b                                          # Im (t1 + pp + pm)
-    t1i += b
-    t1i += c
-    np.negative(t1i, out=t1i)                       # Im conj(t1 + pm + pp)
-    return q, a, t1r, t1i
+    np.multiply(p, a, out=b)                        # Re pp
+    re += b
+    a *= q                                          # Im pp
+    im += a
+    np.add(s, x1, out=a)
+    a *= 2
+    np.divide(1.0, a, out=a)                        # 1 / (2(s + x1))
+    p *= a                                          # -Re pm
+    re -= p
+    a *= q                                          # Im pm
+    im += a
+    return re, im
 
 
 def _merge_collisions(X: np.ndarray) -> bool:

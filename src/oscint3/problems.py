@@ -156,7 +156,7 @@ def _ref_cone(problem, lam, spec=None) -> complex:
 
 
 def _ref_kelvin(problem, lam, spec=None) -> float:
-    return float(np.real(oracle.kelvin_oracle(*problem.z, lam, spec)))
+    return oracle.kelvin_oracle(*problem.z, lam, spec)
 
 
 def _terms_kelvin(problem) -> list[asym.AsymptoticTerm]:

@@ -355,3 +355,27 @@ def test_branch_exponent_term_matches_quadrature(sign, mu):
         ref, _ = quad_deformed_3d(prob, lam, QuadratureSpec(R=7.0, n=1024))
         rel = abs(evaluate(terms, lam, prob.prefactor) - ref) / abs(ref)
         assert rel <= 5 / lam, (lam, rel)
+
+
+@pytest.mark.parametrize("mu1", [-1.0, -0.5])
+@pytest.mark.parametrize("p2", [0.0, 2.0])
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_uninvolved_branch_factor_matches_quadrature(sign, p2, mu1):
+    """pole-sp, its plane x1 - 1 raised to mu1, times a second plane g2 =
+    sign*(x1 - p2) raised to -1/2, against the tensor-rule oracle: each
+    point's term holds the other plane's g^mu uninvolved, and the sum
+    converges at the rate 1/Lambda.  With g2 = x1 - 2 the point x1 = 1 has
+    g2 < 0 and eta . grad g2 < 0, so the shifted contour passes below the
+    cut of g2^mu, and the principal power gave a relative error near 2;
+    with mu1 = -1/2 the same holds for x1 - 1 at the point x1 = 0."""
+    prob, _ = problems.get_problem("pole-sp")
+    (plane,) = prob.amplitude.components
+    g2 = SingularityComponent(quadratic_field(b=(sign, 0, 0), c=-sign * p2), -0.5, "g2")
+    prob = dataclasses.replace(prob, amplitude=dataclasses.replace(
+        prob.amplitude, components=(dataclasses.replace(plane, mu=mu1), g2)))
+    terms = expand(prob)
+    assert len(terms) == 2
+    for lam in (20.0, 40.0, 80.0):
+        ref, _ = quad_deformed_3d(prob, lam, QuadratureSpec(R=7.0, n=1024))
+        rel = abs(evaluate(terms, lam, prob.prefactor) - ref) / abs(ref)
+        assert rel <= 5 / lam, (lam, rel)

@@ -468,6 +468,16 @@ def test_main_numeric_failure_exit_3(tmp_path, capsys, z):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_main_overflow_exit_3(tmp_path, capsys):
+    # Lambda = 1e-320 overflows Lambda^p of the gaussian-sp term (p = -3/2)
+    rc = main(["--mode", "compare", "--problem", "gaussian-sp", "--lambda", "1e-320",
+               "--out", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("numeric failure: OverflowError")
+    assert not (tmp_path / "o-compare.csv").exists()
+
+
 def test_main_oracle_cone_too_few_nodes_exit_3(tmp_path, capsys):
     # quad-n 16 leaves no (n-32)-node rule to check the 3D rule against
     rc = main(["--mode", "oracle", "--problem", "cone", "--lambda", "30",

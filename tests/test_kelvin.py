@@ -6,6 +6,7 @@ from oscint3.kelvin import (
     MASK_INVALID,
     MASK_TRANSIENT,
     MASK_WAVE,
+    SEARCH_RADIUS,
     WEDGE_SLOPE,
     DegenerateFamily,
     KelvinParams,
@@ -161,6 +162,15 @@ def test_closed_form_agrees_with_generic_path():
         generic = float(np.real(total))
         assert generic == pytest.approx(cf, abs=1e-8 * max(1.0, abs(cf)))
         checked += 1
+
+
+@pytest.mark.parametrize("z2", [0.0, 1e-300])
+def test_kelvin_problem_degenerate_bound_keeps_least_box(z2):
+    # on the track the bound is infinite; at z2 = 1e-300 its square
+    # overflows: both give the least half-width, without a warning
+    box = kelvin_problem(2.5, z2, 10.0).search_region
+    assert np.array_equal(box.hi, np.full(3, SEARCH_RADIUS))
+    assert np.array_equal(box.lo, -box.hi)
 
 
 # ---------------------------------------------------------------------------
