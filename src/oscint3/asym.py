@@ -85,16 +85,16 @@ class AsymptoticTerm:
 
 
 def local_coefficient(amplitude: AmplitudeSpec, involved: tuple[str, ...],
-                      alphas: tuple[float, ...], x, eta=None) -> complex:
+                      alphas: tuple[float, ...], x, eta) -> complex:
     """Local amplitude coefficient C in w-coordinates.
 
     With w_k = alpha_k * g_k for the involved factors, g^mu = alpha^{-mu} w^mu,
     so C = N(x) * prod(uninvolved g^mu) * prod(alpha^{-mu}).  The w contour
     passes below w = 0, so for alpha < 0 the g contour passes above g = 0
     and alpha^{-mu} is |alpha|^{-mu} e^{i*pi*mu}, not the principal power.
-    An uninvolved g^mu is the principal power unless eta is given, g(x) < 0
-    and the contour, shifted by eta, passes below the cut (eta . grad g <
-    0): then it is |g|^mu e^{-i*pi*mu}."""
+    An uninvolved g^mu is the principal power unless g(x) < 0 and the
+    contour, shifted by eta, passes below the cut (eta . grad g < 0): then
+    it is |g|^mu e^{-i*pi*mu}."""
     C = complex(amplitude.smooth_factor(x))
     it = dict(zip(involved, alphas))
     for c in amplitude.components:
@@ -104,14 +104,14 @@ def local_coefficient(amplitude: AmplitudeSpec, involved: tuple[str, ...],
                   else abs(a) ** (-c.mu) * np.exp(1j * np.pi * c.mu))
         else:
             g = complex(c.g(x))
-            below = (c.mu != -1 and eta is not None and g.real < 0
+            below = (c.mu != -1 and g.real < 0
                      and np.dot(eta, c.g.grad(x)).real < 0)
             C *= abs(g) ** c.mu * np.exp(-1j * np.pi * c.mu) if below else g ** c.mu
     return C
 
 
 def term_from_frame(sp: SpecialPoint, amplitude: AmplitudeSpec,
-                    mus, eta=None) -> AsymptoticTerm:
+                    mus, eta) -> AsymptoticTerm:
     """The product-formula term of a non-conical point with m = len(mus)
     singular directions and the 3 - m free directions of `sp.frame.betas`."""
     m, frame = len(mus), sp.frame
@@ -127,7 +127,7 @@ def term_from_frame(sp: SpecialPoint, amplitude: AmplitudeSpec,
     return AsymptoticTerm(A, -sum(mus) - m - (3 - m) / 2, frame.phase0)
 
 
-def term_cone(sp: SpecialPoint, amplitude: AmplitudeSpec, eta=None) -> AsymptoticTerm:
+def term_cone(sp: SpecialPoint, amplitude: AmplitudeSpec, eta) -> AsymptoticTerm:
     """Contribution of a conical point of a simple-pole quadric whose
     grad(G) lies inside the dual cone (the verdict `detect.detect_all`
     attaches checks that)."""

@@ -238,7 +238,7 @@ def run(cfg: RunConfig) -> list[str]:
     return [path]
 
 
-NUMERIC_ERRORS = (NumericFailure, ArithmeticError, np.linalg.LinAlgError)
+NUMERIC_ERRORS = (NumericFailure, OverflowError, np.linalg.LinAlgError)
 
 
 def main(argv=None) -> int:

@@ -175,9 +175,14 @@ def test_frame_consistency_cone_linear_part():
 # ---------------------------------------------------------------------------
 # terms
 
+# The contour shift of the terms built without a problem: their amplitudes
+# hold no uninvolved branch factor, the one thing a term reads eta for.
+NO_SHIFT = np.zeros(3)
+
 def test_term_interior_gaussian():
     prob, _ = problems.get_problem("gaussian-sp")
-    t = term_from_frame(detect.find_stationary(prob, ())[0], prob.amplitude, ())
+    t = term_from_frame(detect.find_stationary(prob, ())[0], prob.amplitude, (),
+                        prob.eta)
     assert t.power == -1.5
     assert t.phase0 == 0.0
     assert t.coeff == pytest.approx(
@@ -186,7 +191,7 @@ def test_term_interior_gaussian():
 
 def test_term_interior_sign_bookkeeping():
     sp = _point_at_origin(quadratic_field(np.diag([1.0, 1.0, -1.0])))
-    t = term_from_frame(sp, AmplitudeSpec(gaussian_field()), ())
+    t = term_from_frame(sp, AmplitudeSpec(gaussian_field()), (), NO_SHIFT)
     assert np.angle(t.coeff) == pytest.approx(np.pi / 4)
 
 
@@ -195,15 +200,15 @@ def test_term_interior_linear_in_J():
                            frame=LocalFrame(np.eye(3), (1, 1, 1), J, 0.0))
               for J in (1.0, 2.0))
     amp = AmplitudeSpec(gaussian_field())
-    assert term_from_frame(f2, amp, ()).coeff == pytest.approx(
-        2 * term_from_frame(f1, amp, ()).coeff)
+    assert term_from_frame(f2, amp, (), NO_SHIFT).coeff == pytest.approx(
+        2 * term_from_frame(f1, amp, (), NO_SHIFT).coeff)
 
 
 def test_term_surface_canonical():
     prob, _ = problems.get_problem("pole-sp")
     comp = prob.amplitude.components[0]
     t = term_from_frame(detect.find_stationary(prob, (comp,))[0],
-                        prob.amplitude, (comp.mu,))
+                        prob.amplitude, (comp.mu,), prob.eta)
     assert t.power == -1.0
     assert t.phase0 == pytest.approx(1.0)
     assert t.coeff == pytest.approx(-4 * np.pi ** 2, rel=1e-10)
@@ -213,7 +218,7 @@ def test_term_crossing_canonical():
     prob, _ = problems.get_problem("double-cross")
     cA, cB = prob.amplitude.components
     t = term_from_frame(detect.find_stationary(prob, (cA, cB))[0],
-                        prob.amplitude, (-1.0, -1.0))
+                        prob.amplitude, (-1.0, -1.0), prob.eta)
     assert t.power == -0.5
     assert t.coeff == pytest.approx(
         (2j * np.pi) ** 2 * np.sqrt(2 * np.pi) * np.exp(0.25j * np.pi),
@@ -227,7 +232,7 @@ def test_term_triple_canonical_linear_phase():
                       tuple(c.label for c in comps), alphas=(1.0, 1.0, 1.0),
                       frame=LocalFrame(np.eye(3), (), 1.0, 0.0))
     amp = AmplitudeSpec(gaussian_field(), comps)
-    t = term_from_frame(sp, amp, (-1.0, -1.0, -1.0))
+    t = term_from_frame(sp, amp, (-1.0, -1.0, -1.0), NO_SHIFT)
     assert t.power == 0.0
     assert t.coeff == pytest.approx((2j * np.pi) ** 3, rel=1e-12)
 
@@ -236,7 +241,7 @@ def test_term_triple_mixed_exponents():
     sp = SpecialPoint(np.zeros(3), PointKind.TRIPLE_CROSSING,
                       frame=LocalFrame(np.eye(3), (), 1.0, 0.0))
     amp = AmplitudeSpec(quadratic_field(c=1.0))   # N = 1, no components
-    t = term_from_frame(sp, amp, (-1.0, -0.5, -0.5))
+    t = term_from_frame(sp, amp, (-1.0, -0.5, -0.5), NO_SHIFT)
     want = 2j * np.pi * (2 * np.sqrt(np.pi) * np.exp(0.25j * np.pi)) ** 2
     assert t.power == -1.0
     assert t.coeff == pytest.approx(want, rel=1e-12)
@@ -252,10 +257,10 @@ def test_term_cone_substitutions():
                         (SingularityComponent(
                             quadratic_field(np.diag([2.0, 2.0, -2.0])),
                             -1.0, "cone"),))
-    t = term_cone(_cone_point((0.0, 0.0, 1.0)), amp)
+    t = term_cone(_cone_point((0.0, 0.0, 1.0)), amp, NO_SHIFT)
     assert t.coeff == pytest.approx(4 * np.pi ** 2)
     assert t.power == -1.0
-    t = term_cone(_cone_point((0.6, 0.0, 1.0)), amp)
+    t = term_cone(_cone_point((0.6, 0.0, 1.0)), amp, NO_SHIFT)
     assert t.coeff == pytest.approx(4 * np.pi ** 2 / 0.8)
 
 
@@ -312,7 +317,7 @@ def test_scaling_invariance_of_terms(c):
             np.array([-0.15, 0.0, 0.0]),
             Box3(np.array([0.0, -1.5, -1.5]), np.array([2.0, 1.5, 1.5])))
         sp = detect.find_stationary(prob, (g,), seeds=[np.array([1.1, 0.1, -0.1])])[0]
-        return term_from_frame(sp, amp, (-1.0,))
+        return term_from_frame(sp, amp, (-1.0,), prob.eta)
 
     t1, tc = build(1.0), build(c)
     assert tc.coeff == pytest.approx(t1.coeff, rel=1e-10)
@@ -338,43 +343,36 @@ def test_cone_branch_exponent_raises():
         asym.expand(half)
 
 
-@pytest.mark.parametrize("mu", [-0.5, 0.5, -1.25])
-@pytest.mark.parametrize("sign", [-1.0, 1.0])
-def test_branch_exponent_term_matches_quadrature(sign, mu):
-    """pole-sp with its plane written as g = sign*(x1 - 1) and raised to a
-    branch exponent mu, against the tensor-rule oracle: the term converges
-    at the rate 1/Lambda for either sign of alpha.  With sign = -1, alpha <
-    0, and the principal alpha^{-mu} gave a relative error near 2 for mu =
-    +-1/2 and near 1.45 for mu = -5/4."""
-    prob, _ = problems.get_problem("pole-sp")
-    plane = SingularityComponent(quadratic_field(b=(sign, 0, 0), c=-sign), mu, "plane")
-    prob = dataclasses.replace(prob, amplitude=dataclasses.replace(
-        prob.amplitude, components=(plane,)))
-    terms = expand(prob)
-    for lam in (20.0, 40.0, 80.0):
-        ref, _ = quad_deformed_3d(prob, lam, QuadratureSpec(R=7.0, n=1024))
-        rel = abs(evaluate(terms, lam, prob.prefactor) - ref) / abs(ref)
-        assert rel <= 5 / lam, (lam, rel)
+def _planes(*planes):
+    """One component sign*(x1 - p) raised to mu per (sign, p, mu)."""
+    return tuple(SingularityComponent(quadratic_field(b=(sign, 0, 0), c=-sign * p),
+                                      mu, f"plane{k}")
+                 for k, (sign, p, mu) in enumerate(planes))
 
 
-@pytest.mark.parametrize("mu1", [-1.0, -0.5])
-@pytest.mark.parametrize("p2", [0.0, 2.0])
-@pytest.mark.parametrize("sign", [-1.0, 1.0])
-def test_uninvolved_branch_factor_matches_quadrature(sign, p2, mu1):
-    """pole-sp, its plane x1 - 1 raised to mu1, times a second plane g2 =
-    sign*(x1 - p2) raised to -1/2, against the tensor-rule oracle: each
-    point's term holds the other plane's g^mu uninvolved, and the sum
-    converges at the rate 1/Lambda.  With g2 = x1 - 2 the point x1 = 1 has
+@pytest.mark.parametrize("components", [
+    *(pytest.param(_planes((sign, 1.0, mu)), id=f"{sign}-{mu}")
+      for sign in (-1.0, 1.0) for mu in (-0.5, 0.5, -1.25)),
+    *(pytest.param(_planes((1.0, 1.0, mu1), (sign, p2, -0.5)),
+                   id=f"mu1={mu1}-g2={sign:+.0f}(x1-{p2:.0f})")
+      for mu1 in (-1.0, -0.5) for sign in (-1.0, 1.0) for p2 in (0.0, 2.0)),
+])
+def test_branch_exponent_term_matches_quadrature(components):
+    """pole-sp with its plane replaced by `components`, against the
+    tensor-rule oracle: the terms, one per plane, converge at the rate
+    1/Lambda.  One plane g = sign*(x1 - 1) raised to mu: with sign = -1,
+    alpha < 0, and the principal alpha^{-mu} gave a relative error near 2
+    for mu = +-1/2 and near 1.45 for mu = -5/4.  Two planes, x1 - 1 raised
+    to mu1 and g2 = sign*(x1 - p2) to -1/2: each point's term holds the
+    other plane's g^mu uninvolved.  With g2 = x1 - 2 the point x1 = 1 has
     g2 < 0 and eta . grad g2 < 0, so the shifted contour passes below the
     cut of g2^mu, and the principal power gave a relative error near 2;
     with mu1 = -1/2 the same holds for x1 - 1 at the point x1 = 0."""
     prob, _ = problems.get_problem("pole-sp")
-    (plane,) = prob.amplitude.components
-    g2 = SingularityComponent(quadratic_field(b=(sign, 0, 0), c=-sign * p2), -0.5, "g2")
     prob = dataclasses.replace(prob, amplitude=dataclasses.replace(
-        prob.amplitude, components=(dataclasses.replace(plane, mu=mu1), g2)))
+        prob.amplitude, components=components))
     terms = expand(prob)
-    assert len(terms) == 2
+    assert len(terms) == len(components)
     for lam in (20.0, 40.0, 80.0):
         ref, _ = quad_deformed_3d(prob, lam, QuadratureSpec(R=7.0, n=1024))
         rel = abs(evaluate(terms, lam, prob.prefactor) - ref) / abs(ref)
