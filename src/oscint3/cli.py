@@ -29,8 +29,7 @@ __all__ = ["RunConfig", "ConfigError", "parse_config", "run", "main"]
 
 # the CSV header of each table mode; field and fronts write their own files
 HEADERS = {
-    "classify": ["x1", "x2", "x3", "kind", "components", "contributes",
-                 "reason", "witness1", "witness2", "witness3"],
+    "classify": ["x1", "x2", "x3", "kind", "components", "contributes", "reason"],
     "asym": ["re_coeff", "im_coeff", "power", "phase0"],
     "oracle": ["lambda", "re", "im"],
     "compare": ["lambda", "asym_re", "asym_im", "oracle_re", "oracle_im",
@@ -207,11 +206,8 @@ def run(cfg: RunConfig) -> list[str]:
         return [csv_path, pgm_path]
 
     if cfg.mode == "classify":
-        rows = []
-        for sp in detect.detect_all(problem):
-            w = sp.witness if sp.witness is not None else (float("nan"),) * 3
-            rows.append([*sp.location, sp.kind.value, "+".join(sp.components),
-                         sp.contributes, sp.reason, *w])
+        rows = [[*sp.location, sp.kind.value, "+".join(sp.components),
+                 sp.contributes, sp.reason] for sp in detect.detect_all(problem)]
     elif cfg.mode == "asym":
         rows = [[np.real(t.coeff), np.imag(t.coeff), t.power, t.phase0]
                 for t in entry.terms(problem)]

@@ -15,9 +15,10 @@ generates the circular transient from the onset of motion.
 
 The closed forms here are an independent derivation of the same frames the
 generic detect/asym path produces; the test suite checks they agree.  Each
-closed form and each degeneracy threshold is written once, in `_closed_forms`,
-which broadcasts over samples: a single point and a grid sample take the same
-array arithmetic and agree exactly.
+closed form and each degeneracy threshold is written once, in `_wave_families`
+for the two wave families or in `_transient` for the transient; both broadcast
+over samples, so a single point and a grid sample take the same array
+arithmetic and agree exactly.
 """
 
 from __future__ import annotations
@@ -47,8 +48,6 @@ __all__ = [
     "KelvinParams",
     "FieldGrid",
     "kelvin_problem",
-    "stationary_frequencies",
-    "wedge_test",
     "kelvin_wave_terms",
     "transient_term",
     "wake_terms",
@@ -136,21 +135,19 @@ def kelvin_problem(z1: float, z2: float, tau: float) -> ProblemSpec:
                        prefactor=KELVIN_PREFACTOR, z=(z1, z2, tau))
 
 
-def _closed_forms(z1, z2, tau: float) -> SimpleNamespace:
-    """Every closed form of the wake at samples (z1, |z2|) at time tau.
+def _wave_families(z1, z2, tau: float) -> SimpleNamespace:
+    """The wave families' closed forms at samples (z1, |z2|) at time tau.
 
     z1, z2: float arrays of one shape S (>= 1-d); a single sample is a
     one-element array, so it takes the grid's array arithmetic.  Over S: the
-    wedge test `inside`, the ray slope `lam`, the masks `degenerate` (inside
-    the wedge with a family at |beta| <= 1e-6, or on the track lam = 0) and
-    `merge` (transient merge gap <= 1e-3), and the transient term `tr_coeff`,
-    `tr_phase`.  Over (2, *S), diverging family first: frequencies `w` (NaN
+    wedge test `inside`, the ray slope `lam` and the mask `degenerate`
+    (inside the wedge with a family at |beta| <= 1e-6, or on the track
+    lam = 0).  Over (2, *S), diverging family first: frequencies `w` (NaN
     outside the wedge), `beta`, the verdict `formed` and the term `coeff`,
-    `phase`.  Off a formula's domain (z1 = tau, the origin, tau <= 0) the
-    value is NaN or inf, without a warning; callers mask it.
+    `phase`.  Off a formula's domain (z1 = tau, the origin) the value is NaN
+    or inf, without a warning; callers mask it.
     """
     z1, z2 = np.atleast_1d(z1, np.abs(z2))
-    tau = np.float64(tau)            # 1/tau at tau = 0 is inf, not an exception
     with np.errstate(all="ignore"):
         lam = z2 / (tau - z1)
         inside = (tau - z1 > 0) & (np.abs(lam) <= WEDGE_SLOPE)
@@ -168,9 +165,23 @@ def _closed_forms(z1, z2, tau: float) -> SimpleNamespace:
         C0 = w * w * a1 * a2   # N = xi1*varpi = w^2 on L; alpha^{-mu} with mu=-1
         coeff = (C0 * (2j * np.pi) ** 2 * np.exp(0.25j * np.pi * np.sign(beta))
                  * np.sqrt(2 * np.pi) * J / np.sqrt(np.abs(beta)))
-        phase = w ** 3 * (z1 - tau) / (2 * w ** 2 - 1)   # crest phase G*
+        return SimpleNamespace(
+            inside=inside, lam=lam, w=w, beta=beta, formed=(a1 < 0) & (a2 * w < 0),
+            degenerate=inside & (np.any(np.abs(beta) <= 1e-6, axis=0) | (lam == 0)),
+            coeff=coeff, phase=w ** 3 * (z1 - tau) / (2 * w ** 2 - 1))  # crest G*
 
-        # transient: stationary point on the dispersion cone at varpi* = tau/(2r)
+
+def _transient(z1, z2, tau: float) -> SimpleNamespace:
+    """The transient's closed form at samples (z1, |z2|) at time tau: its
+    stationary point on the dispersion cone at varpi* = tau/(2r).
+
+    Shapes as in `_wave_families`; over S: the term `coeff`, `phase` and the
+    mask `merge` (merge gap |2r - tau*z1/r| <= 1e-3).  At the origin and for
+    tau <= 0 the value is NaN or inf, without a warning; callers mask it.
+    """
+    z1, z2 = np.atleast_1d(z1, np.abs(z2))
+    tau = np.float64(tau)            # 1/tau at tau = 0 is inf, not an exception
+    with np.errstate(all="ignore"):
         r = np.hypot(z1, z2)
         ws = tau / (2 * r)
         phi = np.arctan2(z2, z1)
@@ -180,28 +191,11 @@ def _closed_forms(z1, z2, tau: float) -> SimpleNamespace:
         Jt = 1 / tau                     # orientation-corrected Jacobian
         xi1 = ws ** 2 * np.cos(phi)
         C00 = xi1 * ws / (ws - xi1) * alpha
-        tr_coeff = (C00 * 2j * np.pi
-                    * np.exp(0.25j * np.pi * (np.sign(b2) + np.sign(b3)))
-                    * 2 * np.pi * Jt / np.sqrt(np.abs(b2 * b3)))
-        return SimpleNamespace(
-            inside=inside, lam=lam, w=w, beta=beta, formed=(a1 < 0) & (a2 * w < 0),
-            degenerate=inside & (np.any(np.abs(beta) <= 1e-6, axis=0) | (lam == 0)),
-            merge=np.abs(2 * r - tau * z1 / r) <= 1e-3,
-            coeff=coeff, phase=phase, tr_coeff=tr_coeff, tr_phase=-tau ** 2 / (4 * r))
-
-
-def stationary_frequencies(lam: float) -> Optional[tuple[float, float]]:
-    """The two positive stationary frequencies on L, (diverging, transverse),
-    or None outside the wedge (|lam| > 1/(2*sqrt(2)))."""
-    if lam == 0:
-        raise ValueError("lam must be nonzero")
-    w = _closed_forms(0.0, lam, 1.0).w[:, 0]   # the ray through (0, lam) at tau = 1
-    return None if np.isnan(w[0]) else (w[0], w[1])
-
-
-def wedge_test(z1: float, z2: float, tau: float) -> bool:
-    """Inside the wave wedge: behind the body and |z2/(tau-z1)| <= 1/(2*sqrt(2))."""
-    return bool(_closed_forms(z1, z2, tau).inside[0])
+        coeff = (C00 * 2j * np.pi
+                 * np.exp(0.25j * np.pi * (np.sign(b2) + np.sign(b3)))
+                 * 2 * np.pi * Jt / np.sqrt(np.abs(b2 * b3)))
+        return SimpleNamespace(coeff=coeff, phase=-tau ** 2 / (4 * r),
+                               merge=np.abs(2 * r - tau * z1 / r) <= 1e-3)
 
 
 def kelvin_wave_terms(params: KelvinParams) -> list[AsymptoticTerm]:
@@ -213,7 +207,7 @@ def kelvin_wave_terms(params: KelvinParams) -> list[AsymptoticTerm]:
     true for w > 1).  Raises DegenerateFamily inside the wedge in the merge
     regime |beta| <= 1e-6 and on the track z2 = 0 (the origin included).
     """
-    f = _closed_forms(params.z1, params.z2, params.tau)
+    f = _wave_families(params.z1, params.z2, params.tau)
     if f.degenerate[0]:
         raise DegenerateFamily(f"wave family degenerate at (z1, z2, tau) = "
                                f"{params.z1, params.z2, params.tau}")
@@ -228,10 +222,10 @@ def transient_term(params: KelvinParams) -> Optional[AsymptoticTerm]:
         return None
     if params.z1 == 0 and params.z2 == 0:
         raise ValueError("transient undefined at the origin")
-    f = _closed_forms(params.z1, params.z2, params.tau)
-    if f.merge[0]:
+    t = _transient(params.z1, params.z2, params.tau)
+    if t.merge[0]:
         raise MergeProximity("transient point merging with a crossing point")
-    return AsymptoticTerm(f.tr_coeff[0], -1.0, f.tr_phase[0])
+    return AsymptoticTerm(t.coeff[0], -1.0, t.phase[0])
 
 
 def wake_terms(params: KelvinParams) -> list[AsymptoticTerm]:
@@ -256,13 +250,14 @@ def field_map(z1_axis, z2_axis, tau: float, lam: float) -> FieldGrid:
     z1_axis = np.asarray(z1_axis, dtype=float)
     z2_axis = np.asarray(z2_axis, dtype=float)
     z1, z2 = np.meshgrid(z1_axis, np.abs(z2_axis), indexing="ij")
-    f = _closed_forms(z1, z2, tau)
+    f = _wave_families(z1, z2, tau)
+    t = _transient(z1, z2, tau)
     invalid = (z2 < 0.05) | (np.hypot(z1, z2) < 0.05)
     wedge = f.inside & ~invalid
     invalid |= wedge & ((WEDGE_SLOPE - f.lam < 0.02) | f.degenerate)
     waves = f.formed & wedge & ~invalid
     transient = (tau > 0) & ~invalid
-    merge = transient & f.merge
+    merge = transient & t.merge
     invalid |= merge                  # the WAVE bit stays set
     transient &= ~merge
 
@@ -270,7 +265,7 @@ def field_map(z1_axis, z2_axis, tau: float, lam: float) -> FieldGrid:
         return AsymptoticTerm(np.where(on, coeff, 0), power, np.where(on, phase, 0))
 
     terms = [term(waves[k] & ~invalid, f.coeff[k], -0.5, f.phase[k]) for k in (0, 1)]
-    terms.append(term(transient, f.tr_coeff, -1.0, f.tr_phase))
+    terms.append(term(transient, t.coeff, -1.0, t.phase))
     values = evaluate(terms, lam, KELVIN_PREFACTOR, real_field=True)
     mask = (MASK_WAVE * np.any(waves, axis=0) | MASK_TRANSIENT * transient
             | MASK_INVALID * invalid)
@@ -283,5 +278,5 @@ def render_wavefronts(z1_axis, z2_axis, tau: float, lam: float) -> np.ndarray:
     gray downstream)."""
     z1, z2 = np.meshgrid(np.asarray(z1_axis, dtype=float),
                          np.abs(np.asarray(z2_axis, dtype=float)), indexing="ij")
-    f = _closed_forms(z1, z2, tau)
+    f = _wave_families(z1, z2, tau)
     return np.cos(lam * np.where(f.inside & (z2 >= 1e-12), f.phase, np.nan))

@@ -146,7 +146,7 @@ def test_frame_consistency_surface_curved():
 def test_frame_consistency_crossing_kelvin():
     prob = kelvin.kelvin_problem(3.0, 1.5, 10.0)
     cA, cB = prob.amplitude.components
-    w1, _ = kelvin.stationary_frequencies(1.5 / 7.0)
+    w1 = kelvin._wave_families(3.0, 1.5, 10.0).w[0, 0]   # slope 1.5 / 7
     sp = detect.find_stationary(prob, (cA, cB), seeds=[curve_L(w1) + 0.02])[0]
     _check_frame_expansion(sp, prob.G, (1.0, 1.0, 0.0),
                            {2: sp.frame.betas[0]}, (cA, cB))
@@ -377,3 +377,40 @@ def test_branch_exponent_term_matches_quadrature(components):
         ref, _ = quad_deformed_3d(prob, lam, QuadratureSpec(R=7.0, n=1024))
         rel = abs(evaluate(terms, lam, prob.prefactor) - ref) / abs(ref)
         assert rel <= 5 / lam, (lam, rel)
+
+
+@pytest.mark.parametrize("name", ["gaussian-sp", "pole-sp", "double-cross"])
+def test_extrapolated_coefficient_matches_term(name):
+    """The coefficient, not only the rate: c(Lambda) = reference /
+    (prefactor * Lambda^p * e^{i*Lambda*G*}) is A + B/Lambda + C/Lambda^2 +
+    ..., and the exact fit through Lambda = 20, 40 and 80 recovers A, the
+    term's coefficient (2.7e-4 / 1.0e-4 / 1.3e-5 in the order of the
+    cases).  triple-cross waits for its box to hold all eight points: its
+    fit is off by 0.19."""
+    prob, entry = problems.get_problem(name)
+    (term,) = entry.terms(prob)
+    lams = np.array([20.0, 40.0, 80.0])
+    c = [entry.reference(prob, lam)
+         / (prob.prefactor * lam ** term.power * np.exp(1j * lam * term.phase0))
+         for lam in lams]
+    A = np.linalg.solve(np.vander(1 / lams, 3, increasing=True), c)[0]
+    assert abs(A - term.coeff) <= 1e-3 * abs(term.coeff)
+
+
+@pytest.mark.parametrize("name", ["pole-sp", "double-cross"])
+def test_mirrored_verdict_matches_quadrature(name):
+    """With eta -> -eta the contour bypasses the point above, so it does
+    not contribute: `expand` gives no term, and the integral is
+    exponentially small.  At Lambda = 5 it lies far below the unflipped
+    leading term (|I| 1.5e-3 against 7.9 on pole-sp, 1.8e-6 against 44 on
+    double-cross), and from Lambda = 5 to 10 it drops by more than 1e6,
+    where a power law Lambda^p would drop by about 2."""
+    prob, _ = problems.get_problem(name)
+    flipped = dataclasses.replace(prob, eta=-prob.eta)
+    (sp,) = detect.detect_all(flipped)
+    assert not sp.contributes and sp.reason.startswith("bypass-above:")
+    assert expand(flipped) == []
+    spec = QuadratureSpec(R=7.0, n=1024)
+    I5, I10 = (abs(quad_deformed_3d(flipped, lam, spec)[0]) for lam in (5.0, 10.0))
+    assert I5 < 1e-3 * abs(evaluate(expand(prob), 5.0, prob.prefactor))
+    assert I5 > 1e6 * I10

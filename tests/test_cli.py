@@ -178,8 +178,7 @@ def test_run_compare_kelvin_matches_closed_form_and_oracle(tmp_path):
 
 
 @pytest.mark.parametrize("mode,header", [
-    ("classify", "x1,x2,x3,kind,components,contributes,reason,"
-                 "witness1,witness2,witness3"),
+    ("classify", "x1,x2,x3,kind,components,contributes,reason"),
     ("asym", "re_coeff,im_coeff,power,phase0"),
     ("oracle", "lambda,re,im"),
     ("compare", "lambda,asym_re,asym_im,oracle_re,oracle_im,rel_error,runtime_s"),
