@@ -30,8 +30,9 @@ Two finders solve F(y) = 0 from a seed grid over the search box, both with
 one damped Newton solver that runs all seeds at once on (n_seeds, k) stacks:
 `find_stationary` the Lagrange system g_k = 0, grad(G) = N^T a in y = (x, a)
 for any m = 0..3 surfaces, and `find_conical_points` grad(g) = 0 on one.  The
-roots inside the box and on the finder's surfaces are deduplicated, judged,
-and kept when they are of the finder's kind.
+solver evaluates F once per iterate.  The roots inside the box and on the
+finder's surfaces are deduplicated, judged, and kept when they are of the
+finder's kind.
 """
 
 from __future__ import annotations
@@ -140,53 +141,65 @@ def _newton(fun, jac, y0: np.ndarray):
     Each row stops at |F| < 1e-14 or once its step is below ROOT_TOL*(1 + |y|);
     it fails on a non-finite |F|, an exactly singular Jacobian, no decrease
     of |F| along the full step or any of its 8 halvings, or after
-    NEWTON_MAXITER steps.
+    NEWTON_MAXITER steps.  F is evaluated once per iterate: an accepted
+    trial's residual and its norm are the next step's, so after the seeds'
+    each step makes at most two F calls (the full steps, then every halving
+    at once).
     """
-    def improves(f, nf):   # |f| finite and below nf, or below 1e-14
-        fn = np.linalg.norm(f, axis=-1)
+    def improves(fn, nf):   # fn = |f| finite and below nf, or below 1e-14
         return np.isfinite(fn) & ((fn < nf) | (fn < 1e-14))
 
     y = np.array(y0, dtype=float)
     converged = np.zeros(len(y), dtype=bool)
     live = np.arange(len(y))
     with np.errstate(all="ignore"):
+        f = fun(y) if live.size else y   # the residual at y[live] and its norm
+        nf = np.linalg.norm(f, axis=-1)
         for _ in range(NEWTON_MAXITER):
-            if live.size == 0:
-                break
-            f = fun(y[live])
-            nf = np.linalg.norm(f, axis=-1)
             converged[live[nf < 1e-14]] = True
             go = np.isfinite(nf) & (nf >= 1e-14)
+            if not np.any(go):
+                break
             step, ok = _steps(jac(y[live[go]]), f[go])
             live, nf, step = live[go][ok], nf[go][ok], step[ok]
             # backtracking line search on |F|: the full step for every row,
             # then the 8 halvings of the rows it does not improve, all in one
-            # call; each row takes its first improving step
+            # call; each row takes its first improving step and its residual
             x, lam = y[live], np.ones(len(live))
-            todo = np.flatnonzero(~improves(fun(x - step), nf))
+            f = fun(x - step)
+            fn = np.linalg.norm(f, axis=-1)
+            todo = np.flatnonzero(~improves(fn, nf))
             if todo.size:
                 h = 0.5 ** np.arange(1, 9)
                 trial = x[todo, None] - h[:, None] * step[todo, None]
-                good = improves(fun(trial.reshape(-1, x.shape[1])).reshape(trial.shape),
-                                 nf[todo, None])
-                lam[todo] = h[np.argmax(good, axis=1)]
+                ft = fun(trial.reshape(-1, x.shape[1])).reshape(trial.shape)
+                ftn = np.linalg.norm(ft, axis=-1)
+                good = improves(ftn, nf[todo, None])
+                first = np.argmax(good, axis=1)
+                lam[todo] = h[first]
+                rows = np.arange(todo.size)
+                f[todo], fn[todo] = ft[rows, first], ftn[rows, first]
                 todo = todo[~np.any(good, axis=1)]
             y[live] = x - lam[:, None] * step
             small = (np.linalg.norm(lam[:, None] * step, axis=-1)
                      < ROOT_TOL * (1 + np.linalg.norm(y[live], axis=-1)))
             small[todo] = False
             converged[live[small]] = True
-            live = np.setdiff1d(live[~small], live[todo], assume_unique=True)
+            keep = ~small
+            keep[todo] = False
+            live, f, nf = live[keep], f[keep], fn[keep]
     return y, converged
 
 
 def _dedup(x: np.ndarray) -> list[np.ndarray]:
-    """Greedy representatives of the rows of x, visited in lexicographic
-    order of the rounded coordinates."""
+    """Greedy representatives of the rows of x, in lexicographic order of
+    the rounded coordinates: each drops the rows within DEDUP_RADIUS of it in
+    one vectorized distance, so the loop runs once per representative."""
+    x = x[np.lexsort(np.round(x, 12).T[::-1])]
     out: list[np.ndarray] = []
-    for i in np.lexsort(np.round(x, 12).T[::-1]):
-        if all(np.linalg.norm(x[i] - q) > DEDUP_RADIUS for q in out):
-            out.append(x[i])
+    while len(x):
+        out.append(x[0])
+        x = x[np.linalg.norm(x - x[0], axis=-1) > DEDUP_RADIUS]
     return out
 
 

@@ -15,8 +15,9 @@ generates the circular transient from the onset of motion.
 
 The closed forms here are an independent derivation of the same frames the
 generic detect/asym path produces; the test suite checks they agree.  Each
-closed form and each degeneracy threshold is written once, in `_wave_families`
-for the two wave families or in `_transient` for the transient; both broadcast
+closed form and each degeneracy threshold is written once: the wave families'
+crests (wedge test, frequencies, crest phase) in `_crests`, their terms on top
+of it in `_wave_families`, the transient in `_transient`; all three broadcast
 over samples, so a single point and a grid sample take the same array
 arithmetic and agree exactly.
 """
@@ -135,17 +136,17 @@ def kelvin_problem(z1: float, z2: float, tau: float) -> ProblemSpec:
                        prefactor=KELVIN_PREFACTOR, z=(z1, z2, tau))
 
 
-def _wave_families(z1, z2, tau: float) -> SimpleNamespace:
-    """The wave families' closed forms at samples (z1, |z2|) at time tau.
+def _crests(z1, z2, tau: float) -> SimpleNamespace:
+    """The wave families' crests at samples (z1, |z2|) at time tau: all that
+    `render_wavefronts` reads, and what `_wave_families` builds on.
 
     z1, z2: float arrays of one shape S (>= 1-d); a single sample is a
     one-element array, so it takes the grid's array arithmetic.  Over S: the
-    wedge test `inside`, the ray slope `lam` and the mask `degenerate`
-    (inside the wedge with a family at |beta| <= 1e-6, or on the track
-    lam = 0).  Over (2, *S), diverging family first: frequencies `w` (NaN
-    outside the wedge), `beta`, the verdict `formed` and the term `coeff`,
-    `phase`.  Off a formula's domain (z1 = tau, the origin) the value is NaN
-    or inf, without a warning; callers mask it.
+    samples `z1`, `z2` (= |z2|), the wedge test `inside` and the ray slope
+    `lam`.  Over (2, *S), diverging family first: frequencies `w` (NaN
+    outside the wedge) and the crest phase G* `phase`.  Off a formula's
+    domain (z1 = tau, the origin) the value is NaN or inf, without a
+    warning; callers mask it.
     """
     z1, z2 = np.atleast_1d(z1, np.abs(z2))
     with np.errstate(all="ignore"):
@@ -155,7 +156,18 @@ def _wave_families(z1, z2, tau: float) -> SimpleNamespace:
         den = 2 * np.sqrt(2) * np.abs(lam)
         w = np.stack([np.sqrt(4 * lam ** 2 + 1 + rd) / den,
                       np.sqrt(4 * lam ** 2 + 1 - rd) / den])
+        return SimpleNamespace(z1=z1, z2=z2, inside=inside, lam=lam, w=w,
+                               phase=w ** 3 * (z1 - tau) / (2 * w ** 2 - 1))
 
+
+def _wave_families(z1, z2, tau: float) -> SimpleNamespace:
+    """The wave families' closed forms at samples (z1, |z2|) at time tau:
+    `_crests`, and over S the mask `degenerate` (inside the wedge with a
+    family at |beta| <= 1e-6, or on the track lam = 0), over (2, *S) `beta`,
+    the verdict `formed` and the term `coeff`."""
+    c = _crests(z1, z2, tau)
+    z1, z2, w = c.z1, c.z2, c.w
+    with np.errstate(all="ignore"):
         # frame at the crossing point with frequency w > 1; a formed trail has
         # alpha1 < 0 and alpha2*w < 0 (see kelvin_wave_terms)
         a1 = -z1 + (tau - z1) / (2 * w ** 2 - 1)
@@ -166,9 +178,9 @@ def _wave_families(z1, z2, tau: float) -> SimpleNamespace:
         coeff = (C0 * (2j * np.pi) ** 2 * np.exp(0.25j * np.pi * np.sign(beta))
                  * np.sqrt(2 * np.pi) * J / np.sqrt(np.abs(beta)))
         return SimpleNamespace(
-            inside=inside, lam=lam, w=w, beta=beta, formed=(a1 < 0) & (a2 * w < 0),
-            degenerate=inside & (np.any(np.abs(beta) <= 1e-6, axis=0) | (lam == 0)),
-            coeff=coeff, phase=w ** 3 * (z1 - tau) / (2 * w ** 2 - 1))  # crest G*
+            **vars(c), beta=beta, formed=(a1 < 0) & (a2 * w < 0),
+            degenerate=c.inside & (np.any(np.abs(beta) <= 1e-6, axis=0) | (c.lam == 0)),
+            coeff=coeff)
 
 
 def _transient(z1, z2, tau: float) -> SimpleNamespace:
@@ -278,5 +290,5 @@ def render_wavefronts(z1_axis, z2_axis, tau: float, lam: float) -> np.ndarray:
     gray downstream)."""
     z1, z2 = np.meshgrid(np.asarray(z1_axis, dtype=float),
                          np.abs(np.asarray(z2_axis, dtype=float)), indexing="ij")
-    f = _wave_families(z1, z2, tau)
-    return np.cos(lam * np.where(f.inside & (z2 >= 1e-12), f.phase, np.nan))
+    c = _crests(z1, z2, tau)
+    return np.cos(lam * np.where(c.inside & (z2 >= 1e-12), c.phase, np.nan))

@@ -30,6 +30,7 @@ sum's buffers.
 
 from __future__ import annotations
 
+import functools
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -125,6 +126,11 @@ def quad_contour_1d(f: Callable[[complex], complex], contour: tuple,
                     lam: float = 0.0) -> complex:
     """Adaptive quadrature of f(w) * exp(i*lam*w) along the contour.
 
+    Each segment is integrated twice by QUADPACK, the real part and the
+    imaginary part, over a parameter t in [0, 1].  The two runs visit almost
+    the same nodes, so the segment keeps a dict from t to the complex
+    integrand: one complex evaluation per node serves both runs.
+
     Multivalued integrands supplied through `f` should use `branch_power`,
     whose cut sits just below the positive real axis (arg in
     (-3*pi/2, pi/2]), matching the indented-below contour convention.
@@ -144,10 +150,11 @@ def quad_contour_1d(f: Callable[[complex], complex], contour: tuple,
                 th = t0 + (t1 - t0) * t
                 w = c + r * np.exp(1j * th)
                 return f(w) * np.exp(1j * lam * w) * 1j * r * np.exp(1j * th) * (t1 - t0)
+        node = functools.cache(h)   # t -> h(t), shared by both runs
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            re, ere = quad(lambda t: np.real(h(t)), 0, 1, limit=QUAD_LIMIT)
-            im, eim = quad(lambda t: np.imag(h(t)), 0, 1, limit=QUAD_LIMIT)
+            re, ere = quad(lambda t: node(t).real, 0, 1, limit=QUAD_LIMIT)
+            im, eim = quad(lambda t: node(t).imag, 0, 1, limit=QUAD_LIMIT)
         if max(ere, eim) > 1e-4 * max(1.0, abs(complex(re, im))):
             raise NonConvergent("1D contour quadrature did not converge")
         total += complex(re, im)

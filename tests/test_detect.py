@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from collections import Counter
 
 import numpy as np
@@ -15,6 +16,7 @@ from oscint3.core import (
     quadratic_field,
 )
 from oscint3.detect import PointKind, classify_point
+import replaced_paths
 from wake_curve import curve_L
 
 
@@ -249,7 +251,10 @@ def test_stalled_seeds_stay_cut(monkeypatch):
 def test_newton_line_search_batched():
     """Newton on arctan overshoots from |y| > 1.4 and needs step halvings; the
     line search makes at most two calls of F per step (the full step, then
-    every halving at once), and each row still converges to the root 0."""
+    every halving at once), and each row still converges to the root 0.
+    The accepted trial's residual is the next step's, so F is called once
+    for the seeds and then only by the line search: 17 calls, where
+    evaluating F again at the top of each step made 30."""
     log = []
 
     def fun(y):
@@ -262,8 +267,70 @@ def test_newton_line_search_batched():
 
     y, converged = detect._newton(fun, jac, np.array([[10.0], [-20.0], [3.0], [0.5]]))
     assert np.all(converged) and np.max(np.abs(y)) <= 1e-12
-    # after each Jacobian: the line-search calls, then the next step's residual
-    assert max(len(calls) for calls in "".join(log).split("J")[1:]) <= 3
+    calls = "".join(log).split("J")
+    assert calls[0] == "f" and max(len(c) for c in calls[1:]) <= 2
+    assert log.count("f") == 17
+    log.clear()
+    detect._newton(fun, jac, np.zeros((0, 1)))
+    assert log == []
+
+
+# every finder system of detect_all: the six registry problems, and Kelvin at
+# two more points and the two drawn by the benchmark's detect-sweep at seed 0
+FINDER_CASES = [(name, None) for name in problems.REGISTRY] + [
+    ("kelvin", (3.0, 1.5, 10.0)),
+    ("kelvin", (2.0, 0.5, 10.0)),
+    ("kelvin", (3.7607632721794046, 1.5995704584383263, 10.0)),
+    ("kelvin", (4.239236727820595, 1.0206955600968026, 10.0)),
+]
+
+
+@pytest.mark.parametrize("key", FINDER_CASES, ids=str)
+def test_newton_matches_replaced_loop(monkeypatch, key):
+    """Carrying the accepted trial's residual gives the bits of the loop that
+    evaluated F again at the top of every step, on every finder system."""
+    name, z = key
+    prob = problems.get_problem(name)[0] if z is None else kelvin.kelvin_problem(*z)
+    newton, systems = detect._newton, []
+
+    def both(fun, jac, y0):
+        y, converged = newton(fun, jac, y0)
+        y_ref, converged_ref = replaced_paths.newton(fun, jac, y0)
+        assert np.array_equal(y, y_ref, equal_nan=True)
+        assert np.array_equal(converged, converged_ref)
+        systems.append(len(y0))
+        return y, converged
+
+    monkeypatch.setattr(detect, "_newton", both)
+    detect.detect_all(prob)
+    comps = len(prob.amplitude.components)
+    assert len(systems) == sum(math.comb(comps, m) for m in range(4)) + comps
+
+
+def _chain(start, direction, spacing, n):
+    return start + spacing * np.arange(n)[:, None] * direction
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dedup_matches_replaced_loop(seed):
+    """One vectorized distance per representative keeps the representatives
+    of the per-pair loop: on random clouds clustered at the scale of
+    DEDUP_RADIUS, and on chains spaced just under and just over it."""
+    rng = np.random.default_rng(seed)
+    R = detect.DEDUP_RADIUS
+    centres = rng.uniform(-2, 2, (8, 3))
+    cloud = (centres[rng.integers(0, 8, 400)]
+             + R * rng.uniform(0.2, 3.0) * rng.standard_normal((400, 3)))
+    d = rng.standard_normal(3)
+    d /= np.linalg.norm(d)
+    chains = np.vstack([_chain(centres[0], d, 0.999 * R, 25),
+                        _chain(centres[1], d, 1.001 * R, 25),
+                        _chain(centres[2], -d, 0.5 * R, 25)])
+    for x in (cloud, chains, np.vstack([cloud, chains]), cloud[:0]):
+        x = x[rng.permutation(len(x))]
+        got, ref = detect._dedup(x), replaced_paths.dedup(x)
+        assert len(got) == len(ref)
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
 
 # detect_all output of the per-seed Newton finders the batched solver replaced:

@@ -294,10 +294,11 @@ def test_render_wavefronts_range_and_wedge():
 
 
 def test_render_wavefronts_peak_memory():
-    """The fronts read only the wave families' closed forms, not the
-    transient's: on the 300 x 200 grid the traced peak stays below 15 MiB
-    (13.8 MiB; 17.5 MiB when every wake closed form was evaluated at once,
-    for a result of 0.9 MiB)."""
+    """The fronts read only the wave families' crests (wedge test,
+    frequencies, crest phase), not their terms or the transient: on the
+    300 x 200 grid the traced peak stays below 8 MiB (6.0 MiB; 13.8 MiB when
+    the families' terms were formed too, 17.5 MiB with the transient, for a
+    result of 0.9 MiB)."""
     z1, z2 = np.linspace(0, 14, 300), np.linspace(-5, 5, 200)
     tracemalloc.start()
     try:
@@ -305,7 +306,7 @@ def test_render_wavefronts_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 15 * 2 ** 20
+    assert peak < 8 * 2 ** 20
 
 
 def test_transverse_front_spacing_near_axis():

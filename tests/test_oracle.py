@@ -19,6 +19,7 @@ from oscint3.oracle import (
     quad_contour_1d,
     quad_deformed_3d,
 )
+import replaced_paths
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +48,29 @@ def test_contour_confirms_gamma_factor(mu):
         f = lambda w: branch_power(w, mu)
     v = quad_contour_1d(f, contour, lam=1.0)
     assert v == pytest.approx(gamma_factor(mu), rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.parametrize("quadratic", [False, True])
+@pytest.mark.parametrize("lam", [20.0, 40.0, 80.0])
+def test_pole_factor_matches_replaced_runs(monkeypatch, lam, quadratic):
+    """One complex evaluation per node serves both QUADPACK runs of a
+    segment: the references' pole factor keeps the bits of the rule that
+    evaluated the integrand separately for the real and the imaginary run,
+    and the integrand is called once per distinct node."""
+    nodes = []
+    pole = problems._pole_factor
+
+    def counting(f, contour, lam):
+        def counted(w):
+            nodes.append(w)
+            return f(w)
+        return quad_contour_1d(counted, contour, lam)
+
+    monkeypatch.setattr(oracle, "quad_contour_1d", counting)
+    got = pole(lam, quadratic)
+    assert len(nodes) == len(set(nodes))
+    monkeypatch.setattr(oracle, "quad_contour_1d", replaced_paths.quad_contour_1d)
+    assert repr(got) == repr(pole(lam, quadratic))
 
 
 def test_quadrature_spec_validation():
